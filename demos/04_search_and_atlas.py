@@ -5,9 +5,9 @@ Equivalence search and the small atlas
 Welded knots are diagrams up to the rewriting moves, so equivalence is
 reachability in the move graph.  Searches are budgeted: a positive answer
 comes with a replayable move path, a negative answer is only ever
-"unknown".  The atlas enumerates all small diagrams, clusters them into
-within-budget equivalence classes, and pairs each class with the class of
-its global reversal.
+"unknown".  The atlas needs no budget: it enumerates every diagram up to
+a crossing cap, takes the connected components of the move graph on them
+as classes, and pairs each class with the class of its global reversal.
 """
 
 from collections import Counter
@@ -50,8 +50,8 @@ print("fingerprints:", dict(fingerprint(trefoil).coloring_counts), "vs", dict(fi
 print("simplify(tangled):", encode_wgd(simplify(tangled, SearchBudget(max_crossings=4))))
 print("simplify(trefoil):", encode_wgd(simplify(trefoil, SearchBudget(max_crossings=5, max_states=200, max_depth=6))))
 
-# %% the atlas of everything up to two crossings
-records = build_atlas(2, SearchBudget(max_crossings=4, max_states=400, max_depth=8))
+# %% the atlas of everything up to two crossings, classified within four
+records = build_atlas(2, max_crossings=4)
 print(f"atlas: {len(records)} diagrams, {len({r.class_id for r in records})} class(es)")
 print("class sizes:", dict(Counter(r.class_id for r in records)))
 

@@ -2,8 +2,8 @@
 Command-line front end.  Batch-oriented: inputs come from files or stdin,
 results go to stdout, diagnostics to stderr.
 
-Exit codes: 0 success, 1 domain error (invalid input, stale site, budget
-violation), 2 usage error.
+Exit codes: 0 success, 1 domain error (invalid or unreadable input, file
+errors, stale or malformed site, budget violation), 2 usage error.
 
 File conventions: ``.gc`` Gauss code text, ``.wgd`` structured diagram,
 ``.jsonl`` atlas.
@@ -76,8 +76,9 @@ def _site_obj(site: MoveSite) -> dict:
     return {"kind": site.kind.value, "positions": list(site.positions), "variant": site.variant}
 
 
-def _site_from_obj(obj: dict) -> MoveSite:
+def _site_from_text(text: str) -> MoveSite:
     try:
+        obj = json.loads(text)
         kind = MoveKind(obj["kind"])
         return MoveSite(kind, tuple(int(i) for i in obj["positions"]), obj.get("variant", ""))
     except (KeyError, ValueError, TypeError) as e:
@@ -102,11 +103,11 @@ def _budget_from_args(args, default_crossings: int) -> search_mod.SearchBudget:
     )
 
 
-def _add_budget_flags(p: argparse.ArgumentParser, states=5000, depth=16) -> None:
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-crossings", type=int, default=None,
                    help="crossing cap during search (default: input size + 2)")
-    p.add_argument("--max-states", type=int, default=states)
-    p.add_argument("--max-depth", type=int, default=depth)
+    p.add_argument("--max-states", type=int, default=5000)
+    p.add_argument("--max-depth", type=int, default=16)
 
 
 def _parse_groups(spec: str):
@@ -160,7 +161,7 @@ def _cmd_moves(args) -> int:
 
 def _cmd_apply(args) -> int:
     code = _as_code(_parse_any(_read_input(args.input)))
-    site = _site_from_obj(json.loads(args.site))
+    site = _site_from_text(args.site)
     new_code, record = apply_move(code, site)
     if args.json:
         print(json.dumps({"code": encode_gauss_code(new_code), "record": _record_obj(record)}))
@@ -236,9 +237,9 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    budget = _budget_from_args(args, args.n_max + 2)
+    max_crossings = args.max_crossings if args.max_crossings is not None else args.n_max + 2
     records = search_mod.build_atlas(
-        args.n_max, budget, primes=_parse_primes(args.primes), groups=_parse_groups(args.groups)
+        args.n_max, max_crossings, primes=_parse_primes(args.primes), groups=_parse_groups(args.groups)
     )
     text = search_mod.atlas_to_jsonl(records)
     if args.output:
@@ -246,9 +247,6 @@ def _cmd_atlas(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for r in records:
-        if r.capped:
-            print(f"warning: resource cap hit while classifying {encode_wgd(r.wgd)}", file=sys.stderr)
     return 0
 
 
@@ -257,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weldedknots",
         description="Gauss codes, welded Gauss diagrams, moves, invariants and search.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="fix randomness in harness-style usage (deterministic subcommands ignore it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert between representations")
@@ -269,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical form of a welded Gauss diagram")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("moves", help="list applicable move sites")
@@ -295,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simplify", help="search for a smaller equivalent diagram")
     p.add_argument("input", nargs="?", default="-")
     _add_budget_flags(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simplify)
 
     p = sub.add_parser("invariants", help="coloring and homomorphism counts")
@@ -310,16 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--bar", action="store_true")
     p.add_argument("--global", dest="globalrev", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_symmetry)
 
-    p = sub.add_parser("atlas", help="enumerate and cluster small diagrams")
+    atlas_help = ("classify diagrams by the components of the move graph within --max-crossings "
+                  "(default: n-max + 2); --max-states and --max-depth are ignored")
+    p = sub.add_parser("atlas", help=atlas_help, description=atlas_help)
     p.add_argument("--n-max", type=int, required=True)
-    _add_budget_flags(p, states=400, depth=8)
+    _add_budget_flags(p)
     p.add_argument("--primes", default="3,5")
     p.add_argument("--groups", default="")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_atlas)
 
     return parser
@@ -330,7 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as e:
+    except (DomainError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

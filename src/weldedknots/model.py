@@ -147,6 +147,8 @@ def validate_code(code: GaussCode) -> str | None:
 
     Total function: never raises on malformed content.
     """
+    if not isinstance(code, GaussCode):
+        return f"expected a GaussCode, got {type(code).__name__}"
     seen: dict[int, dict[str, int]] = {}
     for p in code.passages:
         if p.role not in (OVER, UNDER):
@@ -169,6 +171,8 @@ def validate_code(code: GaussCode) -> str | None:
 
 def validate_wgd(w: WeldedGaussDiagram) -> str | None:
     """Return the first violated invariant as a message, or None if valid."""
+    if not isinstance(w, WeldedGaussDiagram):
+        return f"expected a WeldedGaussDiagram, got {type(w).__name__}"
     labels = set(w.order)
     if len(labels) != len(w.order):
         return "order repeats a label"

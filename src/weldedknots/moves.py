@@ -99,6 +99,19 @@ class MoveRecord:
     site: MoveSite | None = field(default=None, compare=False)
 
 
+_ARITY = {
+    MoveKind.R1_INSERT: 1,
+    MoveKind.R1_DELETE: 2,
+    MoveKind.R2_INSERT: 2,
+    MoveKind.R2_DELETE: 2,
+    MoveKind.R3: 3,
+    MoveKind.OC: 2,
+}
+_INSERT_VARIANTS = {
+    MoveKind.R1_INSERT: ("ou+", "ou-", "uo+", "uo-"),
+    MoveKind.R2_INSERT: ("par+", "par-", "anti+", "anti-"),
+}
+
 _INVERSE_KIND = {
     MoveKind.R1_INSERT: MoveKind.R1_DELETE,
     MoveKind.R1_DELETE: MoveKind.R1_INSERT,
@@ -256,7 +269,7 @@ def enumerate_sites(
     if MoveKind.R1_INSERT in wanted:
         slots = range(L) if L else range(1)
         for s in slots:
-            for variant in ("ou+", "ou-", "uo+", "uo-"):
+            for variant in _INSERT_VARIANTS[MoveKind.R1_INSERT]:
                 sites.append(MoveSite(MoveKind.R1_INSERT, (s,), variant))
 
     if MoveKind.R2_INSERT in wanted and L >= 1:
@@ -264,7 +277,7 @@ def enumerate_sites(
             for su in range(L):
                 if so == su:
                     continue
-                for variant in ("par+", "par-", "anti+", "anti-"):
+                for variant in _INSERT_VARIANTS[MoveKind.R2_INSERT]:
                     sites.append(MoveSite(MoveKind.R2_INSERT, (so, su), variant))
 
     if MoveKind.R1_DELETE in wanted:
@@ -325,6 +338,10 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
     rewrite bit-exactly.
     """
     require_valid_code(code)
+    if len(site.positions) != _ARITY[site.kind]:
+        raise DomainError(f"{site.kind.value} site needs {_ARITY[site.kind]} positions, got {len(site.positions)}")
+    if site.kind in _INSERT_VARIANTS and site.variant not in _INSERT_VARIANTS[site.kind]:
+        raise DomainError(f"unknown {site.kind.value} variant {site.variant!r}")
     return _apply_unchecked(code, site)
 
 

@@ -1,10 +1,14 @@
 """
-Bounded equivalence search, simplification, and atlas enumeration.
+Bounded equivalence search, simplification, and the exact atlas.
 
 States are canonical welded Gauss diagrams; codes are rematerialized on
 demand when a replayable move path is requested.  Every reported
 equivalence carries such a path; a negative answer is always Unknown
 (budget exhaustion bounds the exploration, it proves nothing).
+
+The atlas needs no budget: it enumerates every diagram up to a crossing
+cap and takes the connected components of the move graph on them, which
+are the equivalence classes of that graph exactly.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -201,44 +205,35 @@ def simplify(w: WeldedGaussDiagram, budget: SearchBudget) -> WeldedGaussDiagram:
     Best-first on crossing count, so shrinking paths are explored before
     growth; never returns more crossings than the input; deterministic.
     """
-    result, _ = _simplify_with_stats(w, budget)
-    return result
-
-
-def _simplify_with_stats(w: WeldedGaussDiagram, budget: SearchBudget) -> tuple[WeldedGaussDiagram, bool]:
     budget.validate()
     require_valid_wgd(w)
     start = canonical_wgd(w)
     if budget.max_crossings < start.n:
         raise DomainError("max_crossings is below the input's crossing count")
     best = start
-    capped = False
     cache: dict = {}
     visited = {_state_key(start)}
     heap = [(_state_key(start), 0)]
-    heapq.heapify(heap)
     states = {_state_key(start): start}
     while heap:
         key, depth = heapq.heappop(heap)
         state = states[key]
-        if _state_key(state) < _state_key(best):
+        if key < _state_key(best):
             best = state
         if best.n == 0:
-            return best, False
+            return best
         if depth >= budget.max_depth:
-            capped = True
             continue
         for nb in _neighbor_keys(state, budget.max_crossings, cache):
             nb_key = _state_key(nb)
             if nb_key in visited:
                 continue
             if len(visited) >= budget.max_states:
-                capped = True
                 break
             visited.add(nb_key)
             states[nb_key] = nb
             heapq.heappush(heap, (nb_key, depth + 1))
-    return best, capped
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ class AtlasRecord:
     fingerprint: InvariantFingerprint
     class_id: int
     orbit_id: int
-    capped: bool = False
+    capped = False  # not a field: classes are exact; bench/tracer.py still reads it
 
 
 def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
@@ -274,30 +269,28 @@ def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
 
 def build_atlas(
     n_max: int,
-    budget: SearchBudget,
+    max_crossings: int,
     primes=(3, 5),
     groups: tuple[Group, ...] = (),
 ) -> list[AtlasRecord]:
-    """Enumerate canonical diagrams up to n_max crossings, cluster them by
-    within-budget move-equivalence, and pair classes under global reversal.
+    """Enumerate canonical diagrams up to n_max crossings, group them into
+    the connected components of the move graph on all diagrams with at
+    most max_crossings crossings, and pair classes under global reversal.
 
-    Clustering first merges diagrams sharing a simplified form (each
-    simplification is itself a move path), then attempts pairwise searches
-    between the remaining representatives of equal fingerprint.  Class and
-    orbit ids depend only on the seed set and the budget.
+    Every growth edge is the inverse of a shrink edge, so the components
+    are found by union-find over the R1-delete, R2-delete and R3
+    neighbours of every diagram within the cap.  The classes are exact
+    for that graph: no budget is involved.  Class and orbit ids depend
+    only on n_max and max_crossings.
     """
     from .symmetry import global_reversal
 
-    budget.validate()
-    seeds = enumerate_canonical_wgds(n_max)
-    if budget.max_crossings < n_max:
-        raise DomainError("max_crossings is below n_max")
-    keys = [_state_key(w) for w in seeds]
-    index = {k: i for i, k in enumerate(keys)}
-    prints = [fingerprint(w, primes=primes, groups=groups) for w in seeds]
-    capped = [False] * len(seeds)
+    if not 0 <= n_max <= max_crossings:
+        raise DomainError("need 0 <= n_max <= max_crossings")
+    states = enumerate_canonical_wgds(max_crossings)
+    index = {_state_key(w): i for i, w in enumerate(states)}
 
-    parent = list(range(len(seeds)))
+    parent = list(range(len(states)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -310,28 +303,15 @@ def build_atlas(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for i, w in enumerate(seeds):
-        reduced, hit_cap = _simplify_with_stats(w, budget)
-        capped[i] = capped[i] or hit_cap
-        union(i, index[_state_key(reduced)])
+    for i, w in enumerate(states):
+        for nb in wgd_neighbors(w, growth_allowed=False):
+            union(i, index[_state_key(nb)])
 
-    by_fingerprint: dict[tuple, list[int]] = {}
-    for i in range(len(seeds)):
-        root = find(i)
-        group_key = (prints[i].coloring_counts, prints[i].hom_counts)
-        roots = by_fingerprint.setdefault(group_key, [])
-        if root not in roots:
-            roots.append(root)
-    for roots in by_fingerprint.values():
-        for i, j in itertools.combinations(sorted(roots), 2):
-            if find(i) == find(j):
-                continue
-            outcome = are_equivalent(seeds[i], seeds[j], budget)
-            if outcome.equivalent:
-                union(i, j)
-            else:
-                capped[i] = True
-                capped[j] = True
+    # states are sorted by crossing count and roots are minimal indices,
+    # so the seeds are a prefix and every seed's root is a seed
+    seeds = [w for w in states if w.n <= n_max]
+    keys = [_state_key(w) for w in seeds]
+    prints = [fingerprint(w, primes=primes, groups=groups) for w in seeds]
 
     class_ids: dict[int, int] = {}
     for i in range(len(seeds)):
@@ -360,7 +340,6 @@ def build_atlas(
                 fingerprint=prints[i],
                 class_id=cid,
                 orbit_id=orbit_ids[min(cid, partner[cid])],
-                capped=capped[find(i)] or capped[i],
             )
         )
     return records

@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,12 @@ def reference_wgd() -> WeldedGaussDiagram:
 
 
 TREFOIL_TEXT = "O1+ U2+ O3+ U1+ O2+ U3+"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict:
+    """Environment for a child interpreter that imports this checkout's package."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))

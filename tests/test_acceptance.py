@@ -25,6 +25,7 @@ from weldedknots import (
     coloring_count,
     coloring_count_bruteforce,
     decode_gauss_code,
+    decode_wgd,
     enumerate_canonical_wgds,
     enumerate_sites,
     gauss_to_wgd,
@@ -253,19 +254,28 @@ def test_criterion_8_scramble_and_recover():
 
 def test_criterion_9_atlas_sanity():
     started = time.time()
-    records_1 = build_atlas(1, SearchBudget(max_crossings=3, max_states=300, max_depth=8))
+    records_1 = build_atlas(1, max_crossings=3)
     assert {r.class_id for r in records_1} == {0}
 
-    budget = SearchBudget(max_crossings=5, max_states=300, max_depth=8)
-    records_3 = build_atlas(3, budget)
+    records_3 = build_atlas(3, max_crossings=5)
     p3_by_class: dict[int, int] = {}
     for r in records_3:
         p3_by_class[r.class_id] = dict(r.fingerprint.coloring_counts)[3]
     values = set(p3_by_class.values())
     assert len(p3_by_class) >= 2
     assert {3, 9} <= values
+    assert len(p3_by_class) == 4
+    class_of = {r.wgd: r.class_id for r in records_3}
+    first, second = (
+        canonical_wgd(decode_wgd(text))
+        for text in (
+            '{"order":[1,2,3],"map":{"1":[2,"-"],"2":[3,"-"],"3":[1,"+"]}}',
+            '{"order":[1,2,3],"map":{"1":[2,"-"],"2":[3,"+"],"3":[1,"+"]}}',
+        )
+    )
+    assert class_of[first] == class_of[second]
 
-    rerun = build_atlas(3, budget)
+    rerun = build_atlas(3, max_crossings=5)
     assert rerun == records_3
     report(
         "criterion 9 (atlas sanity)",

@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from weldedknots.cli import main
 
-from conftest import TREFOIL_TEXT
+from conftest import TREFOIL_TEXT, subprocess_env
 
 
 def run(capsys, *argv):
@@ -171,4 +173,41 @@ class TestEquivSimplifyInvariantsAtlas:
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["convert", "--to", "nonsense", "-"])
+        assert exc.value.code == 2
+
+
+def run_process(*argv, cwd):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a
+    traceback on stderr instead of failing the test run itself."""
+    return subprocess.run(
+        [sys.executable, "-m", "weldedknots.cli", *argv],
+        cwd=cwd, env=subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize("argv", [
+        ["apply", "kink.gc", "--site", "notjson"],
+        ["apply", "kink.gc", "--site", '{"kind": "R1_delete", "positions": []}'],
+        ["apply", "kink.gc", "--site", '{"kind": "R1_insert", "positions": [0], "variant": "zz"}'],
+        ["canon", "missing.wgd"],
+        ["atlas", "--n-max", "0", "-o", "no/such/dir/atlas.jsonl"],
+    ])
+    def test_exit_1_without_traceback(self, tmp_path, argv):
+        (tmp_path / "kink.gc").write_text("O1+ U1+")
+        proc = run_process(*argv, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "1", "canon", "-"],
+        ["canon", "--json", "-"],
+        ["simplify", "--json", "-"],
+        ["symmetry", "--bar", "--json", "-"],
+        ["atlas", "--n-max", "0", "--json"],
+    ])
+    def test_removed_no_op_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2

@@ -155,6 +155,10 @@ class TestFingerprint:
         assert dict(fp.coloring_counts) == {3: 9, 5: 5}
         assert dict(fp.hom_counts) == {"S3": 12}
 
+    def test_text_rejected(self):
+        with pytest.raises(DomainError):
+            fingerprint("O1+ U1+")
+
     def test_counts_at_least_trivial_baseline(self, rng):
         g = symmetric_group_3()
         for _ in range(50):

@@ -1,6 +1,7 @@
 import pytest
 
 from weldedknots import (
+    DomainError,
     GROWTH_KINDS,
     GaussCode,
     MoveKind,
@@ -107,6 +108,17 @@ class TestApply:
         shrunk, _ = apply_move(code, site)
         with pytest.raises(StaleSiteError):
             apply_move(shrunk, site)
+
+    @pytest.mark.parametrize("site", [
+        MoveSite(MoveKind.R1_DELETE, ()),
+        MoveSite(MoveKind.R1_INSERT, (), "ou+"),
+        MoveSite(MoveKind.R3, (0, 2)),
+        MoveSite(MoveKind.R1_INSERT, (0,), "zz"),
+        MoveSite(MoveKind.R2_INSERT, (0, 1), "par"),
+    ])
+    def test_malformed_site_rejected(self, site):
+        with pytest.raises(DomainError):
+            apply_move(decode_gauss_code("O1+ U1+"), site)
 
     def test_r2_insert_then_delete_identity_all_variants(self, rng):
         for _ in range(40):

@@ -130,22 +130,70 @@ class TestEnumeration:
             assert canonical_wgd(w) == w
 
 
+def _components(states, neighbors) -> set[frozenset]:
+    """Connected components of the undirected graph on ``states`` with an
+    edge wherever ``neighbors`` lists one state from the other."""
+    adjacent: dict = {w: set() for w in states}
+    for w in states:
+        for nb in neighbors(w):
+            if nb in adjacent:
+                adjacent[w].add(nb)
+                adjacent[nb].add(w)
+    out: set[frozenset] = set()
+    for w in states:
+        if any(w in c for c in out):
+            continue
+        component, frontier = {w}, {w}
+        while frontier:
+            frontier = {nb for x in frontier for nb in adjacent[x]} - component
+            component |= frontier
+        out.add(frozenset(component))
+    return out
+
+
+class TestShrinkEdgesSuffice:
+    """The atlas takes components over shrink and R3 edges only; that is
+    exact because every growth edge is the inverse of a shrink edge."""
+
+    def test_every_growth_edge_has_an_inverse_shrink_edge(self):
+        edges = 0
+        for w in enumerate_canonical_wgds(2):
+            for nb in wgd_neighbors(w, kinds=GROWTH_KINDS):
+                edges += 1
+                assert w in wgd_neighbors(nb, growth_allowed=False), (wgd_encoding(w), wgd_encoding(nb))
+        assert edges > 0
+
+    def test_atlas_classes_are_components_of_the_full_graph(self):
+        # at cap 3 the R1-delete edges alone give the same 5 components;
+        # cap 4 is the first where R2 and R3 edges merge classes
+        cap = 4
+        states = enumerate_canonical_wgds(cap)
+        # growth out of a diagram at the cap always leaves it, so skip building it
+        full = _components(
+            states, lambda w: wgd_neighbors(w, growth_allowed=w.n < cap, max_crossings=cap)
+        )
+        by_class: dict[int, set] = {}
+        for r in build_atlas(cap, max_crossings=cap):
+            by_class.setdefault(r.class_id, set()).add(r.wgd)
+        assert {frozenset(c) for c in by_class.values()} == full
+
+
 class TestAtlas:
-    BUDGET = SearchBudget(max_crossings=4, max_states=400, max_depth=8)
+    MAX_CROSSINGS = 4
 
     def test_single_record_for_trivial_enumeration(self):
-        records = build_atlas(0, SearchBudget(max_crossings=2, max_states=100, max_depth=4))
+        records = build_atlas(0, max_crossings=2)
         assert len(records) == 1
         assert records[0].wgd == EMPTY
         assert records[0].class_id == 0 and records[0].orbit_id == 0
 
     def test_one_crossing_atlas_is_trivial_class(self):
-        records = build_atlas(1, SearchBudget(max_crossings=3, max_states=300, max_depth=6))
+        records = build_atlas(1, max_crossings=3)
         assert len(records) == 3
         assert {r.class_id for r in records} == {0}
 
     def test_class_ids_partition_consistently(self):
-        records = build_atlas(2, self.BUDGET)
+        records = build_atlas(2, max_crossings=self.MAX_CROSSINGS)
         by_class: dict[int, list] = {}
         for r in records:
             by_class.setdefault(r.class_id, []).append(r)
@@ -155,7 +203,7 @@ class TestAtlas:
         assert sorted(by_class) == list(range(len(by_class)))
 
     def test_orbit_pairing_is_involution(self):
-        records = build_atlas(2, self.BUDGET)
+        records = build_atlas(2, max_crossings=self.MAX_CROSSINGS)
         partner = {}
         for r in records:
             rev = canonical_wgd(global_reversal(r.wgd))
@@ -170,12 +218,12 @@ class TestAtlas:
             )
 
     def test_deterministic_across_reruns(self):
-        a = build_atlas(2, self.BUDGET)
-        b = build_atlas(2, self.BUDGET)
+        a = build_atlas(2, max_crossings=self.MAX_CROSSINGS)
+        b = build_atlas(2, max_crossings=self.MAX_CROSSINGS)
         assert a == b
 
     def test_jsonl_fields_exact(self):
-        records = build_atlas(1, SearchBudget(max_crossings=3, max_states=300, max_depth=6))
+        records = build_atlas(1, max_crossings=3)
         lines = atlas_to_jsonl(records).splitlines()
         assert len(lines) == len(records)
         for line in lines:
