@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert between representations")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--to", choices=["wgd", "gauss", "gd"], required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("canon", help="canonical form of a welded Gauss diagram")

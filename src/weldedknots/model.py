@@ -153,7 +153,7 @@ def validate_code(code: GaussCode) -> str | None:
     for p in code.passages:
         if p.role not in (OVER, UNDER):
             return f"passage role must be O or U, got {p.role!r}"
-        if not isinstance(p.crossing, int) or p.crossing < 1:
+        if isinstance(p.crossing, bool) or not isinstance(p.crossing, int) or p.crossing < 1:
             return f"crossing label must be a positive integer, got {p.crossing!r}"
         if p.sign not in (1, -1):
             return f"sign must be +1 or -1, got {p.sign!r}"
@@ -177,14 +177,14 @@ def validate_wgd(w: WeldedGaussDiagram) -> str | None:
     if len(labels) != len(w.order):
         return "order repeats a label"
     for c in w.order:
-        if not isinstance(c, int) or c < 1:
+        if isinstance(c, bool) or not isinstance(c, int) or c < 1:
             return f"label must be a positive integer, got {c!r}"
     if set(w.head) != labels:
         return "head map is not total on the label set"
     if set(w.sign) != labels:
         return "sign map is not total on the label set"
     for c, h in w.head.items():
-        if h not in labels:
+        if isinstance(h, bool) or h not in labels:
             return f"head of {c} points at unknown label {h}"
     for c, s in w.sign.items():
         if s not in (1, -1):
@@ -208,21 +208,31 @@ def require_valid_wgd(w: WeldedGaussDiagram) -> None:
 # canonical forms
 
 
-def _canonical_wgd_unchecked(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    n = len(w.order)
+def _canonical_from_positions(head_pos: list[int], signs: list[int]) -> WeldedGaussDiagram:
+    """Canonical form of the diagram whose crossing at cyclic position i
+    has its head at position ``head_pos[i]`` and sign ``signs[i]``."""
+    n = len(head_pos)
     if n == 0:
         return WeldedGaussDiagram((), {}, {})
-    position = {c: i for i, c in enumerate(w.order)}
-    head_pos = [position[w.head[c]] for c in w.order]
-    signs = [w.sign[c] for c in w.order]
+    # only rotations whose first entry is minimal can win
+    firsts = [((head_pos[r] - r) % n, signs[r]) for r in range(n)]
+    lowest = min(firsts)
     best = min(
         tuple(((head_pos[(r + j) % n] - r) % n + 1, signs[(r + j) % n]) for j in range(n))
         for r in range(n)
+        if firsts[r] == lowest
     )
     order = tuple(range(1, n + 1))
     head = {i + 1: best[i][0] for i in range(n)}
     sign = {i + 1: best[i][1] for i in range(n)}
     return WeldedGaussDiagram(order, head, sign)
+
+
+def _canonical_wgd_unchecked(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
+    position = {c: i for i, c in enumerate(w.order)}
+    return _canonical_from_positions(
+        [position[w.head[c]] for c in w.order], [w.sign[c] for c in w.order]
+    )
 
 
 def canonical_wgd(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
@@ -330,11 +340,20 @@ def decode_wgd(text: str) -> WeldedGaussDiagram:
     return wgd_from_obj(obj)
 
 
+_MAP_KEY = re.compile(r"^-?[0-9]+$")
+
+
+def _is_label(value) -> bool:
+    """JSON integers only: ``true`` and ``false`` decode to Python bools,
+    which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def wgd_from_obj(obj) -> WeldedGaussDiagram:
     if not isinstance(obj, dict) or set(obj) != {"order", "map"}:
         raise DecodeError("expected an object with fields 'order' and 'map'")
     order = obj["order"]
-    if not isinstance(order, list) or not all(isinstance(c, int) for c in order):
+    if not isinstance(order, list) or not all(_is_label(c) for c in order):
         raise DecodeError("'order' must be an array of integer labels")
     raw_map = obj["map"]
     if not isinstance(raw_map, dict):
@@ -342,12 +361,15 @@ def wgd_from_obj(obj) -> WeldedGaussDiagram:
     head: dict[int, int] = {}
     sign: dict[int, int] = {}
     for key, val in raw_map.items():
-        if not key.lstrip("-").isdigit():
+        if _MAP_KEY.match(key) is None:
             raise DecodeError(f"bad label {key!r} in map", token=key)
-        if (not isinstance(val, list)) or len(val) != 2 or not isinstance(val[0], int) or val[1] not in ("+", "-"):
+        if (not isinstance(val, list)) or len(val) != 2 or not _is_label(val[0]) or val[1] not in ("+", "-"):
             raise DecodeError(f"map entry for {key} must be [label, \"+\"|\"-\"]", token=key)
-        head[int(key)] = val[0]
-        sign[int(key)] = 1 if val[1] == "+" else -1
+        label = int(key)
+        if label in head:
+            raise DecodeError(f"label {label} has more than one map entry", token=key)
+        head[label] = val[0]
+        sign[label] = 1 if val[1] == "+" else -1
     w = WeldedGaussDiagram(tuple(order), head, sign)
     require_valid_wgd(w)
     return w

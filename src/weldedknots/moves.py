@@ -29,7 +29,19 @@ short subwords of the cyclic code:
 
 Site positions are indices into the given linear code; pairs may wrap
 around the basepoint, and all edits are performed with cyclic index
-arithmetic so that records stay bit-exact invertible.
+arithmetic so that records stay bit-exact invertible.  An R2 insert
+names the slots of its over run and its under run; when both runs share
+one slot (always so on the empty code) its variant carries the run that
+comes first, e.g. ``par+:ou`` or ``anti-:uo``, so that every R2 delete
+pattern is the image of an insert site.
+
+Welded neighbors are generated on the diagram itself, not on codes.  A
+welded Gauss diagram is a code modulo over-commutation: the code is
+``U_u G_u`` for each under ``u`` in cyclic order, and the over passages
+of the gap ``G_u = {c : head[c] = u}`` may come in any order.  Each move
+touches a few adjacent gaps, so its sites are read off ``order``,
+``head`` and ``sign`` (see :func:`wgd_neighbors_iter` for the rules),
+once per site instead of once per code of the over-commute class.
 """
 
 from __future__ import annotations
@@ -39,7 +51,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .convert import wgd_to_gauss
 from .model import (
     OVER,
     UNDER,
@@ -47,6 +58,7 @@ from .model import (
     GaussCode,
     Passage,
     WeldedGaussDiagram,
+    _canonical_from_positions,
     canonical_wgd,
     require_valid_code,
 )
@@ -107,9 +119,20 @@ _ARITY = {
     MoveKind.R3: 3,
     MoveKind.OC: 2,
 }
+_CROSSING_DELTA = {
+    MoveKind.R1_INSERT: 1,
+    MoveKind.R2_INSERT: 2,
+    MoveKind.R1_DELETE: -1,
+    MoveKind.R2_DELETE: -2,
+    MoveKind.R3: 0,
+    MoveKind.OC: 0,
+}
+_R2_SHAPES = ("par+", "par-", "anti+", "anti-")
+# both runs in one slot: the suffix says which run comes first
+_R2_SHARED_SLOT = tuple(f"{shape}:{first}" for first in ("ou", "uo") for shape in _R2_SHAPES)
 _INSERT_VARIANTS = {
     MoveKind.R1_INSERT: ("ou+", "ou-", "uo+", "uo-"),
-    MoveKind.R2_INSERT: ("par+", "par-", "anti+", "anti-"),
+    MoveKind.R2_INSERT: _R2_SHAPES + _R2_SHARED_SLOT,
 }
 
 _INVERSE_KIND = {
@@ -266,18 +289,16 @@ def enumerate_sites(
     L = len(code)
     sites: list[MoveSite] = []
 
+    slots = range(L) if L else range(1)  # the empty code has one slot
     if MoveKind.R1_INSERT in wanted:
-        slots = range(L) if L else range(1)
         for s in slots:
             for variant in _INSERT_VARIANTS[MoveKind.R1_INSERT]:
                 sites.append(MoveSite(MoveKind.R1_INSERT, (s,), variant))
 
-    if MoveKind.R2_INSERT in wanted and L >= 1:
-        for so in range(L):
-            for su in range(L):
-                if so == su:
-                    continue
-                for variant in _INSERT_VARIANTS[MoveKind.R2_INSERT]:
+    if MoveKind.R2_INSERT in wanted:
+        for so in slots:
+            for su in slots:
+                for variant in _R2_SHARED_SLOT if so == su else _R2_SHAPES:
                     sites.append(MoveSite(MoveKind.R2_INSERT, (so, su), variant))
 
     if MoveKind.R1_DELETE in wanted:
@@ -338,10 +359,20 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
     rewrite bit-exactly.
     """
     require_valid_code(code)
-    if len(site.positions) != _ARITY[site.kind]:
-        raise DomainError(f"{site.kind.value} site needs {_ARITY[site.kind]} positions, got {len(site.positions)}")
-    if site.kind in _INSERT_VARIANTS and site.variant not in _INSERT_VARIANTS[site.kind]:
-        raise DomainError(f"unknown {site.kind.value} variant {site.variant!r}")
+    kind, positions, L = site.kind, site.positions, len(code)
+    if len(positions) != _ARITY[kind]:
+        raise DomainError(f"{kind.value} site needs {_ARITY[kind]} positions, got {len(positions)}")
+    last = L - 1
+    if kind in _INSERT_VARIANTS:
+        if site.variant not in _INSERT_VARIANTS[kind]:
+            raise DomainError(f"unknown {kind.value} variant {site.variant!r}")
+        if kind == MoveKind.R2_INSERT and (positions[0] == positions[1]) != (site.variant in _R2_SHARED_SLOT):
+            raise DomainError(f"R2_insert variant {site.variant!r} does not fit slots {positions}")
+        last = max(last, 0)  # the empty code has one slot
+    if not all(isinstance(i, int) and 0 <= i <= last for i in positions):
+        raise StaleSiteError(f"{kind.value} positions {positions} out of range for length {L}")
+    if kind in (MoveKind.R1_DELETE, MoveKind.OC) and positions[1] != (positions[0] + 1) % L:
+        raise DomainError(f"{kind.value} positions {positions} are not adjacent")
     return _apply_unchecked(code, site)
 
 
@@ -351,8 +382,6 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
 
     if kind == MoveKind.R1_INSERT:
         (slot,) = site.positions
-        if slot < 0 or slot > max(L - 1, 0):
-            raise StaleSiteError(f"insert slot {slot} out of range")
         (label,) = _fresh_labels(code, 1)
         s = 1 if site.variant.endswith("+") else -1
         roles = (OVER, UNDER) if site.variant.startswith("ou") else (UNDER, OVER)
@@ -361,7 +390,7 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
 
     elif kind == MoveKind.R1_DELETE:
         i = site.positions[0]
-        if i >= L or _match_r1_delete(code, i) != site.variant:
+        if _match_r1_delete(code, i) != site.variant:
             raise StaleSiteError("R1 kink no longer present")
         j = (i + 1) % L
         removes = tuple(sorted([(i, code[i]), (j, code[j])]))
@@ -369,30 +398,27 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
 
     elif kind == MoveKind.R2_INSERT:
         so, su = site.positions
-        if so == su or min(so, su) < 0 or max(so, su) > max(L - 1, 0) or L == 0:
-            raise StaleSiteError("R2 insert slots out of range")
         a, b = _fresh_labels(code, 2)
-        s = 1 if site.variant.endswith("+") else -1
+        shape, _, first = site.variant.partition(":")
+        s = 1 if shape.endswith("+") else -1
         over_run = [Passage(OVER, a, s), Passage(OVER, b, -s)]
-        if site.variant.startswith("par"):
+        if shape.startswith("par"):
             under_run = [Passage(UNDER, a, s), Passage(UNDER, b, -s)]
         else:
             under_run = [Passage(UNDER, b, -s), Passage(UNDER, a, s)]
-        if so < su:
-            inserts = (
-                (so, over_run[0]), (so + 1, over_run[1]),
-                (su + 2, under_run[0]), (su + 3, under_run[1]),
-            )
+        if first == "uo" or su < so:
+            runs, lo, hi = (under_run, over_run), su, so
         else:
-            inserts = (
-                (su, under_run[0]), (su + 1, under_run[1]),
-                (so + 2, over_run[0]), (so + 3, over_run[1]),
-            )
+            runs, lo, hi = (over_run, under_run), so, su
+        inserts = (
+            (lo, runs[0][0]), (lo + 1, runs[0][1]),
+            (hi + 2, runs[1][0]), (hi + 3, runs[1][1]),
+        )
         record = MoveRecord(kind, site.variant, inserts=inserts, site=site)
 
     elif kind == MoveKind.R2_DELETE:
         p, q = site.positions
-        if p >= L or q >= L or _match_r2_delete(code, p, q) != site.variant:
+        if _match_r2_delete(code, p, q) != site.variant:
             raise StaleSiteError("R2 pattern no longer present")
         idxs = sorted({p, (p + 1) % L, q, (q + 1) % L})
         removes = tuple((i, code[i]) for i in idxs)
@@ -400,14 +426,14 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
 
     elif kind == MoveKind.R3:
         t, m, b = site.positions
-        if max(t, m, b) >= L or _match_r3(code, t, m, b) != site.variant:
+        if _match_r3(code, t, m, b) != site.variant:
             raise StaleSiteError("R3 pattern no longer present")
         swaps = ((t, (t + 1) % L), (m, (m + 1) % L), (b, (b + 1) % L))
         record = MoveRecord(kind, site.variant, swaps=swaps, site=site)
 
     elif kind == MoveKind.OC:
         i = site.positions[0]
-        if i >= L or not _match_oc(code, i):
+        if not _match_oc(code, i):
             raise StaleSiteError("over-over pair no longer present")
         record = MoveRecord(kind, "oc", swaps=((i, (i + 1) % L),), site=site)
 
@@ -459,29 +485,178 @@ def oc_class(code: GaussCode) -> Iterator[GaussCode]:
         yield GaussCode(tuple(passages))
 
 
+def _subsets(items: list[int]) -> Iterator[tuple[int, ...]]:
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1)
+    )
+
+
+def _inserted(head: list[int], u: int, k: int) -> list[int]:
+    """Head positions after k new crossings are inserted right after
+    position u; the new entries are left as -1."""
+    head = [h + k if h > u else h for h in head]
+    return head[: u + 1] + [-1] * k + head[u + 1 :]
+
+
+def _r1_inserts(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+    n = len(head)
+    if n == 0:
+        for s in (1, -1):
+            yield _canonical_from_positions([0], [s])
+        return
+    for u in range(n):
+        c = u + 1
+        base = _inserted(head, u, 1)
+        for moved in _subsets(gaps[u]):
+            new_head = base[:]
+            for i in moved:
+                new_head[i + 1 if i > u else i] = c
+            for own in (u, c):  # ou: c's over lies in u's gap; uo: in its own
+                new_head[c] = own
+                for s in (1, -1):
+                    yield _canonical_from_positions(new_head, sign[:c] + [s] + sign[c:])
+
+
+def _r2_inserts(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+    n = len(head)
+    if n == 0:
+        for s in (1, -1):
+            yield _canonical_from_positions([1, 1], [s, -s])
+        return
+    for u in range(n):
+        f, g = u + 1, u + 2
+        base = _inserted(head, u, 2)
+        targets = [h + 2 if h > u else h for h in range(n)] + [g]
+        for moved in _subsets(gaps[u]):
+            new_head = base[:]
+            for i in moved:
+                new_head[i + 2 if i > u else i] = g
+            for t in targets:
+                new_head[f] = new_head[g] = t
+                for s in (1, -1):
+                    yield _canonical_from_positions(new_head, sign[:f] + [s, -s] + sign[f:])
+
+
+def _r1_deletes(head, sign) -> Iterator[WeldedGaussDiagram]:
+    n = len(head)
+    for c in range(n):
+        p = (c - 1) % n
+        if head[c] != p and head[c] != c:
+            continue
+        new_head = [p if h == c else h for h in head[:c] + head[c + 1 :]]
+        yield _canonical_from_positions(
+            [h - 1 if h > c else h for h in new_head], sign[:c] + sign[c + 1 :]
+        )
+
+
+def _r2_deletes(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+    n = len(head)
+    if n < 2:
+        return
+    for x in range(n):
+        y = (x + 1) % n
+        if gaps[x] or head[x] != head[y] or sign[x] == sign[y]:
+            continue
+        p = (x - 1) % n
+        keep = [i for i in range(n) if i != x and i != y]
+        position = {old: new for new, old in enumerate(keep)}
+        yield _canonical_from_positions(
+            [position[p if head[i] == y else head[i]] for i in keep], [sign[i] for i in keep]
+        )
+
+
+def _r3_moves(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+    n = len(head)
+    if n < 3:
+        return
+    for p in range(n):
+        if gaps[p]:
+            continue
+        q = (p + 1) % n
+        # swapping the two unders moves the labels, not the gap contents
+        swapped_head, swapped_sign = head[:], sign[:]
+        swapped_head[p], swapped_head[q] = head[q], head[p]
+        swapped_sign[p], swapped_sign[q] = sign[q], sign[p]
+        for z, y, e_b in ((p, q, 0), (q, p, 1)):
+            for x in range(n):
+                if x == p or x == q or head[x] != head[y]:
+                    continue
+                before_x = (x - 1) % n
+                if head[z] == before_x:
+                    e_m, moved_to = 0, x
+                elif head[z] == x:
+                    e_m, moved_to = 1, before_x
+                else:
+                    continue
+                if sign[x] * sign[y] != (1 if (e_m + e_b) % 2 == 0 else -1):
+                    continue
+                new_head = swapped_head[:]
+                new_head[y] = moved_to  # z's label now sits at y's old position
+                yield _canonical_from_positions(new_head, swapped_sign)
+
+
 def wgd_neighbors_iter(
     w: WeldedGaussDiagram,
     kinds: Iterable[MoveKind] | None = None,
     growth_allowed: bool = True,
+    max_crossings: int | None = None,
 ) -> Iterator[WeldedGaussDiagram]:
-    """Yield the one-move neighbors of w, possibly with repeats.
+    """Yield the canonical one-move neighbors of w, once per diagram site;
+    different sites may give the same neighbor.
 
-    Moves are applied over the whole over-commute class of w's
-    realization, so the result does not depend on which code realizes w.
+    Sites are read off the diagram itself: a realizing code is
+    ``U_u G_u`` for each under ``u`` in cyclic order, where the gap
+    ``G_u = {c : head[c] = u}`` is the over passages between ``u`` and
+    the next under, in any order (over-commutation).  So the neighbors
+    are those of every code in w's over-commute class, and kinds whose
+    result would have more than ``max_crossings`` crossings are skipped.
+    ``pred``/``succ`` are the neighbors in the cyclic order.
+
+    * R1 insert: for each under u, each P within G_u, order and sign,
+      insert c after u; G_u minus P gets head c, and head[c] is u (ou)
+      or c (uo).  With no crossings there are 2 results.
+    * R2 insert: for each u, each P within G_u and sign s, insert f, g
+      after u with signs s and -s; G_u minus P gets head g, and f and g
+      share one head: any old under, or g.  Parallel and antiparallel
+      insertions coincide modulo over-commutation.
+    * R1 delete: c with head[c] in {pred(c), c}; remove c, its gap's
+      contents get head pred(c).
+    * R2 delete: y = succ(x) with G_x empty, head[x] = head[y] and
+      opposite signs; remove both, their gap's contents get head
+      pred(x).
+    * R3: consecutive unders p, q with G_p empty are the bottom pair
+      {y, z}; x has head[x] = head[y], and head[z] is pred(x) (e_m=0)
+      or x (e_m=1).  The top pair's order e_t is free under
+      over-commutation, so only sx*sy = (-1)^(e_m+e_b) is checked.
+      Swap p and q, give G_q head p, and move z across x.
+    * OC: w itself, when some gap holds at least two overs.
     """
-    from .convert import _gauss_to_wgd_unchecked
-
     w = canonical_wgd(w)
-    rep = wgd_to_gauss(w)
+    n = w.n
     wanted = ALL_KINDS if kinds is None else frozenset(kinds)
-    # over-commutations never change the diagram, so one witness suffices
-    if MoveKind.OC in wanted and any(_match_oc(rep, i) for i in range(len(rep))):
+    if not growth_allowed:
+        wanted = wanted - GROWTH_KINDS
+    if max_crossings is not None:
+        wanted = {k for k in wanted if n + _CROSSING_DELTA[k] <= max_crossings}
+    # w is canonical: label c sits at position c - 1
+    head = [w.head[c] - 1 for c in w.order]
+    sign = [w.sign[c] for c in w.order]
+    gaps: list[list[int]] = [[] for _ in range(n)]
+    for c, h in enumerate(head):
+        gaps[h].append(c)
+
+    if MoveKind.OC in wanted and any(len(gap) >= 2 for gap in gaps):
         yield w
-    wanted = wanted - {MoveKind.OC}
-    for variant_code in oc_class(rep):
-        for site in enumerate_sites(variant_code, wanted, growth_allowed):
-            new_code, _ = _apply_unchecked(variant_code, site)
-            yield _gauss_to_wgd_unchecked(new_code)
+    if MoveKind.R1_INSERT in wanted:
+        yield from _r1_inserts(head, sign, gaps)
+    if MoveKind.R2_INSERT in wanted:
+        yield from _r2_inserts(head, sign, gaps)
+    if MoveKind.R1_DELETE in wanted:
+        yield from _r1_deletes(head, sign)
+    if MoveKind.R2_DELETE in wanted:
+        yield from _r2_deletes(head, sign, gaps)
+    if MoveKind.R3 in wanted:
+        yield from _r3_moves(head, sign, gaps)
 
 
 def wgd_neighbors(
@@ -491,8 +666,4 @@ def wgd_neighbors(
     max_crossings: int | None = None,
 ) -> set[WeldedGaussDiagram]:
     """Deduplicated set of one-move neighbors of w (canonical forms)."""
-    out = set()
-    for nb in wgd_neighbors_iter(w, kinds, growth_allowed):
-        if max_crossings is None or nb.n <= max_crossings:
-            out.add(nb)
-    return out
+    return set(wgd_neighbors_iter(w, kinds, growth_allowed, max_crossings))

@@ -44,6 +44,7 @@ from .moves import (
     enumerate_sites,
     replay,
     wgd_neighbors,
+    _CROSSING_DELTA,
     _over_blocks,
 )
 
@@ -182,17 +183,21 @@ def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     return records
 
 
+# the one Reidemeister kind that changes the crossing count by each amount
+_KIND_BY_DELTA = {delta: kind for kind, delta in _CROSSING_DELTA.items() if kind != MoveKind.OC}
+
+
 def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> list[MoveRecord]:
-    blocks = _over_blocks(code)
-    contents = [tuple(code[i] for i in block) for block in blocks]
-    for choice in itertools.product(*(itertools.permutations(c) for c in contents)):
-        oc_records, variant_code = _block_permutation_records(code, choice)
-        for site in enumerate_sites(variant_code):
-            if site.kind == MoveKind.OC:
-                continue
-            new_code, rec = apply(variant_code, site)
-            if gauss_to_wgd(new_code) == target:
-                return oc_records + [rec]
+    kind = _KIND_BY_DELTA.get(target.n - code.n)
+    if kind is not None:
+        blocks = _over_blocks(code)
+        contents = [tuple(code[i] for i in block) for block in blocks]
+        for choice in itertools.product(*(itertools.permutations(c) for c in contents)):
+            oc_records, variant_code = _block_permutation_records(code, choice)
+            for site in enumerate_sites(variant_code, kinds=(kind,)):
+                new_code, rec = apply(variant_code, site)
+                if gauss_to_wgd(new_code) == target:
+                    return oc_records + [rec]
     raise DomainError("states are not one move apart")
 
 

@@ -4,8 +4,20 @@ from pathlib import Path
 
 import pytest
 
-from weldedknots import GaussCode, Passage, WeldedGaussDiagram
+from weldedknots import (
+    ALL_KINDS,
+    GaussCode,
+    MoveKind,
+    Passage,
+    WeldedGaussDiagram,
+    canonical_wgd,
+    enumerate_sites,
+    oc_class,
+    wgd_to_gauss,
+)
+from weldedknots.convert import _gauss_to_wgd_unchecked
 from weldedknots.model import OVER, UNDER
+from weldedknots.moves import _apply_unchecked, _match_oc
 
 
 def random_code(rng: random.Random, n: int) -> GaussCode:
@@ -52,3 +64,20 @@ def subprocess_env() -> dict:
     """Environment for a child interpreter that imports this checkout's package."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def oracle_neighbors_iter(w: WeldedGaussDiagram, kinds=None, growth_allowed: bool = True):
+    """The code-level neighbour generator: every site of every code in
+    the over-commute class of w's realization, applied and converted
+    back.  Slow; the diagram-level generator must agree with it."""
+    w = canonical_wgd(w)
+    rep = wgd_to_gauss(w)
+    wanted = ALL_KINDS if kinds is None else frozenset(kinds)
+    # over-commutations never change the diagram, so one witness suffices
+    if MoveKind.OC in wanted and any(_match_oc(rep, i) for i in range(len(rep))):
+        yield w
+    wanted = wanted - {MoveKind.OC}
+    for variant_code in oc_class(rep):
+        for site in enumerate_sites(variant_code, wanted, growth_allowed):
+            new_code, _ = _apply_unchecked(variant_code, site)
+            yield _gauss_to_wgd_unchecked(new_code)

@@ -192,9 +192,13 @@ class TestBoundaryErrors:
         ["apply", "kink.gc", "--site", '{"kind": "R1_insert", "positions": [0], "variant": "zz"}'],
         ["canon", "missing.wgd"],
         ["atlas", "--n-max", "0", "-o", "no/such/dir/atlas.jsonl"],
+        ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 3], "variant": "oc"}'],
+        ["canon", "true.wgd"],
     ])
     def test_exit_1_without_traceback(self, tmp_path, argv):
         (tmp_path / "kink.gc").write_text("O1+ U1+")
+        (tmp_path / "two.gc").write_text("O1+ O2+ U1+ U2+")
+        (tmp_path / "true.wgd").write_text('{"order": [true], "map": {"1": [1, "+"]}}')
         proc = run_process(*argv, cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
@@ -206,6 +210,7 @@ class TestBoundaryErrors:
         ["simplify", "--json", "-"],
         ["symmetry", "--bar", "--json", "-"],
         ["atlas", "--n-max", "0", "--json"],
+        ["convert", "--to", "wgd", "--json", "-"],
     ])
     def test_removed_no_op_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

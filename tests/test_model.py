@@ -137,6 +137,21 @@ class TestCodecs:
         with pytest.raises(DomainError):
             decode_wgd('{"order": [1, 2], "map": {"1": [1, "+"]}}')
 
+    @pytest.mark.parametrize("text", [
+        '{"order": [true], "map": {"1": [1, "+"]}}',
+        '{"order": [1], "map": {"1": [true, "+"]}}',
+        '{"order": [1], "map": {"1": [1, "+"], "01": [1, "-"]}}',
+        '{"order": [1], "map": {"01": [1, "-"], "1": [1, "+"]}}',
+    ])
+    def test_wgd_decode_rejects_aliased_labels(self, text):
+        with pytest.raises(DomainError):
+            decode_wgd(text)
+
+    def test_bool_labels_are_invalid(self):
+        assert validate_wgd(WeldedGaussDiagram((True,), {True: True}, {True: 1})) is not None
+        assert validate_wgd(WeldedGaussDiagram((1,), {1: True}, {1: 1})) is not None
+        assert validate_code(GaussCode((Passage(OVER, True, 1), Passage(UNDER, True, 1)))) is not None
+
 
 class TestNormalization:
     def test_labels_renamed_by_first_under(self):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from weldedknots import (
+    ALL_KINDS,
     DomainError,
     GROWTH_KINDS,
     GaussCode,
@@ -14,23 +17,43 @@ from weldedknots import (
     coloring_count,
     decode_gauss_code,
     encode_gauss_code,
+    encode_wgd,
+    enumerate_canonical_wgds,
     enumerate_sites,
     gauss_to_wgd,
     inverse_record,
     oc_class,
     validate_code,
     wgd_neighbors,
+    wgd_neighbors_iter,
 )
 
-from conftest import TREFOIL_TEXT, random_code, random_wgd
+from conftest import TREFOIL_TEXT, oracle_neighbors_iter, random_code, random_wgd
 
 
 class TestEnumerate:
-    def test_empty_code_offers_r1_inserts_only(self):
+    def test_empty_code_offers_r1_and_r2_inserts(self):
         sites = enumerate_sites(GaussCode())
-        assert all(s.kind == MoveKind.R1_INSERT for s in sites)
-        assert len(sites) == 4  # one slot, four kink variants
-        assert {s.variant for s in sites} == {"ou+", "ou-", "uo+", "uo-"}
+        r1 = [s for s in sites if s.kind == MoveKind.R1_INSERT]
+        r2 = [s for s in sites if s.kind == MoveKind.R2_INSERT]
+        assert len(r1) + len(r2) == len(sites)
+        assert {s.variant for s in r1} == {"ou+", "ou-", "uo+", "uo-"}  # one slot, four kinks
+        # both runs share the one slot, in either order
+        assert {s.positions for s in r2} == {(0, 0)}
+        assert {s.variant for s in r2} == {
+            f"{shape}{sign}:{first}" for shape in ("par", "anti") for sign in "+-" for first in ("ou", "uo")
+        }
+
+    def test_r2_inserts_share_every_slot(self):
+        code = decode_gauss_code("O1+ U1+")
+        sites = enumerate_sites(code, kinds={MoveKind.R2_INSERT})
+        assert {s.positions for s in sites} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for site in sites:
+            new_code, record = apply_move(code, site)
+            assert apply_record(new_code, inverse_record(record)) == code
+            assert inverse_record(inverse_record(record)) == record
+        shared = apply_move(code, MoveSite(MoveKind.R2_INSERT, (1, 1), "anti-:uo"))[0]
+        assert encode_gauss_code(shared) == "O1+ U3+ U2- O2- O3+ U1+"
 
     def test_growth_excluded(self):
         sites = enumerate_sites(decode_gauss_code(TREFOIL_TEXT), growth_allowed=False)
@@ -120,6 +143,21 @@ class TestApply:
         with pytest.raises(DomainError):
             apply_move(decode_gauss_code("O1+ U1+"), site)
 
+    @pytest.mark.parametrize("site", [
+        MoveSite(MoveKind.OC, (0, 3), "oc"),
+        MoveSite(MoveKind.OC, (-1, 0), "oc"),
+        MoveSite(MoveKind.OC, (3, 4), "oc"),
+        MoveSite(MoveKind.R1_DELETE, (1, 3), "ou+"),
+        MoveSite(MoveKind.R2_DELETE, (0, -2), "par+"),
+        MoveSite(MoveKind.R3, (0, 1, 7), "r3:000+"),
+        MoveSite(MoveKind.R2_INSERT, (1, 1), "par+"),
+        MoveSite(MoveKind.R2_INSERT, (0, 1), "par+:ou"),
+    ])
+    def test_positions_must_fit_the_code(self, site):
+        code = decode_gauss_code("O1+ O2+ U1+ U2+")
+        with pytest.raises(DomainError):
+            apply_move(code, site)
+
     def test_r2_insert_then_delete_identity_all_variants(self, rng):
         for _ in range(40):
             code = random_code(rng, rng.randint(1, 4))
@@ -192,6 +230,19 @@ class TestWgdNeighbors:
             canonical_wgd(WeldedGaussDiagram((1,), {1: 1}, {1: -1})),
         }
 
+    def test_empty_r2_inserts_give_the_two_clasps(self):
+        nbs = wgd_neighbors(WeldedGaussDiagram((), {}, {}), kinds={MoveKind.R2_INSERT})
+        assert nbs == {
+            canonical_wgd(WeldedGaussDiagram((1, 2), {1: 2, 2: 2}, {1: s, 2: -s})) for s in (1, -1)
+        }
+
+    def test_nothing_above_the_cap(self):
+        w = gauss_to_wgd(decode_gauss_code(TREFOIL_TEXT))
+        for cap in range(1, 6):
+            nbs = list(wgd_neighbors_iter(w, max_crossings=cap))
+            assert all(nb.n <= cap for nb in nbs)
+            assert set(nbs) == {nb for nb in wgd_neighbors(w) if nb.n <= cap}
+
     def test_kink_has_smaller_neighbor(self, rng):
         for _ in range(50):
             n = rng.randint(1, 5)
@@ -225,3 +276,40 @@ class TestWgdNeighbors:
                 pool = shrink if shrink and rng.random() < 0.6 else sites
                 code, _ = apply_move(code, pool[rng.randrange(len(pool))])
                 assert (coloring_count(code, 3), coloring_count(code, 5)) == base
+
+
+def _agrees_with_oracle(w, kinds) -> None:
+    """Per kind, with growth off and under every relevant cap, the
+    diagram-level neighbours of w equal the code-level oracle's."""
+    by_kind = {k: set(oracle_neighbors_iter(w, {k})) for k in kinds}
+    for k, expected in by_kind.items():
+        assert wgd_neighbors(w, kinds={k}) == expected, (k, encode_wgd(w))
+    everything = set().union(*by_kind.values())
+    assert wgd_neighbors(w, kinds=kinds) == everything
+    shrink = set().union(*(nbs for k, nbs in by_kind.items() if k not in GROWTH_KINDS))
+    assert wgd_neighbors(w, kinds=kinds, growth_allowed=False) == shrink
+    for cap in range(max(w.n - 2, 0), w.n + 3):
+        capped = {nb for nb in everything if nb.n <= cap}
+        assert wgd_neighbors(w, kinds=kinds, max_crossings=cap) == capped, (cap, encode_wgd(w))
+
+
+class TestDiagramSitesMatchOracle:
+    """The generator reads sites off the diagram's gaps; the oracle applies
+    every code-level site to every code of the over-commute class."""
+
+    def test_every_diagram_up_to_three_crossings(self):
+        for w in enumerate_canonical_wgds(3):
+            _agrees_with_oracle(w, ALL_KINDS)
+
+    def test_every_four_crossing_diagram(self):
+        # the oracle's R2 inserts cost ~45 s over all n = 4 diagrams; they
+        # are covered at n <= 3 and by the seeded samples below
+        for w in enumerate_canonical_wgds(4):
+            if w.n == 4:
+                _agrees_with_oracle(w, ALL_KINDS - {MoveKind.R2_INSERT})
+
+    @pytest.mark.parametrize("n, count", [(4, 40), (5, 25), (6, 6)])
+    def test_seeded_samples(self, n, count):
+        rng = random.Random(f"oracle:{n}")
+        for _ in range(count):
+            _agrees_with_oracle(canonical_wgd(random_wgd(rng, n)), ALL_KINDS)

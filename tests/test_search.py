@@ -78,6 +78,16 @@ class TestAreEquivalent:
             final = replay(wgd_to_gauss(canonical_wgd(w)), out.path)
             assert gauss_to_wgd(final) == EMPTY
 
+    def test_answer_does_not_depend_on_argument_order(self):
+        # the two crossings' passages share one slot of the empty code
+        clasp = gauss_to_wgd(decode_gauss_code("O1+ O2- U1+ U2-"))
+        budget = SearchBudget(max_crossings=2)
+        forward = are_equivalent(EMPTY, clasp, budget)
+        backward = are_equivalent(clasp, EMPTY, budget)
+        assert forward.equivalent and backward.equivalent
+        assert gauss_to_wgd(replay(wgd_to_gauss(EMPTY), forward.path)) == clasp
+        assert gauss_to_wgd(replay(wgd_to_gauss(clasp), backward.path)) == EMPTY
+
     def test_deterministic(self, rng):
         w = scramble(rng, 2)
         budget = SearchBudget(max_crossings=w.n + 2, max_states=2000, max_depth=8)
@@ -157,10 +167,18 @@ class TestShrinkEdgesSuffice:
 
     def test_every_growth_edge_has_an_inverse_shrink_edge(self):
         edges = 0
-        for w in enumerate_canonical_wgds(2):
+        for w in enumerate_canonical_wgds(3):
             for nb in wgd_neighbors(w, kinds=GROWTH_KINDS):
                 edges += 1
                 assert w in wgd_neighbors(nb, growth_allowed=False), (wgd_encoding(w), wgd_encoding(nb))
+        assert edges > 0
+
+    def test_every_shrink_edge_has_an_inverse_growth_edge(self):
+        edges = 0
+        for w in enumerate_canonical_wgds(4):
+            for nb in wgd_neighbors(w, kinds={MoveKind.R1_DELETE, MoveKind.R2_DELETE}):
+                edges += 1
+                assert w in wgd_neighbors(nb, kinds=GROWTH_KINDS), (wgd_encoding(w), wgd_encoding(nb))
         assert edges > 0
 
     def test_atlas_classes_are_components_of_the_full_graph(self):
