@@ -77,12 +77,20 @@ def _site_obj(site: MoveSite) -> dict:
 
 
 def _site_from_text(text: str) -> MoveSite:
+    """A JSON object with a ``kind``, ``positions`` (an array of integers)
+    and an optional ``variant`` string."""
     try:
         obj = json.loads(text)
         kind = MoveKind(obj["kind"])
-        return MoveSite(kind, tuple(int(i) for i in obj["positions"]), obj.get("variant", ""))
-    except (KeyError, ValueError, TypeError) as e:
+        positions, variant = obj["positions"], obj.get("variant", "")
+    except (KeyError, ValueError, TypeError, RecursionError) as e:
         raise DomainError(f"bad site descriptor: {e}") from e
+    # JSON true and false decode to bools, which are ints too
+    if not isinstance(positions, list) or any(type(i) is not int for i in positions):
+        raise DomainError("bad site descriptor: 'positions' must be an array of integers")
+    if not isinstance(variant, str):
+        raise DomainError("bad site descriptor: 'variant' must be a string")
+    return MoveSite(kind, tuple(positions), variant)
 
 
 def _record_obj(record: MoveRecord) -> dict:
@@ -115,7 +123,10 @@ def _parse_groups(spec: str):
 
 
 def _parse_primes(spec: str):
-    return tuple(int(p) for p in spec.split(",") if p)
+    try:
+        return tuple(int(p) for p in spec.split(",") if p)
+    except ValueError as e:
+        raise DomainError(f"--primes must be comma-separated integers: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from __future__ import annotations
 from .model import (
     OVER,
     UNDER,
+    DomainError,
     GaussCode,
     GaussDiagram,
     Passage,
     WeldedGaussDiagram,
-    canonical_wgd,
     require_valid_code,
     require_valid_wgd,
 )
@@ -105,35 +105,18 @@ def gauss_code_to_gauss_diagram(code: GaussCode) -> GaussDiagram:
 def gauss_diagram_to_wgd(gd: GaussDiagram) -> WeldedGaussDiagram:
     """Collapse a Gauss diagram to the welded Gauss diagram it encodes.
 
-    Arrow heads become the cyclic order; each arrow's tail is attributed
-    to the interval of the nearest preceding head point.  This is the
-    normalization that makes the two diagram-construction paths
-    comparable: rotation and the ordering of tails inside an interval
-    are quotiented away.
+    The points are read as a Gauss code: each arrow is one crossing, with
+    its tail as the over passage and its head as the under passage, both
+    carrying the arrow's sign.  :func:`gauss_to_wgd` then validates that
+    code and quotients away rotation and the ordering of tails inside an
+    interval, which makes the two diagram-construction paths comparable.
     """
-    arrow_by_head = {h: (t, s) for (t, h, s) in gd.arrows}
-    arrow_by_tail = {t: (h, s) for (t, h, s) in gd.arrows}
-    if len(arrow_by_head) != len(gd.arrows) or len(arrow_by_tail) != len(gd.arrows):
-        raise ValueError("arrows must be disjoint on endpoints")
-    n = len(gd.arrows)
-    if n == 0:
-        return WeldedGaussDiagram((), {}, {})
-    # label arrows 1..n by the cyclic position of their head point
-    head_positions = [i for i, pt in enumerate(gd.points) if pt in arrow_by_head]
-    label_of_head_point = {gd.points[pos]: j + 1 for j, pos in enumerate(head_positions)}
-    prev_head_label = {}
-    last = label_of_head_point[gd.points[head_positions[-1]]]
-    for i, pt in enumerate(gd.points):
-        prev_head_label[i] = last
-        if pt in arrow_by_head:
-            last = label_of_head_point[pt]
-    order = tuple(range(1, n + 1))
-    head: dict[int, int] = {}
-    sign: dict[int, int] = {}
-    for i, pt in enumerate(gd.points):
-        if pt in arrow_by_tail:
-            arrow_head, s = arrow_by_tail[pt]
-            c = label_of_head_point[arrow_head]
-            head[c] = prev_head_label[i]
-            sign[c] = s
-    return canonical_wgd(WeldedGaussDiagram(order, head, sign))
+    passage_at: dict = {}
+    for label, (tail, head, sign) in enumerate(gd.arrows, start=1):
+        passage_at[tail] = Passage(OVER, label, sign)
+        passage_at[head] = Passage(UNDER, label, sign)
+    if len(passage_at) != 2 * len(gd.arrows):
+        raise DomainError("arrows must be disjoint on endpoints")
+    if not all(pt in passage_at for pt in gd.points):
+        raise DomainError("every point must be an endpoint of an arrow")
+    return gauss_to_wgd(GaussCode(tuple(passage_at[pt] for pt in gd.points)))

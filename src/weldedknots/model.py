@@ -208,20 +208,27 @@ def require_valid_wgd(w: WeldedGaussDiagram) -> None:
 # canonical forms
 
 
-def _canonical_from_positions(head_pos: list[int], signs: list[int]) -> WeldedGaussDiagram:
-    """Canonical form of the diagram whose crossing at cyclic position i
-    has its head at position ``head_pos[i]`` and sign ``signs[i]``."""
+def _canonical_encoding(head_pos, signs) -> tuple:
+    """:func:`wgd_encoding` of the canonical form of the diagram whose
+    crossing at cyclic position i has its head at position ``head_pos[i]``
+    and sign ``signs[i]``."""
     n = len(head_pos)
     if n == 0:
-        return WeldedGaussDiagram((), {}, {})
+        return ()
     # only rotations whose first entry is minimal can win
     firsts = [((head_pos[r] - r) % n, signs[r]) for r in range(n)]
     lowest = min(firsts)
-    best = min(
+    return min(
         tuple(((head_pos[(r + j) % n] - r) % n + 1, signs[(r + j) % n]) for j in range(n))
         for r in range(n)
         if firsts[r] == lowest
     )
+
+
+def _canonical_from_positions(head_pos: list[int], signs: list[int]) -> WeldedGaussDiagram:
+    """The canonical diagram whose encoding is :func:`_canonical_encoding`."""
+    best = _canonical_encoding(head_pos, signs)
+    n = len(best)
     order = tuple(range(1, n + 1))
     head = {i + 1: best[i][0] for i in range(n)}
     sign = {i + 1: best[i][1] for i in range(n)}
@@ -309,7 +316,11 @@ def decode_gauss_code(text: str) -> GaussCode:
         if m is None:
             raise DecodeError(f"bad token {token!r} at position {i}", position=i, token=token)
         role, digits, s = m.groups()
-        passages.append(Passage(role, int(digits), 1 if s == "+" else -1))
+        try:
+            label = int(digits)
+        except ValueError as e:  # more digits than int() converts
+            raise DecodeError(f"bad token at position {i}: {e}", position=i) from e
+        passages.append(Passage(role, label, 1 if s == "+" else -1))
     code = GaussCode(tuple(passages))
     require_valid_code(code)
     return code
@@ -337,10 +348,12 @@ def decode_wgd(text: str) -> WeldedGaussDiagram:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DecodeError(f"bad structured input at offset {e.pos}: {e.msg}", position=e.pos) from e
+    except (ValueError, RecursionError) as e:  # an over-long integer, or too deep nesting
+        raise DecodeError(f"bad structured input: {e}") from e
     return wgd_from_obj(obj)
 
 
-_MAP_KEY = re.compile(r"^-?[0-9]+$")
+_MAP_KEY = re.compile(r"-?[0-9]+")
 
 
 def _is_label(value) -> bool:
@@ -361,11 +374,14 @@ def wgd_from_obj(obj) -> WeldedGaussDiagram:
     head: dict[int, int] = {}
     sign: dict[int, int] = {}
     for key, val in raw_map.items():
-        if _MAP_KEY.match(key) is None:
+        if _MAP_KEY.fullmatch(key) is None:
             raise DecodeError(f"bad label {key!r} in map", token=key)
         if (not isinstance(val, list)) or len(val) != 2 or not _is_label(val[0]) or val[1] not in ("+", "-"):
             raise DecodeError(f"map entry for {key} must be [label, \"+\"|\"-\"]", token=key)
-        label = int(key)
+        try:
+            label = int(key)
+        except ValueError as e:  # more digits than int() converts
+            raise DecodeError(f"bad label in map: {e}") from e
         if label in head:
             raise DecodeError(f"label {label} has more than one map entry", token=key)
         head[label] = val[0]

@@ -369,6 +369,8 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
         if kind == MoveKind.R2_INSERT and (positions[0] == positions[1]) != (site.variant in _R2_SHARED_SLOT):
             raise DomainError(f"R2_insert variant {site.variant!r} does not fit slots {positions}")
         last = max(last, 0)  # the empty code has one slot
+    elif kind == MoveKind.OC and site.variant != "oc":
+        raise DomainError(f"unknown OC variant {site.variant!r}")
     if not all(isinstance(i, int) and 0 <= i <= last for i in positions):
         raise StaleSiteError(f"{kind.value} positions {positions} out of range for length {L}")
     if kind in (MoveKind.R1_DELETE, MoveKind.OC) and positions[1] != (positions[0] + 1) % L:

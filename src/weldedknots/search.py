@@ -1,10 +1,12 @@
 """
 Bounded equivalence search, simplification, and the exact atlas.
 
-States are canonical welded Gauss diagrams; codes are rematerialized on
-demand when a replayable move path is requested.  Every reported
-equivalence carries such a path; a negative answer is always Unknown
-(budget exhaustion bounds the exploration, it proves nothing).
+States are canonical welded Gauss diagrams, hashed and compared by
+canonical equality; ``_state_key`` only orders them, for determinism.
+Codes are rematerialized on demand when a replayable move path is
+requested.  Every reported equivalence carries such a path; a negative
+answer is always Unknown (budget exhaustion bounds the exploration, it
+proves nothing).
 
 The atlas needs no budget: it enumerates every diagram up to a crossing
 cap and takes the connected components of the move graph on them, which
@@ -35,6 +37,7 @@ from .model import (
     require_valid_wgd,
     wgd_encoding,
     wgd_to_obj,
+    _canonical_encoding,
 )
 from .moves import (
     MoveKind,
@@ -42,6 +45,7 @@ from .moves import (
     MoveSite,
     apply,
     enumerate_sites,
+    oc_class,
     replay,
     wgd_neighbors,
     _CROSSING_DELTA,
@@ -71,18 +75,16 @@ class EquivalenceOutcome:
     states_explored: int = 0
 
 
-def _neighbor_keys(state: WeldedGaussDiagram, max_crossings: int, cache: dict) -> list:
-    key = wgd_encoding(state)
-    hit = cache.get(key)
-    if hit is None:
-        nbs = wgd_neighbors(state, max_crossings=max_crossings)
-        hit = sorted(nbs, key=lambda nb: (nb.n, wgd_encoding(nb)))
-        cache[key] = hit
-    return hit
-
-
 def _state_key(w: WeldedGaussDiagram) -> tuple:
     return (w.n, wgd_encoding(w))
+
+
+def _sorted_neighbors(state: WeldedGaussDiagram, max_crossings: int, cache: dict) -> list:
+    hit = cache.get(state)
+    if hit is None:
+        hit = sorted(wgd_neighbors(state, max_crossings=max_crossings), key=_state_key)
+        cache[state] = hit
+    return hit
 
 
 def are_equivalent(
@@ -104,68 +106,62 @@ def are_equivalent(
         return EquivalenceOutcome(True, (), states_explored=1)
 
     cache: dict = {}
-    sides = [
-        {"visited": {_state_key(a): None}, "states": {_state_key(a): a}, "frontier": [_state_key(a)], "depth": 0},
-        {"visited": {_state_key(b): None}, "states": {_state_key(b): b}, "frontier": [_state_key(b)], "depth": 0},
-    ]
+    # per side, each visited state -> the state it was reached from
+    parents = ({a: None}, {b: None})
+    frontiers = [[a], [b]]
+    layers = 0
 
     def total_visited() -> int:
-        return len(sides[0]["visited"]) + len(sides[1]["visited"])
+        return len(parents[0]) + len(parents[1])
 
-    while sides[0]["frontier"] and sides[1]["frontier"]:
-        if sides[0]["depth"] + sides[1]["depth"] >= budget.max_depth:
+    while frontiers[0] and frontiers[1]:
+        if layers >= budget.max_depth:
             return EquivalenceOutcome(False, reason="depth budget exhausted", states_explored=total_visited())
-        side = sides[0] if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else sides[1]
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        seen = parents[side]
         new_frontier = []
-        for key in sorted(side["frontier"]):
-            for nb in _neighbor_keys(side["states"][key], budget.max_crossings, cache):
-                nb_key = _state_key(nb)
-                if nb_key not in side["visited"]:
-                    side["visited"][nb_key] = key
-                    side["states"][nb_key] = nb
-                    new_frontier.append(nb_key)
+        for state in sorted(frontiers[side], key=_state_key):
+            for nb in _sorted_neighbors(state, budget.max_crossings, cache):
+                if nb not in seen:
+                    seen[nb] = state
+                    new_frontier.append(nb)
             if total_visited() > budget.max_states:
                 return EquivalenceOutcome(False, reason="state budget exhausted", states_explored=total_visited())
-        side["frontier"] = new_frontier
-        side["depth"] += 1
-        meetings = set(sides[0]["visited"]) & set(sides[1]["visited"])
+        frontiers[side] = new_frontier
+        layers += 1
+        # the sides were disjoint before this layer, so they can meet only
+        # in its new states
+        meetings = [w for w in new_frontier if w in parents[1 - side]]
         if meetings:
-            meeting = min(meetings)
-            seq = _state_sequence(sides, meeting)
-            records = derive_path(seq)
-            return EquivalenceOutcome(True, tuple(records), states_explored=total_visited())
+            meeting = min(meetings, key=_state_key)
+            seq = _walk(parents[0], meeting)[::-1] + _walk(parents[1], meeting)[1:]
+            return EquivalenceOutcome(True, tuple(derive_path(seq)), states_explored=total_visited())
     return EquivalenceOutcome(False, reason="move graph exhausted within crossing budget", states_explored=total_visited())
 
 
-def _state_sequence(sides, meeting) -> list[WeldedGaussDiagram]:
-    back = []
-    key = meeting
-    while key is not None:
-        back.append(sides[0]["states"][key])
-        key = sides[0]["visited"][key]
-    seq = list(reversed(back))
-    key = sides[1]["visited"][meeting]
-    while key is not None:
-        seq.append(sides[1]["states"][key])
-        key = sides[1]["visited"][key]
+def _walk(parents: dict, state: WeldedGaussDiagram) -> list[WeldedGaussDiagram]:
+    """``state`` and the states it was reached through, back to the start."""
+    seq = []
+    while state is not None:
+        seq.append(state)
+        state = parents[state]
     return seq
 
 
-def _block_permutation_records(code: GaussCode, target_contents) -> tuple[list[MoveRecord], GaussCode]:
-    """Over-commute records rearranging each over block of ``code`` into
-    ``target_contents``, by adjacent transpositions."""
-    blocks = _over_blocks(code)
+def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[MoveRecord]:
+    """Over-commute records turning ``code`` into ``variant``, a code of its
+    over-commute class, by adjacent transpositions inside each over block."""
     records: list[MoveRecord] = []
     current = code
-    for block, target in zip(blocks, target_contents):
-        for k in range(len(block)):
-            j = next(jj for jj in range(k, len(block)) if current[block[jj]] == target[k])
+    for block in _over_blocks(code):
+        for k, pos in enumerate(block):
+            j = next(jj for jj in range(k, len(block)) if current[block[jj]] == variant[pos])
             while j > k:
                 site = MoveSite(MoveKind.OC, (block[j - 1], block[j]), "oc")
                 current, rec = apply(current, site)
                 records.append(rec)
                 j -= 1
-    return records, current
+    return records
 
 
 def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
@@ -190,14 +186,11 @@ _KIND_BY_DELTA = {delta: kind for kind, delta in _CROSSING_DELTA.items() if kind
 def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> list[MoveRecord]:
     kind = _KIND_BY_DELTA.get(target.n - code.n)
     if kind is not None:
-        blocks = _over_blocks(code)
-        contents = [tuple(code[i] for i in block) for block in blocks]
-        for choice in itertools.product(*(itertools.permutations(c) for c in contents)):
-            oc_records, variant_code = _block_permutation_records(code, choice)
-            for site in enumerate_sites(variant_code, kinds=(kind,)):
-                new_code, rec = apply(variant_code, site)
+        for variant in oc_class(code):
+            for site in enumerate_sites(variant, kinds=(kind,)):
+                new_code, rec = apply(variant, site)
                 if gauss_to_wgd(new_code) == target:
-                    return oc_records + [rec]
+                    return _block_permutation_records(code, variant) + [rec]
     raise DomainError("states are not one move apart")
 
 
@@ -217,27 +210,23 @@ def simplify(w: WeldedGaussDiagram, budget: SearchBudget) -> WeldedGaussDiagram:
         raise DomainError("max_crossings is below the input's crossing count")
     best = start
     cache: dict = {}
-    visited = {_state_key(start)}
-    heap = [(_state_key(start), 0)]
-    states = {_state_key(start): start}
+    visited = {start}
+    heap = [(_state_key(start), 0, start)]
     while heap:
-        key, depth = heapq.heappop(heap)
-        state = states[key]
+        key, depth, state = heapq.heappop(heap)
         if key < _state_key(best):
             best = state
         if best.n == 0:
             return best
         if depth >= budget.max_depth:
             continue
-        for nb in _neighbor_keys(state, budget.max_crossings, cache):
-            nb_key = _state_key(nb)
-            if nb_key in visited:
+        for nb in _sorted_neighbors(state, budget.max_crossings, cache):
+            if nb in visited:
                 continue
             if len(visited) >= budget.max_states:
                 break
-            visited.add(nb_key)
-            states[nb_key] = nb
-            heapq.heappush(heap, (nb_key, depth + 1))
+            visited.add(nb)
+            heapq.heappush(heap, (_state_key(nb), depth + 1, nb))
     return best
 
 
@@ -255,21 +244,20 @@ class AtlasRecord:
 
 def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
     """All canonical welded Gauss diagrams with up to n_max crossings,
-    sorted by (crossing count, encoding)."""
+    sorted by (crossing count, encoding).
+
+    The sort holds by construction: for each n, the head/sign assignments
+    are visited in encoding order (heads ascending, sign -1 before +1),
+    and an assignment is kept when it is its own canonical encoding."""
     out = [WeldedGaussDiagram((), {}, {})]
     for n in range(1, n_max + 1):
         labels = tuple(range(1, n + 1))
-        seen = set()
-        for heads in itertools.product(labels, repeat=n):
-            for signs in itertools.product((1, -1), repeat=n):
-                w = canonical_wgd(
-                    WeldedGaussDiagram(labels, dict(zip(labels, heads)), dict(zip(labels, signs)))
-                )
-                key = wgd_encoding(w)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(w)
-    return sorted(out, key=_state_key)
+        pairs = [(h, s) for h in labels for s in (-1, 1)]
+        for encoding in itertools.product(pairs, repeat=n):
+            heads, signs = zip(*encoding)
+            if _canonical_encoding([h - 1 for h in heads], signs) == encoding:
+                out.append(WeldedGaussDiagram(labels, dict(zip(labels, heads)), dict(zip(labels, signs))))
+    return out
 
 
 def build_atlas(
@@ -293,7 +281,7 @@ def build_atlas(
     if not 0 <= n_max <= max_crossings:
         raise DomainError("need 0 <= n_max <= max_crossings")
     states = enumerate_canonical_wgds(max_crossings)
-    index = {_state_key(w): i for i, w in enumerate(states)}
+    index = {w: i for i, w in enumerate(states)}
 
     parent = list(range(len(states)))
 
@@ -310,12 +298,11 @@ def build_atlas(
 
     for i, w in enumerate(states):
         for nb in wgd_neighbors(w, growth_allowed=False):
-            union(i, index[_state_key(nb)])
+            union(i, index[nb])
 
     # states are sorted by crossing count and roots are minimal indices,
     # so the seeds are a prefix and every seed's root is a seed
     seeds = [w for w in states if w.n <= n_max]
-    keys = [_state_key(w) for w in seeds]
     prints = [fingerprint(w, primes=primes, groups=groups) for w in seeds]
 
     class_ids: dict[int, int] = {}
@@ -324,11 +311,10 @@ def build_atlas(
         if root not in class_ids:
             class_ids[root] = len(class_ids)
 
-    class_of_key = {keys[i]: class_ids[find(i)] for i in range(len(seeds))}
+    class_of = {w: class_ids[find(i)] for i, w in enumerate(seeds)}
     partner: dict[int, int] = {}
     for root, cid in class_ids.items():
-        rev_key = _state_key(global_reversal(seeds[root]))
-        partner[cid] = class_of_key[rev_key]
+        partner[cid] = class_of[global_reversal(seeds[root])]
 
     orbit_ids: dict[int, int] = {}
     for cid in sorted(class_ids.values()):

@@ -194,6 +194,16 @@ class TestBoundaryErrors:
         ["atlas", "--n-max", "0", "-o", "no/such/dir/atlas.jsonl"],
         ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 3], "variant": "oc"}'],
         ["canon", "true.wgd"],
+        ["invariants", "kink.gc", "--primes", "x"],
+        ["atlas", "--n-max", "1", "--primes", "3,x"],
+        ["apply", "kink.gc", "--site", '{"kind": "R1_delete", "positions": [0.7, 1.2], "variant": "ou+"}'],
+        ["apply", "kink.gc", "--site", '{"kind": "R1_delete", "positions": "01", "variant": "ou+"}'],
+        ["apply", "kink.gc", "--site", '{"kind": "R1_delete", "positions": [false, true], "variant": "ou+"}'],
+        ["apply", "kink.gc", "--site", '{"kind": "R1_delete", "positions": [0, 1], "variant": 1}'],
+        ["apply", "kink.gc", "--site", '[{"kind": "R1_delete", "positions": [0, 1], "variant": "ou+"}]'],
+        ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 1], "variant": ""}'],
+        ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 1], "variant": "x"}'],
+        ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 1]}'],
     ])
     def test_exit_1_without_traceback(self, tmp_path, argv):
         (tmp_path / "kink.gc").write_text("O1+ U1+")

@@ -1,5 +1,9 @@
+import pytest
+
 from weldedknots import (
+    DomainError,
     GaussCode,
+    GaussDiagram,
     WeldedGaussDiagram,
     canonical_wgd,
     decode_gauss_code,
@@ -134,3 +138,20 @@ class TestGaussDiagrams:
             via_wgd = gauss_diagram_to_wgd(wgd_to_gauss_diagram(w))
             assert via_code == w
             assert via_wgd == w
+
+    @pytest.mark.parametrize("points, arrows", [
+        # two arrows share the head point
+        ([(OVER, 1), (UNDER, 1), (OVER, 2)], [((OVER, 1), (UNDER, 1), 1), ((OVER, 2), (UNDER, 1), 1)]),
+        # three arrows share endpoints so that one of them vanishes from the points
+        ([(OVER, 1), (UNDER, 2), (OVER, 3), (UNDER, 3)],
+         [((OVER, 1), (UNDER, 1), 1), ((OVER, 1), (UNDER, 2), 1), ((OVER, 3), (UNDER, 1), 1)]),
+        # a point that no arrow uses
+        ([(OVER, 1), (UNDER, 1), (OVER, 9)], [((OVER, 1), (UNDER, 1), 1)]),
+        # a sign that is neither +1 nor -1
+        ([(OVER, 1), (UNDER, 1)], [((OVER, 1), (UNDER, 1), 0)]),
+        # an arrow endpoint missing from the points
+        ([(OVER, 1)], [((OVER, 1), (UNDER, 1), 1)]),
+    ])
+    def test_malformed_gauss_diagram_rejected(self, points, arrows):
+        with pytest.raises(DomainError):
+            gauss_diagram_to_wgd(GaussDiagram(tuple(points), frozenset(arrows)))

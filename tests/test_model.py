@@ -142,6 +142,7 @@ class TestCodecs:
         '{"order": [1], "map": {"1": [true, "+"]}}',
         '{"order": [1], "map": {"1": [1, "+"], "01": [1, "-"]}}',
         '{"order": [1], "map": {"01": [1, "-"], "1": [1, "+"]}}',
+        '{"order": [1], "map": {"1\\n": [1, "+"]}}',
     ])
     def test_wgd_decode_rejects_aliased_labels(self, text):
         with pytest.raises(DomainError):
