@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .convert import _preceding_under
 from .model import (
     UNDER,
@@ -79,6 +77,11 @@ def _is_odd_prime(p: int) -> bool:
     return all(p % d for d in range(3, int(p**0.5) + 1, 2))
 
 
+def _require_odd_prime(p: int) -> None:
+    if not _is_odd_prime(p):
+        raise DomainError(f"p must be an odd prime, got {p}")
+
+
 def _relation_matrix(structure: ArcStructure) -> list[list[int]]:
     rows = []
     for c in structure.crossings:
@@ -112,9 +115,11 @@ def _rank_mod_p(rows: list[list[int]], m: int, p: int) -> int:
 def coloring_count(code: GaussCode, p: int) -> int:
     """Number of Fox p-colorings of the arcs, computed from the nullspace
     dimension of the relation matrix: count = p**d."""
-    if not _is_odd_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
-    structure = arcs(code)
+    _require_odd_prime(p)
+    return _coloring_count(arcs(code), p)
+
+
+def _coloring_count(structure: ArcStructure, p: int) -> int:
     if not structure.crossings:
         return p
     rank = _rank_mod_p(_relation_matrix(structure), structure.arc_count, p)
@@ -124,8 +129,9 @@ def coloring_count(code: GaussCode, p: int) -> int:
 def coloring_count_bruteforce(code: GaussCode, p: int, cap: int = 2_000_000) -> int:
     """Independent check path: enumerate every arc assignment and test the
     crossing relations directly."""
-    if not _is_odd_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
+    import numpy as np  # imported here: it is most of the package's import time
+
+    _require_odd_prime(p)
     structure = arcs(code)
     m = structure.arc_count
     if p**m > cap:
@@ -245,7 +251,10 @@ def hom_count(code: GaussCode, group: Group) -> int:
     state copies.  Branch values range over the first arc's conjugacy
     class, since the relations make every arc conjugate to it.
     """
-    structure = arcs(code)
+    return _hom_count(arcs(code), group)
+
+
+def _hom_count(structure: ArcStructure, group: Group) -> int:
     m = structure.arc_count
     k = group.order
     if not structure.crossings:
@@ -350,6 +359,9 @@ def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
     from .model import WeldedGaussDiagram
 
     code = wgd_to_gauss(obj) if isinstance(obj, WeldedGaussDiagram) else obj
-    colorings = tuple(sorted((p, coloring_count(code, p)) for p in primes))
-    homs = tuple(sorted((g.name, hom_count(code, g)) for g in groups))
+    for p in primes:
+        _require_odd_prime(p)
+    structure = arcs(code)
+    colorings = tuple(sorted((p, _coloring_count(structure, p)) for p in primes))
+    homs = tuple(sorted((g.name, _hom_count(structure, g)) for g in groups))
     return InvariantFingerprint(colorings, homs)

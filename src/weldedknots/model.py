@@ -155,7 +155,7 @@ def validate_code(code: GaussCode) -> str | None:
             return f"passage role must be O or U, got {p.role!r}"
         if isinstance(p.crossing, bool) or not isinstance(p.crossing, int) or p.crossing < 1:
             return f"crossing label must be a positive integer, got {p.crossing!r}"
-        if p.sign not in (1, -1):
+        if isinstance(p.sign, bool) or p.sign not in (1, -1):
             return f"sign must be +1 or -1, got {p.sign!r}"
         entry = seen.setdefault(p.crossing, {})
         if p.role in entry:
@@ -187,7 +187,7 @@ def validate_wgd(w: WeldedGaussDiagram) -> str | None:
         if isinstance(h, bool) or h not in labels:
             return f"head of {c} points at unknown label {h}"
     for c, s in w.sign.items():
-        if s not in (1, -1):
+        if isinstance(s, bool) or s not in (1, -1):
             return f"sign of {c} must be +1 or -1, got {s!r}"
     return None
 
@@ -225,20 +225,18 @@ def _canonical_encoding(head_pos, signs) -> tuple:
     )
 
 
-def _canonical_from_positions(head_pos: list[int], signs: list[int]) -> WeldedGaussDiagram:
-    """The canonical diagram whose encoding is :func:`_canonical_encoding`."""
-    best = _canonical_encoding(head_pos, signs)
-    n = len(best)
-    order = tuple(range(1, n + 1))
-    head = {i + 1: best[i][0] for i in range(n)}
-    sign = {i + 1: best[i][1] for i in range(n)}
+def _wgd_from_encoding(encoding: tuple) -> WeldedGaussDiagram:
+    """The diagram with labels 1..n whose :func:`wgd_encoding` is ``encoding``."""
+    order = tuple(range(1, len(encoding) + 1))
+    head = {c: h for c, (h, _) in zip(order, encoding)}
+    sign = {c: s for c, (_, s) in zip(order, encoding)}
     return WeldedGaussDiagram(order, head, sign)
 
 
 def _canonical_wgd_unchecked(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
     position = {c: i for i, c in enumerate(w.order)}
-    return _canonical_from_positions(
-        [position[w.head[c]] for c in w.order], [w.sign[c] for c in w.order]
+    return _wgd_from_encoding(
+        _canonical_encoding([position[w.head[c]] for c in w.order], [w.sign[c] for c in w.order])
     )
 
 

@@ -58,7 +58,8 @@ from .model import (
     GaussCode,
     Passage,
     WeldedGaussDiagram,
-    _canonical_from_positions,
+    _canonical_encoding,
+    _wgd_from_encoding,
     canonical_wgd,
     require_valid_code,
 )
@@ -500,11 +501,11 @@ def _inserted(head: list[int], u: int, k: int) -> list[int]:
     return head[: u + 1] + [-1] * k + head[u + 1 :]
 
 
-def _r1_inserts(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+def _r1_inserts(head, sign, gaps) -> Iterator[tuple]:
     n = len(head)
     if n == 0:
         for s in (1, -1):
-            yield _canonical_from_positions([0], [s])
+            yield _canonical_encoding([0], [s])
         return
     for u in range(n):
         c = u + 1
@@ -516,14 +517,14 @@ def _r1_inserts(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
             for own in (u, c):  # ou: c's over lies in u's gap; uo: in its own
                 new_head[c] = own
                 for s in (1, -1):
-                    yield _canonical_from_positions(new_head, sign[:c] + [s] + sign[c:])
+                    yield _canonical_encoding(new_head, sign[:c] + [s] + sign[c:])
 
 
-def _r2_inserts(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+def _r2_inserts(head, sign, gaps) -> Iterator[tuple]:
     n = len(head)
     if n == 0:
         for s in (1, -1):
-            yield _canonical_from_positions([1, 1], [s, -s])
+            yield _canonical_encoding([1, 1], [s, -s])
         return
     for u in range(n):
         f, g = u + 1, u + 2
@@ -536,22 +537,22 @@ def _r2_inserts(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
             for t in targets:
                 new_head[f] = new_head[g] = t
                 for s in (1, -1):
-                    yield _canonical_from_positions(new_head, sign[:f] + [s, -s] + sign[f:])
+                    yield _canonical_encoding(new_head, sign[:f] + [s, -s] + sign[f:])
 
 
-def _r1_deletes(head, sign) -> Iterator[WeldedGaussDiagram]:
+def _r1_deletes(head, sign) -> Iterator[tuple]:
     n = len(head)
     for c in range(n):
         p = (c - 1) % n
         if head[c] != p and head[c] != c:
             continue
         new_head = [p if h == c else h for h in head[:c] + head[c + 1 :]]
-        yield _canonical_from_positions(
+        yield _canonical_encoding(
             [h - 1 if h > c else h for h in new_head], sign[:c] + sign[c + 1 :]
         )
 
 
-def _r2_deletes(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+def _r2_deletes(head, sign, gaps) -> Iterator[tuple]:
     n = len(head)
     if n < 2:
         return
@@ -562,12 +563,12 @@ def _r2_deletes(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
         p = (x - 1) % n
         keep = [i for i in range(n) if i != x and i != y]
         position = {old: new for new, old in enumerate(keep)}
-        yield _canonical_from_positions(
+        yield _canonical_encoding(
             [position[p if head[i] == y else head[i]] for i in keep], [sign[i] for i in keep]
         )
 
 
-def _r3_moves(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
+def _r3_moves(head, sign, gaps) -> Iterator[tuple]:
     n = len(head)
     if n < 3:
         return
@@ -594,7 +595,7 @@ def _r3_moves(head, sign, gaps) -> Iterator[WeldedGaussDiagram]:
                     continue
                 new_head = swapped_head[:]
                 new_head[y] = moved_to  # z's label now sits at y's old position
-                yield _canonical_from_positions(new_head, swapped_sign)
+                yield _canonical_encoding(new_head, swapped_sign)
 
 
 def wgd_neighbors_iter(
@@ -643,12 +644,20 @@ def wgd_neighbors_iter(
     # w is canonical: label c sits at position c - 1
     head = [w.head[c] - 1 for c in w.order]
     sign = [w.sign[c] for c in w.order]
-    gaps: list[list[int]] = [[] for _ in range(n)]
+    yield from map(_wgd_from_encoding, _neighbor_encodings(head, sign, wanted))
+
+
+def _neighbor_encodings(head: list[int], sign: list[int], wanted) -> Iterator[tuple]:
+    """Canonical encodings of the neighbors of the canonical diagram whose
+    crossing at position i has its head at position ``head[i]`` and sign
+    ``sign[i]``, for the kinds in ``wanted``, once per site (the rules of
+    :func:`wgd_neighbors_iter`).  The diagram is not validated."""
+    gaps: list[list[int]] = [[] for _ in head]
     for c, h in enumerate(head):
         gaps[h].append(c)
 
     if MoveKind.OC in wanted and any(len(gap) >= 2 for gap in gaps):
-        yield w
+        yield tuple((h + 1, s) for h, s in zip(head, sign))
     if MoveKind.R1_INSERT in wanted:
         yield from _r1_inserts(head, sign, gaps)
     if MoveKind.R2_INSERT in wanted:

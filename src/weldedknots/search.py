@@ -38,6 +38,7 @@ from .model import (
     wgd_encoding,
     wgd_to_obj,
     _canonical_encoding,
+    _wgd_from_encoding,
 )
 from .moves import (
     MoveKind,
@@ -49,6 +50,7 @@ from .moves import (
     replay,
     wgd_neighbors,
     _CROSSING_DELTA,
+    _neighbor_encodings,
     _over_blocks,
 )
 
@@ -242,22 +244,39 @@ class AtlasRecord:
     capped = False  # not a field: classes are exact; bench/tracer.py still reads it
 
 
+def _canonical_encodings(n_max: int) -> list[tuple]:
+    """Encodings of all canonical welded Gauss diagrams with up to n_max
+    crossings, sorted by (crossing count, encoding).
+
+    For each n, the head/sign assignments are visited in encoding order
+    (heads ascending, sign -1 before +1), and an assignment is kept when
+    it is its own canonical encoding, so the sort holds by construction.
+    The first entry of a canonical encoding is the least first entry of
+    its rotations, so after a first pair ``(h1, s1)`` position r >= 1 may
+    hold only the ``(h, s)`` with ``((h - 1 - r) % n, s) >= (h1 - 1, s1)``;
+    the other assignments are never visited."""
+    out: list[tuple] = [()]
+    for n in range(1, n_max + 1):
+        pairs = [(h, s) for h in range(1, n + 1) for s in (-1, 1)]
+        for h1, s1 in pairs:
+            allowed = [
+                [(h, s) for h, s in pairs if ((h - 1 - r) % n, s) >= (h1 - 1, s1)]
+                for r in range(1, n)
+            ]
+            for rest in itertools.product(*allowed):
+                encoding = ((h1, s1),) + rest
+                heads, signs = zip(*encoding)
+                if _canonical_encoding([h - 1 for h in heads], signs) == encoding:
+                    out.append(encoding)
+    return out
+
+
 def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
     """All canonical welded Gauss diagrams with up to n_max crossings,
-    sorted by (crossing count, encoding).
-
-    The sort holds by construction: for each n, the head/sign assignments
-    are visited in encoding order (heads ascending, sign -1 before +1),
-    and an assignment is kept when it is its own canonical encoding."""
-    out = [WeldedGaussDiagram((), {}, {})]
-    for n in range(1, n_max + 1):
-        labels = tuple(range(1, n + 1))
-        pairs = [(h, s) for h in labels for s in (-1, 1)]
-        for encoding in itertools.product(pairs, repeat=n):
-            heads, signs = zip(*encoding)
-            if _canonical_encoding([h - 1 for h in heads], signs) == encoding:
-                out.append(WeldedGaussDiagram(labels, dict(zip(labels, heads)), dict(zip(labels, signs))))
-    return out
+    sorted by (crossing count, encoding): the diagrams of
+    :func:`_canonical_encodings`, which visits only the assignments whose
+    later entries are no less than the first entry under rotation."""
+    return [_wgd_from_encoding(e) for e in _canonical_encodings(n_max)]
 
 
 def build_atlas(
@@ -272,16 +291,18 @@ def build_atlas(
 
     Every growth edge is the inverse of a shrink edge, so the components
     are found by union-find over the R1-delete, R2-delete and R3
-    neighbours of every diagram within the cap.  The classes are exact
-    for that graph: no budget is involved.  Class and orbit ids depend
-    only on n_max and max_crossings.
+    neighbours of every diagram within the cap.  The union-find runs on
+    canonical encodings; diagrams are built only for the seeds, the
+    diagrams with at most n_max crossings.  The classes are exact for
+    that graph: no budget is involved.  Class and orbit ids depend only
+    on n_max and max_crossings.
     """
     from .symmetry import global_reversal
 
     if not 0 <= n_max <= max_crossings:
         raise DomainError("need 0 <= n_max <= max_crossings")
-    states = enumerate_canonical_wgds(max_crossings)
-    index = {w: i for i, w in enumerate(states)}
+    states = _canonical_encodings(max_crossings)
+    index = {e: i for i, e in enumerate(states)}
 
     parent = list(range(len(states)))
 
@@ -296,13 +317,17 @@ def build_atlas(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for i, w in enumerate(states):
-        for nb in wgd_neighbors(w, growth_allowed=False):
+    # over-commutation only leads back to the state itself
+    shrink_kinds = (MoveKind.R1_DELETE, MoveKind.R2_DELETE, MoveKind.R3)
+    for i, e in enumerate(states):
+        head = [h - 1 for h, _ in e]
+        sign = [s for _, s in e]
+        for nb in _neighbor_encodings(head, sign, shrink_kinds):
             union(i, index[nb])
 
     # states are sorted by crossing count and roots are minimal indices,
     # so the seeds are a prefix and every seed's root is a seed
-    seeds = [w for w in states if w.n <= n_max]
+    seeds = [_wgd_from_encoding(e) for e in states if len(e) <= n_max]
     prints = [fingerprint(w, primes=primes, groups=groups) for w in seeds]
 
     class_ids: dict[int, int] = {}

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from pathlib import Path
@@ -16,7 +17,7 @@ from weldedknots import (
     wgd_to_gauss,
 )
 from weldedknots.convert import _gauss_to_wgd_unchecked
-from weldedknots.model import OVER, UNDER
+from weldedknots.model import OVER, UNDER, _canonical_encoding
 from weldedknots.moves import _apply_unchecked, _match_oc
 
 
@@ -81,3 +82,16 @@ def oracle_neighbors_iter(w: WeldedGaussDiagram, kinds=None, growth_allowed: boo
         for site in enumerate_sites(variant_code, wanted, growth_allowed):
             new_code, _ = _apply_unchecked(variant_code, site)
             yield _gauss_to_wgd_unchecked(new_code)
+
+
+def oracle_canonical_encodings(n_max: int) -> list[tuple]:
+    """Every head/sign assignment, in encoding order, that is its own
+    canonical encoding: the unpruned enumeration, (2n)^n assignments per n."""
+    out = [()]
+    for n in range(1, n_max + 1):
+        pairs = [(h, s) for h in range(1, n + 1) for s in (-1, 1)]
+        for encoding in itertools.product(pairs, repeat=n):
+            heads, signs = zip(*encoding)
+            if _canonical_encoding([h - 1 for h in heads], signs) == encoding:
+                out.append(encoding)
+    return out

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +20,7 @@ from weldedknots import (
 )
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
-from conftest import TREFOIL_TEXT, random_code
+from conftest import TREFOIL_TEXT, random_code, subprocess_env
 
 TREFOIL = decode_gauss_code(TREFOIL_TEXT)
 
@@ -155,6 +157,14 @@ class TestFingerprint:
         assert dict(fp.coloring_counts) == {3: 9, 5: 5}
         assert dict(fp.hom_counts) == {"S3": 12}
 
+    def test_counts_equal_the_public_functions(self, rng):
+        groups = (symmetric_group_3(), dihedral_group(4))
+        for _ in range(20):
+            code = random_code(rng, rng.randint(0, 5))
+            fp = fingerprint(code, primes=(3, 5, 7), groups=groups)
+            assert fp.coloring_counts == tuple((p, coloring_count(code, p)) for p in (3, 5, 7))
+            assert fp.hom_counts == tuple(sorted((g.name, hom_count(code, g)) for g in groups))
+
     def test_text_rejected(self):
         with pytest.raises(DomainError):
             fingerprint("O1+ U1+")
@@ -182,3 +192,13 @@ class TestFingerprint:
                 pool = shrink if shrink and rng.random() < 0.6 else sites
                 code, _ = apply_move(code, pool[rng.randrange(len(pool))])
                 assert fingerprint(code, primes=(3, 5), groups=(g,)) == base
+
+
+def test_package_import_leaves_numpy_out():
+    """numpy is imported by coloring_count_bruteforce only, on first use."""
+    probe = "import sys, weldedknots, weldedknots.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

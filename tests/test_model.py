@@ -153,6 +153,13 @@ class TestCodecs:
         assert validate_wgd(WeldedGaussDiagram((1,), {1: True}, {1: 1})) is not None
         assert validate_code(GaussCode((Passage(OVER, True, 1), Passage(UNDER, True, 1)))) is not None
 
+    def test_bool_signs_are_invalid(self):
+        assert "sign" in validate_code(GaussCode((Passage(OVER, 1, True), Passage(UNDER, 1, True))))
+        w = WeldedGaussDiagram((1,), {1: 1}, {1: True})
+        assert "sign" in validate_wgd(w)
+        with pytest.raises(DomainError):
+            canonical_wgd(w)
+
 
 class TestNormalization:
     def test_labels_renamed_by_first_under(self):

@@ -24,7 +24,9 @@ from weldedknots import (
     wgd_to_gauss,
 )
 
-from conftest import TREFOIL_TEXT, random_wgd
+from weldedknots.search import _canonical_encodings
+
+from conftest import TREFOIL_TEXT, oracle_canonical_encodings, random_wgd
 
 EMPTY = WeldedGaussDiagram((), {}, {})
 KINK = canonical_wgd(WeldedGaussDiagram((1,), {1: 1}, {1: 1}))
@@ -124,20 +126,25 @@ class TestSimplify:
 class TestEnumeration:
     def test_counts_match_orbit_counting(self):
         # Burnside on rotations of the (head, sign) assignments:
-        # n=1: 2, n=2: 10, n=3: 76, n=4: 1044
+        # n=1: 2, n=2: 10, n=3: 76, n=4: 1044, n=5: (10^5 + 4*10)/5 = 20008
         assert len(enumerate_canonical_wgds(0)) == 1
         assert len(enumerate_canonical_wgds(1)) == 3
         assert len(enumerate_canonical_wgds(2)) == 13
         assert len(enumerate_canonical_wgds(3)) == 89
         assert len(enumerate_canonical_wgds(4)) == 1133
+        assert len(enumerate_canonical_wgds(5)) == 21141
 
     def test_all_entries_canonical_and_sorted(self):
-        seeds = enumerate_canonical_wgds(3)
+        seeds = enumerate_canonical_wgds(4)
         keys = [(w.n, wgd_encoding(w)) for w in seeds]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         for w in seeds:
             assert canonical_wgd(w) == w
+
+    def test_pruning_keeps_every_canonical_encoding(self):
+        # the lists are cumulative, so n_max=4 covers every n <= 4
+        assert _canonical_encodings(4) == oracle_canonical_encodings(4)
 
 
 def _components(states, neighbors) -> set[frozenset]:
