@@ -126,24 +126,6 @@ def _coloring_count(structure: ArcStructure, p: int) -> int:
     return p ** (structure.arc_count - rank)
 
 
-def coloring_count_bruteforce(code: GaussCode, p: int, cap: int = 2_000_000) -> int:
-    """Independent check path: enumerate every arc assignment and test the
-    crossing relations directly."""
-    import numpy as np  # imported here: it is most of the package's import time
-
-    _require_odd_prime(p)
-    structure = arcs(code)
-    m = structure.arc_count
-    if p**m > cap:
-        raise DomainError(f"brute force over {p}^{m} assignments exceeds cap")
-    if not structure.crossings:
-        return p
-    matrix = np.array(_relation_matrix(structure), dtype=np.int64)
-    assignments = np.indices((p,) * m).reshape(m, -1)
-    residues = (matrix @ assignments) % p
-    return int(np.count_nonzero((residues == 0).all(axis=0)))
-
-
 # ---------------------------------------------------------------------------
 # finite groups given by multiplication tables
 

@@ -21,7 +21,9 @@ goes through :func:`canonical_wgd`.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -142,6 +144,12 @@ class GaussDiagram:
 # validation
 
 
+def _is_sign(value) -> bool:
+    """+1 or -1 as an int: ``True`` and ``1.0`` compare equal to 1 but are
+    not signs."""
+    return type(value) is int and (value == 1 or value == -1)
+
+
 def validate_code(code: GaussCode) -> str | None:
     """Return the first violated invariant as a message, or None if valid.
 
@@ -155,7 +163,7 @@ def validate_code(code: GaussCode) -> str | None:
             return f"passage role must be O or U, got {p.role!r}"
         if isinstance(p.crossing, bool) or not isinstance(p.crossing, int) or p.crossing < 1:
             return f"crossing label must be a positive integer, got {p.crossing!r}"
-        if isinstance(p.sign, bool) or p.sign not in (1, -1):
+        if not _is_sign(p.sign):
             return f"sign must be +1 or -1, got {p.sign!r}"
         entry = seen.setdefault(p.crossing, {})
         if p.role in entry:
@@ -187,7 +195,7 @@ def validate_wgd(w: WeldedGaussDiagram) -> str | None:
         if isinstance(h, bool) or h not in labels:
             return f"head of {c} points at unknown label {h}"
     for c, s in w.sign.items():
-        if isinstance(s, bool) or s not in (1, -1):
+        if not _is_sign(s):
             return f"sign of {c} must be +1 or -1, got {s!r}"
     return None
 
@@ -208,36 +216,91 @@ def require_valid_wgd(w: WeldedGaussDiagram) -> None:
 # canonical forms
 
 
-def _canonical_encoding(head_pos, signs) -> tuple:
-    """:func:`wgd_encoding` of the canonical form of the diagram whose
-    crossing at cyclic position i has its head at position ``head_pos[i]``
-    and sign ``signs[i]``."""
-    n = len(head_pos)
+# The private layer works on packed encodings.  The crossing at cyclic
+# position i is the entry ``2 * head_pos + [sign > 0]``, where ``head_pos``
+# is the position of its head; entries order as (head, sign) pairs do, so
+# packed encodings sort as :func:`wgd_encoding` tuples do.  Up to 128
+# crossings the entries are a bytes string, one byte each (the largest
+# entry, 2 * 127 + 1, is 255), so a rotation is two slices and a relabelling
+# is ``bytes.translate``.  Past 128 crossings they are a tuple of the same
+# ints.  Only the three helpers below tell the two forms apart.
+
+_BYTE_CROSSINGS = 128
+
+
+def _pack(values) -> bytes | tuple:
+    """The encoding with the entries ``values`` (ints)."""
+    return bytes(values) if len(values) <= _BYTE_CROSSINGS else tuple(values)
+
+
+def _table(values: list[int]) -> bytes | tuple:
+    """Relabel table sending entry v to ``values[v]``, for the encodings of
+    ``len(values) // 2`` crossings: a 256-byte ``bytes.translate`` table
+    when those are bytes, else a tuple."""
+    if len(values) <= 2 * _BYTE_CROSSINGS:
+        return bytes(values).ljust(256, b"\0")
+    return tuple(values)
+
+
+def _relabelled(entries, table) -> bytes | tuple:
+    """The encoding with entries ``table[v]`` for the entries v of
+    ``entries``, packed by its length."""
+    if type(entries) is bytes:
+        return entries.translate(table)
+    return _pack([table[v] for v in entries])
+
+
+@functools.lru_cache(maxsize=_BYTE_CROSSINGS)
+def _rotation_tables(n: int) -> list:
+    """Per rotation r of n crossings, the table taking entry v to
+    ``(v - 2r) mod 2n``: heads move back r positions, signs stay."""
+    identity = list(range(2 * n)) * 2
+    return [_table(identity[2 * n - 2 * r : 4 * n - 2 * r]) for r in range(n)]
+
+
+def _canonical_encoding(entries) -> bytes | tuple:
+    """Packed encoding of the canonical form of the diagram with the packed
+    encoding ``entries`` (one entry ``2 * head_pos + [sign > 0]`` per crossing:
+    bytes up to 128 crossings, a tuple of the same ints beyond).
+
+    The canonical form is the least of the n rotations, each relabelled to
+    start at position 0: rotation r is ``entries[r:] + entries[:r]``
+    relabelled through the table ``v -> (v - 2r) mod 2n``, one
+    ``bytes.translate`` in the byte form.  Only the rotations whose first
+    entry is least can win, so only those are relabelled in full."""
+    n = len(entries)
     if n == 0:
-        return ()
-    # only rotations whose first entry is minimal can win
-    firsts = [((head_pos[r] - r) % n, signs[r]) for r in range(n)]
+        return entries
+    tables = _rotation_tables(n)
+    firsts = list(map(operator.getitem, tables, entries))
     lowest = min(firsts)
-    return min(
-        tuple(((head_pos[(r + j) % n] - r) % n + 1, signs[(r + j) % n]) for j in range(n))
-        for r in range(n)
-        if firsts[r] == lowest
-    )
+    r = firsts.index(lowest)
+    best = _relabelled(entries[r:] + entries[:r], tables[r])
+    if firsts.count(lowest) > 1:
+        for r in range(r + 1, n):
+            if firsts[r] == lowest:
+                candidate = _relabelled(entries[r:] + entries[:r], tables[r])
+                if candidate < best:
+                    best = candidate
+    return best
 
 
-def _wgd_from_encoding(encoding: tuple) -> WeldedGaussDiagram:
-    """The diagram with labels 1..n whose :func:`wgd_encoding` is ``encoding``."""
-    order = tuple(range(1, len(encoding) + 1))
-    head = {c: h for c, (h, _) in zip(order, encoding)}
-    sign = {c: s for c, (_, s) in zip(order, encoding)}
+def _wgd_from_encoding(encoding) -> WeldedGaussDiagram:
+    """The diagram with labels 1..n whose packed encoding is ``encoding``."""
+    order = range(1, len(encoding) + 1)
+    head = {c: (v >> 1) + 1 for c, v in zip(order, encoding)}
+    sign = {c: 1 if v & 1 else -1 for c, v in zip(order, encoding)}
     return WeldedGaussDiagram(order, head, sign)
 
 
-def _canonical_wgd_unchecked(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
+def _canonical_wgd_encoding(w: WeldedGaussDiagram) -> bytes | tuple:
+    """Packed encoding of the canonical form of ``w`` (not validated)."""
     position = {c: i for i, c in enumerate(w.order)}
-    return _wgd_from_encoding(
-        _canonical_encoding([position[w.head[c]] for c in w.order], [w.sign[c] for c in w.order])
-    )
+    return _canonical_encoding(_pack([2 * position[w.head[c]] + (w.sign[c] > 0) for c in w.order]))
+
+
+def _canonical_wgd_unchecked(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
+    return _wgd_from_encoding(_canonical_wgd_encoding(w))
 
 
 def canonical_wgd(w: WeldedGaussDiagram) -> WeldedGaussDiagram:

@@ -46,6 +46,7 @@ once per site instead of once per code of the over-commute class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,10 +59,15 @@ from .model import (
     GaussCode,
     Passage,
     WeldedGaussDiagram,
+    _BYTE_CROSSINGS,
     _canonical_encoding,
+    _canonical_wgd_encoding,
+    _pack,
+    _relabelled,
+    _table,
     _wgd_from_encoding,
-    canonical_wgd,
     require_valid_code,
+    require_valid_wgd,
 )
 
 
@@ -494,82 +500,104 @@ def _subsets(items: list[int]) -> Iterator[tuple[int, ...]]:
     )
 
 
-def _inserted(head: list[int], u: int, k: int) -> list[int]:
-    """Head positions after k new crossings are inserted right after
-    position u; the new entries are left as -1."""
-    head = [h + k if h > u else h for h in head]
-    return head[: u + 1] + [-1] * k + head[u + 1 :]
+def _inserted(entries, u: int, k: int) -> list[int]:
+    """Entries after k new crossings are inserted right after position u:
+    heads beyond u move up by k, and the new entries are left as -1."""
+    shifted = [v + 2 * k if v >> 1 > u else v for v in entries]
+    return shifted[: u + 1] + [-1] * k + shifted[u + 1 :]
 
 
-def _r1_inserts(head, sign, gaps) -> Iterator[tuple]:
-    n = len(head)
+def _r1_inserts(e, gaps) -> Iterator:
+    n = len(e)
     if n == 0:
-        for s in (1, -1):
-            yield _canonical_encoding([0], [s])
+        for v in (1, 0):  # sign +1, then -1
+            yield _pack([v])
         return
     for u in range(n):
         c = u + 1
-        base = _inserted(head, u, 1)
+        base = _inserted(e, u, 1)
         for moved in _subsets(gaps[u]):
-            new_head = base[:]
+            new = base[:]
             for i in moved:
-                new_head[i + 1 if i > u else i] = c
+                new[i + 1 if i > u else i] += 2  # head u becomes c
             for own in (u, c):  # ou: c's over lies in u's gap; uo: in its own
-                new_head[c] = own
-                for s in (1, -1):
-                    yield _canonical_encoding(new_head, sign[:c] + [s] + sign[c:])
+                for s in (1, 0):
+                    new[c] = 2 * own + s
+                    yield _canonical_encoding(_pack(new))
 
 
-def _r2_inserts(head, sign, gaps) -> Iterator[tuple]:
-    n = len(head)
+def _r2_inserts(e, gaps) -> Iterator:
+    n = len(e)
     if n == 0:
-        for s in (1, -1):
-            yield _canonical_encoding([1, 1], [s, -s])
+        for s in (1, 0):
+            yield _canonical_encoding(_pack([2 + s, 3 - s]))
         return
     for u in range(n):
         f, g = u + 1, u + 2
-        base = _inserted(head, u, 2)
+        base = _inserted(e, u, 2)
         targets = [h + 2 if h > u else h for h in range(n)] + [g]
         for moved in _subsets(gaps[u]):
-            new_head = base[:]
+            new = base[:]
             for i in moved:
-                new_head[i + 2 if i > u else i] = g
+                new[i + 2 if i > u else i] += 4  # head u becomes g
             for t in targets:
-                new_head[f] = new_head[g] = t
-                for s in (1, -1):
-                    yield _canonical_encoding(new_head, sign[:f] + [s, -s] + sign[f:])
+                for s in (1, 0):  # f gets the sign, g the opposite one
+                    new[f], new[g] = 2 * t + s, 2 * t + 1 - s
+                    yield _canonical_encoding(_pack(new))
 
 
-def _r1_deletes(head, sign) -> Iterator[tuple]:
-    n = len(head)
+@functools.lru_cache(maxsize=_BYTE_CROSSINGS)
+def _r1_delete_tables(n: int) -> list:
+    """Per position c, the relabel table of deleting c from n crossings:
+    heads at c move to pred(c), and heads beyond c move down one."""
+    tables = []
     for c in range(n):
         p = (c - 1) % n
-        if head[c] != p and head[c] != c:
-            continue
-        new_head = [p if h == c else h for h in head[:c] + head[c + 1 :]]
-        yield _canonical_encoding(
-            [h - 1 if h > c else h for h in new_head], sign[:c] + sign[c + 1 :]
-        )
+        heads = [p if h == c else h for h in range(n)]
+        tables.append(_table([2 * (h - 1 if h > c else h) + s for h in heads for s in (0, 1)]))
+    return tables
 
 
-def _r2_deletes(head, sign, gaps) -> Iterator[tuple]:
-    n = len(head)
-    if n < 2:
-        return
+@functools.lru_cache(maxsize=_BYTE_CROSSINGS)
+def _r2_delete_tables(n: int) -> list:
+    """Per position x, the relabel table of deleting x and succ(x) from n
+    crossings: heads at succ(x) move to pred(x), the other kept positions
+    close up.  Heads at x do not occur (its gap is empty)."""
+    tables = []
     for x in range(n):
-        y = (x + 1) % n
-        if gaps[x] or head[x] != head[y] or sign[x] == sign[y]:
-            continue
-        p = (x - 1) % n
+        y, p = (x + 1) % n, (x - 1) % n
         keep = [i for i in range(n) if i != x and i != y]
         position = {old: new for new, old in enumerate(keep)}
-        yield _canonical_encoding(
-            [position[p if head[i] == y else head[i]] for i in keep], [sign[i] for i in keep]
-        )
+        heads = [position.get(p if h == y else h, 0) for h in range(n)]
+        tables.append(_table([2 * h + s for h in heads for s in (0, 1)]))
+    return tables
 
 
-def _r3_moves(head, sign, gaps) -> Iterator[tuple]:
-    n = len(head)
+def _r1_deletes(e) -> Iterator:
+    n = len(e)
+    tables = _r1_delete_tables(n)
+    for c in range(n):
+        h = e[c] >> 1
+        if h == c or h == (c - 1) % n:
+            yield _canonical_encoding(_relabelled(e[:c] + e[c + 1 :], tables[c]))
+
+
+def _r2_deletes(e, gaps) -> Iterator:
+    n = len(e)
+    if n < 2:
+        return
+    tables = _r2_delete_tables(n)
+    for x in range(n):
+        y = (x + 1) % n
+        # same head, opposite signs: the entries differ in the sign bit only
+        if gaps[x] or e[x] ^ e[y] != 1:
+            continue
+        kept = e[:x] + e[x + 2 :] if y else e[1:x]
+        yield _canonical_encoding(_relabelled(kept, tables[x]))
+
+
+def _r3_moves(e, gaps) -> Iterator:
+    n = len(e)
     if n < 3:
         return
     for p in range(n):
@@ -577,25 +605,24 @@ def _r3_moves(head, sign, gaps) -> Iterator[tuple]:
             continue
         q = (p + 1) % n
         # swapping the two unders moves the labels, not the gap contents
-        swapped_head, swapped_sign = head[:], sign[:]
-        swapped_head[p], swapped_head[q] = head[q], head[p]
-        swapped_sign[p], swapped_sign[q] = sign[q], sign[p]
         for z, y, e_b in ((p, q, 0), (q, p, 1)):
             for x in range(n):
-                if x == p or x == q or head[x] != head[y]:
+                if x == p or x == q or e[x] >> 1 != e[y] >> 1:
                     continue
                 before_x = (x - 1) % n
-                if head[z] == before_x:
+                if e[z] >> 1 == before_x:
                     e_m, moved_to = 0, x
-                elif head[z] == x:
+                elif e[z] >> 1 == x:
                     e_m, moved_to = 1, before_x
                 else:
                     continue
-                if sign[x] * sign[y] != (1 if (e_m + e_b) % 2 == 0 else -1):
+                # sx * sy = (-1)^(e_m + e_b): the sign bits agree exactly when e_m + e_b is even
+                if (e[x] ^ e[y]) & 1 != (e_m + e_b) & 1:
                     continue
-                new_head = swapped_head[:]
-                new_head[y] = moved_to  # z's label now sits at y's old position
-                yield _canonical_encoding(new_head, swapped_sign)
+                new = list(e)
+                new[z] = e[y]
+                new[y] = 2 * moved_to + (e[z] & 1)  # z's label now sits at y's old position
+                yield _canonical_encoding(_pack(new))
 
 
 def wgd_neighbors_iter(
@@ -634,40 +661,41 @@ def wgd_neighbors_iter(
       Swap p and q, give G_q head p, and move z across x.
     * OC: w itself, when some gap holds at least two overs.
     """
-    w = canonical_wgd(w)
+    require_valid_wgd(w)
     n = w.n
     wanted = ALL_KINDS if kinds is None else frozenset(kinds)
     if not growth_allowed:
         wanted = wanted - GROWTH_KINDS
     if max_crossings is not None:
         wanted = {k for k in wanted if n + _CROSSING_DELTA[k] <= max_crossings}
-    # w is canonical: label c sits at position c - 1
-    head = [w.head[c] - 1 for c in w.order]
-    sign = [w.sign[c] for c in w.order]
-    yield from map(_wgd_from_encoding, _neighbor_encodings(head, sign, wanted))
+    yield from map(_wgd_from_encoding, _neighbor_encodings(_canonical_wgd_encoding(w), wanted))
 
 
-def _neighbor_encodings(head: list[int], sign: list[int], wanted) -> Iterator[tuple]:
-    """Canonical encodings of the neighbors of the canonical diagram whose
-    crossing at position i has its head at position ``head[i]`` and sign
-    ``sign[i]``, for the kinds in ``wanted``, once per site (the rules of
-    :func:`wgd_neighbors_iter`).  The diagram is not validated."""
-    gaps: list[list[int]] = [[] for _ in head]
-    for c, h in enumerate(head):
-        gaps[h].append(c)
+def _neighbor_encodings(e, wanted) -> Iterator:
+    """Packed canonical encodings (see :mod:`weldedknots.model`) of the
+    neighbors of the diagram with packed canonical encoding ``e``, for the
+    kinds in ``wanted``, once per site (the rules of
+    :func:`wgd_neighbors_iter`).  The entry at position i is
+    ``2 * head_pos + [sign > 0]``: bytes up to 128 crossings, where an R1 or
+    R2 delete is a slice and one ``bytes.translate`` table and R3 writes
+    two entries, and a tuple of the same ints beyond.  ``e`` is not
+    validated."""
+    gaps: list[list[int]] = [[] for _ in e]
+    for c, v in enumerate(e):
+        gaps[v >> 1].append(c)
 
     if MoveKind.OC in wanted and any(len(gap) >= 2 for gap in gaps):
-        yield tuple((h + 1, s) for h, s in zip(head, sign))
+        yield e
     if MoveKind.R1_INSERT in wanted:
-        yield from _r1_inserts(head, sign, gaps)
+        yield from _r1_inserts(e, gaps)
     if MoveKind.R2_INSERT in wanted:
-        yield from _r2_inserts(head, sign, gaps)
+        yield from _r2_inserts(e, gaps)
     if MoveKind.R1_DELETE in wanted:
-        yield from _r1_deletes(head, sign)
+        yield from _r1_deletes(e)
     if MoveKind.R2_DELETE in wanted:
-        yield from _r2_deletes(head, sign, gaps)
+        yield from _r2_deletes(e, gaps)
     if MoveKind.R3 in wanted:
-        yield from _r3_moves(head, sign, gaps)
+        yield from _r3_moves(e, gaps)
 
 
 def wgd_neighbors(

@@ -38,6 +38,7 @@ from .model import (
     wgd_encoding,
     wgd_to_obj,
     _canonical_encoding,
+    _pack,
     _wgd_from_encoding,
 )
 from .moves import (
@@ -244,29 +245,26 @@ class AtlasRecord:
     capped = False  # not a field: classes are exact; bench/tracer.py still reads it
 
 
-def _canonical_encodings(n_max: int) -> list[tuple]:
-    """Encodings of all canonical welded Gauss diagrams with up to n_max
-    crossings, sorted by (crossing count, encoding).
+def _canonical_encodings(n_max: int) -> list:
+    """Packed encodings (see :mod:`weldedknots.model`) of all canonical
+    welded Gauss diagrams with up to n_max crossings, sorted by (crossing
+    count, encoding): bytes, one entry ``2 * head_pos + [sign > 0]`` per
+    crossing, up to 128 crossings, tuples of the same ints beyond.
 
-    For each n, the head/sign assignments are visited in encoding order
-    (heads ascending, sign -1 before +1), and an assignment is kept when
-    it is its own canonical encoding, so the sort holds by construction.
-    The first entry of a canonical encoding is the least first entry of
-    its rotations, so after a first pair ``(h1, s1)`` position r >= 1 may
-    hold only the ``(h, s)`` with ``((h - 1 - r) % n, s) >= (h1 - 1, s1)``;
-    the other assignments are never visited."""
-    out: list[tuple] = [()]
+    For each n, the assignments are visited in encoding order (heads
+    ascending, sign -1 before +1), and an assignment is kept when it is its
+    own canonical encoding, so the sort holds by construction.  The first
+    entry of a canonical encoding is the least first entry of its rotations,
+    so after a first entry v1 position r >= 1 may hold only the entries v
+    with ``(v - 2r) mod 2n >= v1``; the other assignments are never
+    visited."""
+    out: list = [_pack([])]
     for n in range(1, n_max + 1):
-        pairs = [(h, s) for h in range(1, n + 1) for s in (-1, 1)]
-        for h1, s1 in pairs:
-            allowed = [
-                [(h, s) for h, s in pairs if ((h - 1 - r) % n, s) >= (h1 - 1, s1)]
-                for r in range(1, n)
-            ]
+        for v1 in range(2 * n):
+            allowed = [[v for v in range(2 * n) if (v - 2 * r) % (2 * n) >= v1] for r in range(1, n)]
             for rest in itertools.product(*allowed):
-                encoding = ((h1, s1),) + rest
-                heads, signs = zip(*encoding)
-                if _canonical_encoding([h - 1 for h in heads], signs) == encoding:
+                encoding = _pack((v1,) + rest)
+                if _canonical_encoding(encoding) == encoding:
                     out.append(encoding)
     return out
 
@@ -292,10 +290,12 @@ def build_atlas(
     Every growth edge is the inverse of a shrink edge, so the components
     are found by union-find over the R1-delete, R2-delete and R3
     neighbours of every diagram within the cap.  The union-find runs on
-    canonical encodings; diagrams are built only for the seeds, the
-    diagrams with at most n_max crossings.  The classes are exact for
-    that graph: no budget is involved.  Class and orbit ids depend only
-    on n_max and max_crossings.
+    packed canonical encodings, one byte ``2 * head_pos + [sign > 0]`` per
+    crossing (tuples of the same ints past 128 crossings, far beyond any
+    enumerable cap), which sort as :func:`wgd_encoding` tuples do;
+    diagrams are built only for the seeds, the diagrams with at most n_max
+    crossings.  The classes are exact for that graph: no budget is
+    involved.  Class and orbit ids depend only on n_max and max_crossings.
     """
     from .symmetry import global_reversal
 
@@ -320,9 +320,7 @@ def build_atlas(
     # over-commutation only leads back to the state itself
     shrink_kinds = (MoveKind.R1_DELETE, MoveKind.R2_DELETE, MoveKind.R3)
     for i, e in enumerate(states):
-        head = [h - 1 for h, _ in e]
-        sign = [s for _, s in e]
-        for nb in _neighbor_encodings(head, sign, shrink_kinds):
+        for nb in _neighbor_encodings(e, shrink_kinds):
             union(i, index[nb])
 
     # states are sorted by crossing count and roots are minimal indices,

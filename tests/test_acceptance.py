@@ -23,7 +23,6 @@ from weldedknots import (
     canonical_code,
     canonical_wgd,
     coloring_count,
-    coloring_count_bruteforce,
     decode_gauss_code,
     decode_wgd,
     enumerate_canonical_wgds,
@@ -40,7 +39,7 @@ from weldedknots import (
 )
 from weldedknots.model import OVER, UNDER, Passage
 
-from conftest import TREFOIL_TEXT, random_code, random_wgd
+from conftest import TREFOIL_TEXT, coloring_count_bruteforce, random_code, random_wgd
 
 EMPTY = WeldedGaussDiagram((), {}, {})
 TREFOIL = decode_gauss_code(TREFOIL_TEXT)

@@ -11,7 +11,6 @@ from weldedknots import (
     arcs,
     builtin_group,
     coloring_count,
-    coloring_count_bruteforce,
     decode_gauss_code,
     dihedral_group,
     fingerprint,
@@ -20,7 +19,7 @@ from weldedknots import (
 )
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
-from conftest import TREFOIL_TEXT, random_code, subprocess_env
+from conftest import TREFOIL_TEXT, coloring_count_bruteforce, random_code, subprocess_env
 
 TREFOIL = decode_gauss_code(TREFOIL_TEXT)
 
@@ -195,7 +194,7 @@ class TestFingerprint:
 
 
 def test_package_import_leaves_numpy_out():
-    """numpy is imported by coloring_count_bruteforce only, on first use."""
+    """The package never imports numpy."""
     probe = "import sys, weldedknots, weldedknots.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, timeout=60

@@ -18,7 +18,13 @@ from weldedknots import (
 )
 from weldedknots.model import OVER, UNDER
 
-from conftest import TREFOIL_TEXT, random_code, random_wgd, reference_wgd
+import itertools
+import random
+
+from weldedknots import wgd_encoding
+from weldedknots.model import _canonical_wgd_encoding
+
+from conftest import TREFOIL_TEXT, long_wgd, oracle_wgd_encoding, random_code, random_wgd, reference_wgd
 
 
 class TestValidation:
@@ -71,14 +77,35 @@ class TestCanonicalWgd:
         for _ in range(100):
             n = rng.randint(1, 6)
             w = random_wgd(rng, n)
-            encodings = []
-            for r in range(n):
-                rotated = [w.order[(r + j) % n] for j in range(n)]
-                rename = {c: j + 1 for j, c in enumerate(rotated)}
-                encodings.append(tuple((rename[w.head[c]], w.sign[c]) for c in rotated))
-            expected = min(encodings)
             c = canonical_wgd(w)
-            assert tuple((c.head[i], c.sign[i]) for i in range(1, n + 1)) == expected
+            assert tuple((c.head[i], c.sign[i]) for i in range(1, n + 1)) == oracle_wgd_encoding(w)
+
+    def test_every_assignment_up_to_four_crossings_against_bruteforce(self):
+        for n in range(5):
+            labels = range(1, n + 1)
+            for heads in itertools.product(labels, repeat=n):
+                for signs in itertools.product((1, -1), repeat=n):
+                    w = WeldedGaussDiagram(labels, dict(zip(labels, heads)), dict(zip(labels, signs)))
+                    assert wgd_encoding(canonical_wgd(w)) == oracle_wgd_encoding(w), encode_wgd(w)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_samples_against_bruteforce(self, n):
+        rng = random.Random(f"canonical:{n}")
+        for _ in range(300):
+            w = random_wgd(rng, n)
+            assert wgd_encoding(canonical_wgd(w)) == oracle_wgd_encoding(w), encode_wgd(w)
+
+    def test_packed_as_bytes_up_to_128_crossings_then_tuples(self, rng):
+        for n in (0, 1, 8, 128):
+            assert type(_canonical_wgd_encoding(random_wgd(rng, n))) is bytes
+        for n in (129, 130):
+            assert type(_canonical_wgd_encoding(random_wgd(rng, n))) is tuple
+
+    def test_past_128_crossings_against_bruteforce(self, rng):
+        for w in (long_wgd(130), random_wgd(rng, 130)):
+            c = canonical_wgd(w)
+            assert wgd_encoding(c) == oracle_wgd_encoding(w)
+            assert canonical_wgd(c) == c
 
     def test_constant_on_rotations(self, rng):
         for _ in range(200):
@@ -154,11 +181,13 @@ class TestCodecs:
         assert validate_code(GaussCode((Passage(OVER, True, 1), Passage(UNDER, True, 1)))) is not None
 
     def test_bool_signs_are_invalid(self):
-        assert "sign" in validate_code(GaussCode((Passage(OVER, 1, True), Passage(UNDER, 1, True))))
-        w = WeldedGaussDiagram((1,), {1: 1}, {1: True})
-        assert "sign" in validate_wgd(w)
-        with pytest.raises(DomainError):
-            canonical_wgd(w)
+        # floats too: True and 1.0 both compare equal to 1
+        for sign in (True, False, 1.0, -1.0):
+            assert "sign" in validate_code(GaussCode((Passage(OVER, 1, sign), Passage(UNDER, 1, sign))))
+            w = WeldedGaussDiagram((1,), {1: 1}, {1: sign})
+            assert "sign" in validate_wgd(w)
+            with pytest.raises(DomainError):
+                canonical_wgd(w)
 
 
 class TestNormalization:

@@ -28,7 +28,7 @@ from weldedknots import (
     wgd_neighbors_iter,
 )
 
-from conftest import TREFOIL_TEXT, oracle_neighbors_iter, random_code, random_wgd
+from conftest import TREFOIL_TEXT, long_wgd, oracle_neighbors_iter, random_code, random_wgd
 
 
 class TestEnumerate:
@@ -313,3 +313,13 @@ class TestDiagramSitesMatchOracle:
         rng = random.Random(f"oracle:{n}")
         for _ in range(count):
             _agrees_with_oracle(canonical_wgd(random_wgd(rng, n)), ALL_KINDS)
+
+    @pytest.mark.parametrize("n", [128, 130])
+    def test_past_128_crossings(self, n):
+        # packed encodings turn from bytes into tuples past 128 crossings:
+        # R1 inserts cross that line upward at 128, the R2 delete downward
+        # at 130; the oracle's R2 inserts would take minutes here
+        w = canonical_wgd(long_wgd(n))
+        _agrees_with_oracle(w, ALL_KINDS - {MoveKind.R2_INSERT})
+        shrink = wgd_neighbors(w, growth_allowed=False)
+        assert {nb.n for nb in shrink} == {n - 2, n - 1, n}

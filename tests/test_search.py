@@ -24,6 +24,9 @@ from weldedknots import (
     wgd_to_gauss,
 )
 
+import hashlib
+
+from weldedknots.model import _wgd_from_encoding
 from weldedknots.search import _canonical_encodings
 
 from conftest import TREFOIL_TEXT, oracle_canonical_encodings, random_wgd
@@ -144,7 +147,9 @@ class TestEnumeration:
 
     def test_pruning_keeps_every_canonical_encoding(self):
         # the lists are cumulative, so n_max=4 covers every n <= 4
-        assert _canonical_encodings(4) == oracle_canonical_encodings(4)
+        packed = _canonical_encodings(4)
+        assert all(type(e) is bytes for e in packed)
+        assert [wgd_encoding(_wgd_from_encoding(e)) for e in packed] == oracle_canonical_encodings(4)
 
 
 def _components(states, neighbors) -> set[frozenset]:
@@ -205,6 +210,20 @@ class TestShrinkEdgesSuffice:
 
 class TestAtlas:
     MAX_CROSSINGS = 4
+
+    @pytest.mark.parametrize("n_max, max_crossings, digest", [
+        (1, 3, "1978111af084fc20ac1097807f73e1476251eee1d4e2fd5ae9d0b8c683351627"),
+        (2, 4, "4fca65b954e05599dd531f1b7902e4c701bd0bc288134470c6e9a38a1cc4a4ce"),
+        (3, 4, "0dc6c1e4084c048b3ea29eb215fb0cd0a22beb73382948eace67bee8f7e0df09"),
+        (3, 5, "0dc6c1e4084c048b3ea29eb215fb0cd0a22beb73382948eace67bee8f7e0df09"),
+        (4, 5, "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"),
+    ])
+    def test_golden_jsonl(self, n_max, max_crossings, digest):
+        records = build_atlas(n_max, max_crossings)
+        assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+        if (n_max, max_crossings) == (4, 5):
+            assert len({r.class_id for r in records}) == 29
+            assert len({r.orbit_id for r in records}) == 18
 
     def test_single_record_for_trivial_enumeration(self):
         records = build_atlas(0, max_crossings=2)
