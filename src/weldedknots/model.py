@@ -25,6 +25,7 @@ import functools
 import json
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -233,15 +234,6 @@ def _pack(values) -> bytes | tuple:
     return bytes(values) if len(values) <= _BYTE_CROSSINGS else tuple(values)
 
 
-def _table(values: list[int]) -> bytes | tuple:
-    """Relabel table sending entry v to ``values[v]``, for the encodings of
-    ``len(values) // 2`` crossings: a 256-byte ``bytes.translate`` table
-    when those are bytes, else a tuple."""
-    if len(values) <= 2 * _BYTE_CROSSINGS:
-        return bytes(values).ljust(256, b"\0")
-    return tuple(values)
-
-
 def _relabelled(entries, table) -> bytes | tuple:
     """The encoding with entries ``table[v]`` for the entries v of
     ``entries``, packed by its length."""
@@ -250,12 +242,28 @@ def _relabelled(entries, table) -> bytes | tuple:
     return _pack([table[v] for v in entries])
 
 
-@functools.lru_cache(maxsize=_BYTE_CROSSINGS)
+def _tables(values: list[int], starts=(0,)) -> list:
+    """Relabel tables: for each start s, the table sending entry v to
+    ``values[s + v]``, at least 256 entries wide (the values are padded
+    with zeros).  When every value fits a byte the tables are bytes, and
+    then those of encodings of up to 128 crossings serve
+    ``bytes.translate``; otherwise they are views of one array, so
+    overlapping windows of a long list copy nothing."""
+    width = max(256, len(values) - max(starts))
+    values = values + [0] * (max(starts) + width - len(values))
+    if max(values) < 256:
+        packed = bytes(values)
+        return [packed[s : s + width] for s in starts]
+    view = memoryview(array("q", values))
+    return [view[s : s + width] for s in starts]
+
+
+@functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
 def _rotation_tables(n: int) -> list:
     """Per rotation r of n crossings, the table taking entry v to
-    ``(v - 2r) mod 2n``: heads move back r positions, signs stay."""
-    identity = list(range(2 * n)) * 2
-    return [_table(identity[2 * n - 2 * r : 4 * n - 2 * r]) for r in range(n)]
+    ``(v - 2r) mod 2n``: heads move back r positions, signs stay.  They
+    are windows of one doubled identity."""
+    return _tables(list(range(2 * n)) * 2, [2 * n - 2 * r for r in range(n)])
 
 
 def _canonical_encoding(entries) -> bytes | tuple:

@@ -59,12 +59,11 @@ from .model import (
     GaussCode,
     Passage,
     WeldedGaussDiagram,
-    _BYTE_CROSSINGS,
     _canonical_encoding,
     _canonical_wgd_encoding,
     _pack,
     _relabelled,
-    _table,
+    _tables,
     _wgd_from_encoding,
     require_valid_code,
     require_valid_wgd,
@@ -546,54 +545,45 @@ def _r2_inserts(e, gaps) -> Iterator:
                     yield _canonical_encoding(_pack(new))
 
 
-@functools.lru_cache(maxsize=_BYTE_CROSSINGS)
-def _r1_delete_tables(n: int) -> list:
-    """Per position c, the relabel table of deleting c from n crossings:
-    heads at c move to pred(c), and heads beyond c move down one."""
-    tables = []
-    for c in range(n):
-        p = (c - 1) % n
-        heads = [p if h == c else h for h in range(n)]
-        tables.append(_table([2 * (h - 1 if h > c else h) + s for h in heads for s in (0, 1)]))
-    return tables
+@functools.lru_cache(maxsize=1024)
+def _r1_delete_table(n: int, c: int):
+    """Relabel table of deleting position c from n crossings: heads at c
+    move to pred(c), and heads beyond c move down one."""
+    heads = [(c - 1) % n if h == c else h for h in range(n)]
+    return _tables([2 * (h - 1 if h > c else h) + s for h in heads for s in (0, 1)])[0]
 
 
-@functools.lru_cache(maxsize=_BYTE_CROSSINGS)
-def _r2_delete_tables(n: int) -> list:
-    """Per position x, the relabel table of deleting x and succ(x) from n
-    crossings: heads at succ(x) move to pred(x), the other kept positions
-    close up.  Heads at x do not occur (its gap is empty)."""
-    tables = []
-    for x in range(n):
-        y, p = (x + 1) % n, (x - 1) % n
-        keep = [i for i in range(n) if i != x and i != y]
-        position = {old: new for new, old in enumerate(keep)}
-        heads = [position.get(p if h == y else h, 0) for h in range(n)]
-        tables.append(_table([2 * h + s for h in heads for s in (0, 1)]))
-    return tables
+@functools.lru_cache(maxsize=1024)
+def _r2_delete_table(n: int, x: int):
+    """Relabel table of deleting positions x and succ(x) from n crossings:
+    heads at succ(x) move to pred(x), the other kept positions close up.
+    Heads at x do not occur (its gap is empty)."""
+    y, p = (x + 1) % n, (x - 1) % n
+    keep = [i for i in range(n) if i != x and i != y]
+    position = {old: new for new, old in enumerate(keep)}
+    heads = [position.get(p if h == y else h, 0) for h in range(n)]
+    return _tables([2 * h + s for h in heads for s in (0, 1)])[0]
 
 
 def _r1_deletes(e) -> Iterator:
     n = len(e)
-    tables = _r1_delete_tables(n)
     for c in range(n):
         h = e[c] >> 1
         if h == c or h == (c - 1) % n:
-            yield _canonical_encoding(_relabelled(e[:c] + e[c + 1 :], tables[c]))
+            yield _canonical_encoding(_relabelled(e[:c] + e[c + 1 :], _r1_delete_table(n, c)))
 
 
 def _r2_deletes(e, gaps) -> Iterator:
     n = len(e)
     if n < 2:
         return
-    tables = _r2_delete_tables(n)
     for x in range(n):
         y = (x + 1) % n
         # same head, opposite signs: the entries differ in the sign bit only
         if gaps[x] or e[x] ^ e[y] != 1:
             continue
         kept = e[:x] + e[x + 2 :] if y else e[1:x]
-        yield _canonical_encoding(_relabelled(kept, tables[x]))
+        yield _canonical_encoding(_relabelled(kept, _r2_delete_table(n, x)))
 
 
 def _r3_moves(e, gaps) -> Iterator:

@@ -22,7 +22,7 @@ import itertools
 import random
 
 from weldedknots import wgd_encoding
-from weldedknots.model import _canonical_wgd_encoding
+from weldedknots.model import _canonical_wgd_encoding, _rotation_tables
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_wgd_encoding, random_code, random_wgd, reference_wgd
 
@@ -100,6 +100,12 @@ class TestCanonicalWgd:
             assert type(_canonical_wgd_encoding(random_wgd(rng, n))) is bytes
         for n in (129, 130):
             assert type(_canonical_wgd_encoding(random_wgd(rng, n))) is tuple
+
+    def test_rotation_tables_past_128_crossings_share_one_buffer(self):
+        # n separate tables of 2n entries would hold 2n^2 ints: 72M at 3000
+        tables = _rotation_tables(3000)
+        assert len(tables) == 3000
+        assert len({id(t.obj) for t in tables}) == 1
 
     def test_past_128_crossings_against_bruteforce(self, rng):
         for w in (long_wgd(130), random_wgd(rng, 130)):
