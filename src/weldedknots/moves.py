@@ -596,8 +596,8 @@ def _r3_moves(e, gaps) -> Iterator:
         q = (p + 1) % n
         # swapping the two unders moves the labels, not the gap contents
         for z, y, e_b in ((p, q, 0), (q, p, 1)):
-            for x in range(n):
-                if x == p or x == q or e[x] >> 1 != e[y] >> 1:
+            for x in gaps[e[y] >> 1]:  # the x with head[x] = head[y]
+                if x == p or x == q:
                     continue
                 before_x = (x - 1) % n
                 if e[z] >> 1 == before_x:
