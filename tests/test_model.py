@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from weldedknots import (
@@ -15,14 +18,9 @@ from weldedknots import (
     normalize_code_labels,
     validate_code,
     validate_wgd,
+    wgd_encoding,
 )
-from weldedknots.model import OVER, UNDER
-
-import itertools
-import random
-
-from weldedknots import wgd_encoding
-from weldedknots.model import _canonical_wgd_encoding, _rotation_tables
+from weldedknots.model import OVER, UNDER, _canonical_wgd_encoding, _rotation_tables
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_wgd_encoding, random_code, random_wgd, reference_wgd
 
@@ -102,7 +100,7 @@ class TestCanonicalWgd:
             assert type(_canonical_wgd_encoding(random_wgd(rng, n))) is tuple
 
     def test_rotation_tables_past_128_crossings_share_one_buffer(self):
-        # n separate tables of 2n entries would hold 2n^2 ints: 72M at 3000
+        # n separate tables of 2n entries would hold 2n^2 ints: 18M at 3000
         tables = _rotation_tables(3000)
         assert len(tables) == 3000
         assert len({id(t.obj) for t in tables}) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -23,8 +24,6 @@ from weldedknots import (
     wgd_neighbors,
     wgd_to_gauss,
 )
-
-import hashlib
 
 from weldedknots.model import _wgd_from_encoding
 from weldedknots.search import _canonical_encodings
