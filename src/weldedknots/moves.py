@@ -652,13 +652,18 @@ def wgd_neighbors_iter(
     * OC: w itself, when some gap holds at least two overs.
     """
     require_valid_wgd(w)
-    n = w.n
     wanted = ALL_KINDS if kinds is None else frozenset(kinds)
     if not growth_allowed:
         wanted = wanted - GROWTH_KINDS
     if max_crossings is not None:
-        wanted = {k for k in wanted if n + _CROSSING_DELTA[k] <= max_crossings}
+        wanted = _kinds_within_cap(wanted, w.n, max_crossings)
     yield from map(_wgd_from_encoding, _neighbor_encodings(_canonical_wgd_encoding(w), wanted))
+
+
+def _kinds_within_cap(kinds, n: int, max_crossings: int) -> set[MoveKind]:
+    """The kinds among ``kinds`` whose result, from n crossings, has at
+    most ``max_crossings`` crossings."""
+    return {k for k in kinds if n + _CROSSING_DELTA[k] <= max_crossings}
 
 
 def _neighbor_encodings(e, wanted) -> Iterator:

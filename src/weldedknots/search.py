@@ -1,12 +1,13 @@
 """
 Bounded equivalence search, simplification, and the exact atlas.
 
-States are canonical welded Gauss diagrams, hashed and compared by
-canonical equality; ``_state_key`` only orders them, for determinism.
-Codes are rematerialized on demand when a replayable move path is
-requested.  Every reported equivalence carries such a path; a negative
-answer is always Unknown (budget exhaustion bounds the exploration, it
-proves nothing).
+States are packed canonical encodings (see :mod:`weldedknots.model`),
+ordered by (crossing count, encoding) for determinism.  Diagrams are
+built only at the API boundary: for the states of a found path, whose
+codes are rematerialized into a replayable move path, and for the result
+of :func:`simplify`.  Every reported equivalence carries such a path; a
+negative answer is always Unknown (budget exhaustion bounds the
+exploration, it proves nothing).
 
 The atlas needs no budget: it enumerates every diagram up to a crossing
 cap and takes the connected components of the move graph on them, which
@@ -35,13 +36,14 @@ from .model import (
     WeldedGaussDiagram,
     canonical_wgd,
     require_valid_wgd,
-    wgd_encoding,
     wgd_to_obj,
     _canonical_encoding,
+    _canonical_wgd_encoding,
     _pack,
     _wgd_from_encoding,
 )
 from .moves import (
+    ALL_KINDS,
     MoveKind,
     MoveRecord,
     MoveSite,
@@ -49,8 +51,8 @@ from .moves import (
     enumerate_sites,
     oc_class,
     replay,
-    wgd_neighbors,
     _CROSSING_DELTA,
+    _kinds_within_cap,
     _neighbor_encodings,
     _over_blocks,
 )
@@ -78,16 +80,15 @@ class EquivalenceOutcome:
     states_explored: int = 0
 
 
-def _state_key(w: WeldedGaussDiagram) -> tuple:
-    return (w.n, wgd_encoding(w))
+def _size_then_encoding(e) -> tuple:
+    return (len(e), e)
 
 
-def _sorted_neighbors(state: WeldedGaussDiagram, max_crossings: int, cache: dict) -> list:
-    hit = cache.get(state)
-    if hit is None:
-        hit = sorted(wgd_neighbors(state, max_crossings=max_crossings), key=_state_key)
-        cache[state] = hit
-    return hit
+def _neighbors(e, max_crossings: int) -> list:
+    """The distinct neighbours of the state ``e`` with at most
+    ``max_crossings`` crossings, in state order."""
+    wanted = _kinds_within_cap(ALL_KINDS, len(e), max_crossings)
+    return sorted(set(_neighbor_encodings(e, wanted)), key=_size_then_encoding)
 
 
 def are_equivalent(
@@ -102,13 +103,12 @@ def are_equivalent(
     budget.validate()
     require_valid_wgd(w1)
     require_valid_wgd(w2)
-    a, b = canonical_wgd(w1), canonical_wgd(w2)
-    if budget.max_crossings < max(a.n, b.n):
+    a, b = _canonical_wgd_encoding(w1), _canonical_wgd_encoding(w2)
+    if budget.max_crossings < max(len(a), len(b)):
         raise DomainError("max_crossings is below an endpoint's crossing count")
     if a == b:
         return EquivalenceOutcome(True, (), states_explored=1)
 
-    cache: dict = {}
     # per side, each visited state -> the state it was reached from
     parents = ({a: None}, {b: None})
     frontiers = [[a], [b]]
@@ -123,8 +123,8 @@ def are_equivalent(
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         seen = parents[side]
         new_frontier = []
-        for state in sorted(frontiers[side], key=_state_key):
-            for nb in _sorted_neighbors(state, budget.max_crossings, cache):
+        for state in sorted(frontiers[side], key=_size_then_encoding):
+            for nb in _neighbors(state, budget.max_crossings):
                 if nb not in seen:
                     seen[nb] = state
                     new_frontier.append(nb)
@@ -136,13 +136,14 @@ def are_equivalent(
         # in its new states
         meetings = [w for w in new_frontier if w in parents[1 - side]]
         if meetings:
-            meeting = min(meetings, key=_state_key)
+            meeting = min(meetings, key=_size_then_encoding)
             seq = _walk(parents[0], meeting)[::-1] + _walk(parents[1], meeting)[1:]
-            return EquivalenceOutcome(True, tuple(derive_path(seq)), states_explored=total_visited())
+            path = derive_path([_wgd_from_encoding(e) for e in seq])
+            return EquivalenceOutcome(True, tuple(path), states_explored=total_visited())
     return EquivalenceOutcome(False, reason="move graph exhausted within crossing budget", states_explored=total_visited())
 
 
-def _walk(parents: dict, state: WeldedGaussDiagram) -> list[WeldedGaussDiagram]:
+def _walk(parents: dict, state) -> list:
     """``state`` and the states it was reached through, back to the start."""
     seq = []
     while state is not None:
@@ -170,10 +171,12 @@ def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[Move
 def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     """Record path realizing a sequence of adjacent states, starting from
     the first state's realization.  Each step may prepend over-commute
-    records before its Reidemeister record."""
+    records before its Reidemeister record.  Every state is validated and
+    compared up to rotation and relabelling."""
+    states = [canonical_wgd(w) for w in states]
     if not states:
         return []
-    code = wgd_to_gauss(canonical_wgd(states[0]))
+    code = wgd_to_gauss(states[0])
     records: list[MoveRecord] = []
     for target in states[1:]:
         step = _edge_records(code, target)
@@ -208,29 +211,30 @@ def simplify(w: WeldedGaussDiagram, budget: SearchBudget) -> WeldedGaussDiagram:
     """
     budget.validate()
     require_valid_wgd(w)
-    start = canonical_wgd(w)
-    if budget.max_crossings < start.n:
+    start = _canonical_wgd_encoding(w)
+    if budget.max_crossings < len(start):
         raise DomainError("max_crossings is below the input's crossing count")
     best = start
-    cache: dict = {}
     visited = {start}
-    heap = [(_state_key(start), 0, start)]
+    # states are distinct, so (crossing count, state) orders the heap alone
+    heap = [(len(start), start, 0)]
     while heap:
-        key, depth, state = heapq.heappop(heap)
-        if key < _state_key(best):
+        n, state, depth = heapq.heappop(heap)
+        if (n, state) < (len(best), best):
             best = state
-        if best.n == 0:
-            return best
-        if depth >= budget.max_depth:
+        if not best:
+            break
+        # with the state budget spent no neighbour can be added
+        if depth >= budget.max_depth or len(visited) >= budget.max_states:
             continue
-        for nb in _sorted_neighbors(state, budget.max_crossings, cache):
+        for nb in _neighbors(state, budget.max_crossings):
             if nb in visited:
                 continue
             if len(visited) >= budget.max_states:
                 break
             visited.add(nb)
-            heapq.heappush(heap, (_state_key(nb), depth + 1, nb))
-    return best
+            heapq.heappush(heap, (len(nb), nb, depth + 1))
+    return _wgd_from_encoding(best)
 
 
 # ---------------------------------------------------------------------------
@@ -330,32 +334,21 @@ def build_atlas(
 
     class_ids: dict[int, int] = {}
     for i in range(len(seeds)):
-        root = find(i)
-        if root not in class_ids:
-            class_ids[root] = len(class_ids)
+        class_ids.setdefault(find(i), len(class_ids))
 
-    class_of = {w: class_ids[find(i)] for i, w in enumerate(seeds)}
     partner: dict[int, int] = {}
     for root, cid in class_ids.items():
-        partner[cid] = class_of[global_reversal(seeds[root])]
+        reversed_root = index[_canonical_wgd_encoding(global_reversal(seeds[root]))]
+        partner[cid] = class_ids[find(reversed_root)]
 
     orbit_ids: dict[int, int] = {}
-    for cid in sorted(class_ids.values()):
-        rep = min(cid, partner[cid])
-        if rep not in orbit_ids:
-            orbit_ids[rep] = len(orbit_ids)
+    for cid in range(len(class_ids)):
+        orbit_ids.setdefault(min(cid, partner[cid]), len(orbit_ids))
 
     records = []
     for i, w in enumerate(seeds):
         cid = class_ids[find(i)]
-        records.append(
-            AtlasRecord(
-                wgd=w,
-                fingerprint=prints[i],
-                class_id=cid,
-                orbit_id=orbit_ids[min(cid, partner[cid])],
-            )
-        )
+        records.append(AtlasRecord(w, prints[i], cid, orbit_ids[min(cid, partner[cid])]))
     return records
 
 

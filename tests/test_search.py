@@ -15,6 +15,8 @@ from weldedknots import (
     build_atlas,
     canonical_wgd,
     decode_gauss_code,
+    derive_path,
+    encode_wgd,
     enumerate_canonical_wgds,
     gauss_to_wgd,
     global_reversal,
@@ -28,7 +30,7 @@ from weldedknots import (
 from weldedknots.model import _wgd_from_encoding
 from weldedknots.search import _canonical_encodings
 
-from conftest import TREFOIL_TEXT, oracle_canonical_encodings, random_wgd
+from conftest import TREFOIL_TEXT, long_wgd, oracle_canonical_encodings, random_wgd
 
 EMPTY = WeldedGaussDiagram((), {}, {})
 KINK = canonical_wgd(WeldedGaussDiagram((1,), {1: 1}, {1: 1}))
@@ -98,6 +100,33 @@ class TestAreEquivalent:
         first = are_equivalent(w, EMPTY, budget)
         second = are_equivalent(w, EMPTY, budget)
         assert first == second
+
+    @pytest.mark.parametrize("n", [129, 130])
+    def test_across_the_bytes_tuple_boundary(self, n):
+        # states are bytes up to 128 crossings and tuples beyond: the R1 and
+        # R2 deletes of these diagrams land on both sides of that line
+        w = canonical_wgd(long_wgd(n))
+        shrink = wgd_neighbors(w, kinds={MoveKind.R1_DELETE, MoveKind.R2_DELETE})
+        assert sorted(nb.n for nb in shrink) == [n - 2, n - 1]
+        budget = SearchBudget(max_crossings=n, max_states=50, max_depth=1)
+        for nb in shrink:
+            out = are_equivalent(w, nb, budget)
+            assert out.equivalent and len(out.path) == 1
+            assert gauss_to_wgd(replay(wgd_to_gauss(w), out.path)) == nb
+        # one expansion of w puts states of both forms on simplify's heap
+        assert simplify(w, budget) == min(shrink, key=lambda nb: nb.n)
+
+
+class TestDerivePath:
+    def test_every_state_is_canonicalised(self):
+        kink = WeldedGaussDiagram((7,), {7: 7}, {7: 1})
+        path = derive_path([EMPTY, kink])
+        assert [r.kind for r in path] == [MoveKind.R1_INSERT]
+        assert gauss_to_wgd(replay(wgd_to_gauss(EMPTY), path)) == canonical_wgd(kink)
+
+    def test_every_state_is_validated(self):
+        with pytest.raises(DomainError):
+            derive_path([EMPTY, 5])
 
 
 class TestSimplify:
@@ -272,3 +301,38 @@ class TestAtlas:
         for line in lines:
             obj = json.loads(line)
             assert set(obj) == {"wgd", "fingerprint", "class", "orbit"}
+
+
+def _outcome_line(out) -> str:
+    """An equivalence outcome, every field of every record included, as JSON."""
+    path = [
+        [r.kind.value, r.variant, r.removes, r.inserts, r.swaps, [r.site.kind.value, r.site.positions, r.site.variant]]
+        for r in out.path or ()
+    ]
+    return json.dumps([out.equivalent, out.reason, out.states_explored, path])
+
+
+class TestSearchGolden:
+    """Pinned search outputs: how states are held, ordered and expanded
+    must move no tie-break, meeting, record or simplification result."""
+
+    def test_golden_equivalence_outcomes(self):
+        rng = random.Random("golden:equiv")
+        lines = []
+        for _ in range(30):
+            a, b = scramble(rng, rng.randint(1, 3)), scramble(rng, rng.randint(1, 3))
+            out = are_equivalent(a, b, SearchBudget(max(a.n, b.n) + 1, max_states=300, max_depth=10))
+            lines.append(_outcome_line(out))
+        # the other 6 pairs run out of states
+        assert sum(json.loads(line)[0] for line in lines) == 24
+        digest = "caf06f3a0183e428d40faad4970be5ae277f243aa112d9cc5ea89eadbe6d791b"
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    def test_golden_simplify(self):
+        rng = random.Random("golden:simplify")
+        lines = []
+        for _ in range(60):
+            w = random_wgd(rng, rng.randint(0, 4))
+            lines.append(encode_wgd(simplify(w, SearchBudget(w.n + 2, max_states=300, max_depth=6))))
+        digest = "046e97e0511abaca2e59440c1417974af70f5383fb3e931ab84783cc3e679024"
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
