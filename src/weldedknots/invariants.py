@@ -24,7 +24,9 @@ from .model import (
     UNDER,
     DomainError,
     GaussCode,
+    WeldedGaussDiagram,
     require_valid_code,
+    require_valid_wgd,
 )
 
 
@@ -69,6 +71,23 @@ def arcs(code: GaussCode) -> ArcStructure:
             )
         )
     return ArcStructure(n, tuple(table))
+
+
+def _wgd_arcs(w: WeldedGaussDiagram) -> ArcStructure:
+    """The arc decomposition of ``wgd_to_gauss(w)``, read off the diagram:
+    arc j starts after the under passage of ``w.order[j]``, and the over
+    passage of c lies in the gap after the under passage of ``head[c]``."""
+    require_valid_wgd(w)
+    n = w.n
+    if n == 0:
+        return ArcStructure(1, ())
+    position = {c: j for j, c in enumerate(w.order)}
+    head, sign = w.head, w.sign
+    table = tuple(
+        CrossingArcs(crossing=c, over_arc=position[head[c]], in_arc=(j - 1) % n, out_arc=j, sign=sign[c])
+        for j, c in enumerate(w.order)
+    )
+    return ArcStructure(n, table)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -336,14 +355,19 @@ class InvariantFingerprint:
 
 def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
     """Deterministic invariant tuple; equal fingerprints are necessary for
-    move-equivalence.  Accepts a code or a welded Gauss diagram."""
-    from .convert import wgd_to_gauss
-    from .model import WeldedGaussDiagram
-
-    code = wgd_to_gauss(obj) if isinstance(obj, WeldedGaussDiagram) else obj
+    move-equivalence.  Accepts a code or a welded Gauss diagram.  Repeated
+    primes and repeated groups count once; two different groups with one
+    name are rejected."""
+    structure = _wgd_arcs(obj) if isinstance(obj, WeldedGaussDiagram) else None
     for p in primes:
         _require_odd_prime(p)
-    structure = arcs(code)
-    colorings = tuple(sorted((p, _coloring_count(structure, p)) for p in primes))
-    homs = tuple(sorted((g.name, _hom_count(structure, g)) for g in groups))
+    primes = sorted(set(primes))
+    by_name: dict[str, Group] = {}
+    for g in groups:
+        if by_name.setdefault(g.name, g) != g:
+            raise DomainError(f"two different groups are named {g.name!r}")
+    if structure is None:
+        structure = arcs(obj)
+    colorings = tuple((p, _coloring_count(structure, p)) for p in primes)
+    homs = tuple((name, _hom_count(structure, by_name[name])) for name in sorted(by_name))
     return InvariantFingerprint(colorings, homs)

@@ -522,14 +522,14 @@ def _r1_inserts(e, gaps) -> Iterator:
             for own in (u, c):  # ou: c's over lies in u's gap; uo: in its own
                 for s in (1, 0):
                     new[c] = 2 * own + s
-                    yield _canonical_encoding(_pack(new))
+                    yield _pack(new)
 
 
 def _r2_inserts(e, gaps) -> Iterator:
     n = len(e)
     if n == 0:
         for s in (1, 0):
-            yield _canonical_encoding(_pack([2 + s, 3 - s]))
+            yield _pack([2 + s, 3 - s])
         return
     for u in range(n):
         f, g = u + 1, u + 2
@@ -542,7 +542,7 @@ def _r2_inserts(e, gaps) -> Iterator:
             for t in targets:
                 for s in (1, 0):  # f gets the sign, g the opposite one
                     new[f], new[g] = 2 * t + s, 2 * t + 1 - s
-                    yield _canonical_encoding(_pack(new))
+                    yield _pack(new)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -570,7 +570,7 @@ def _r1_deletes(e) -> Iterator:
     for c in range(n):
         h = e[c] >> 1
         if h == c or h == (c - 1) % n:
-            yield _canonical_encoding(_relabelled(e[:c] + e[c + 1 :], _r1_delete_table(n, c)))
+            yield _relabelled(e[:c] + e[c + 1 :], _r1_delete_table(n, c))
 
 
 def _r2_deletes(e, gaps) -> Iterator:
@@ -583,7 +583,7 @@ def _r2_deletes(e, gaps) -> Iterator:
         if gaps[x] or e[x] ^ e[y] != 1:
             continue
         kept = e[:x] + e[x + 2 :] if y else e[1:x]
-        yield _canonical_encoding(_relabelled(kept, _r2_delete_table(n, x)))
+        yield _relabelled(kept, _r2_delete_table(n, x))
 
 
 def _r3_moves(e, gaps) -> Iterator:
@@ -612,7 +612,7 @@ def _r3_moves(e, gaps) -> Iterator:
                 new = list(e)
                 new[z] = e[y]
                 new[y] = 2 * moved_to + (e[z] & 1)  # z's label now sits at y's old position
-                yield _canonical_encoding(_pack(new))
+                yield _pack(new)
 
 
 def wgd_neighbors_iter(
@@ -669,8 +669,16 @@ def _kinds_within_cap(kinds, n: int, max_crossings: int) -> set[MoveKind]:
 def _neighbor_encodings(e, wanted) -> Iterator:
     """Packed canonical encodings (see :mod:`weldedknots.model`) of the
     neighbors of the diagram with packed canonical encoding ``e``, for the
-    kinds in ``wanted``, once per site (the rules of
-    :func:`wgd_neighbors_iter`).  The entry at position i is
+    kinds in ``wanted``, once per site: the canonical forms of
+    :func:`_raw_neighbor_encodings`.  ``e`` is not validated."""
+    return map(_canonical_encoding, _raw_neighbor_encodings(e, wanted))
+
+
+def _raw_neighbor_encodings(e, wanted) -> Iterator:
+    """Packed encodings of the neighbors of the diagram with packed
+    encoding ``e``, for the kinds in ``wanted``, once per site (the rules
+    of :func:`wgd_neighbors_iter`), each with the basepoint and labels the
+    site leaves it, not canonicalised.  The entry at position i is
     ``2 * head_pos + [sign > 0]``: bytes up to 128 crossings, where an R1 or
     R2 delete is a slice and one ``bytes.translate`` table and R3 writes
     two entries, and a tuple of the same ints beyond.  ``e`` is not

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .convert import gauss_to_wgd, wgd_to_gauss
@@ -55,6 +56,7 @@ from .moves import (
     _kinds_within_cap,
     _neighbor_encodings,
     _over_blocks,
+    _raw_neighbor_encodings,
 )
 
 
@@ -261,15 +263,20 @@ def _canonical_encodings(n_max: int) -> list:
     entry of a canonical encoding is the least first entry of its rotations,
     so after a first entry v1 position r >= 1 may hold only the entries v
     with ``(v - 2r) mod 2n >= v1``; the other assignments are never
-    visited."""
+    visited.  Rotation r then starts with ``(v - 2r) mod 2n``, which ties
+    v1 only when v is ``(v1 + 2r) mod 2n``: an assignment with no such tie
+    has every other rotation start above v1, so it is canonical untested,
+    and only the assignments with a tie are canonicalised."""
     out: list = [_pack([])]
     for n in range(1, n_max + 1):
         for v1 in range(2 * n):
             allowed = [[v for v in range(2 * n) if (v - 2 * r) % (2 * n) >= v1] for r in range(1, n)]
+            ties = [(v1 + 2 * r) % (2 * n) for r in range(1, n)]
             for rest in itertools.product(*allowed):
                 encoding = _pack((v1,) + rest)
-                if _canonical_encoding(encoding) == encoding:
-                    out.append(encoding)
+                if any(map(operator.eq, rest, ties)) and _canonical_encoding(encoding) != encoding:
+                    continue
+                out.append(encoding)
     return out
 
 
@@ -316,16 +323,23 @@ def build_atlas(
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
     # over-commutation only leads back to the state itself
     shrink_kinds = (MoveKind.R1_DELETE, MoveKind.R2_DELETE, MoveKind.R3)
     for i, e in enumerate(states):
-        for nb in _neighbor_encodings(e, shrink_kinds):
-            union(i, index[nb])
+        root = find(i)
+        for raw in _raw_neighbor_encodings(e, shrink_kinds):
+            j = index.get(raw)
+            if j is None:  # each distinct raw neighbour is canonicalised once
+                j = index[raw] = index[_canonical_encoding(raw)]
+            while parent[j] != j:  # find(j), inline
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            # link by least index, so every root is its component's least state
+            if j < root:
+                parent[root] = j
+                root = j
+            elif j > root:
+                parent[j] = root
 
     # states are sorted by crossing count and roots are minimal indices,
     # so the seeds are a prefix and every seed's root is a seed

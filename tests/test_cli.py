@@ -170,6 +170,16 @@ class TestEquivSimplifyInvariantsAtlas:
             assert set(obj) == {"wgd", "fingerprint", "class", "orbit"}
         assert {json.loads(line)["class"] for line in lines} == {0}
 
+    def test_atlas_repeated_primes_and_groups_count_once(self, capsys, tmp_path):
+        outputs = []
+        for primes, groups in (("3", "S3"), ("3,3", "S3,s3")):
+            out_path = tmp_path / f"atlas-{primes}.jsonl"
+            code, _, _ = run(capsys, "atlas", "--n-max", "2", "--primes", primes, "--groups", groups,
+                             "-o", str(out_path))
+            assert code == 0
+            outputs.append(out_path.read_text())
+        assert outputs[0] == outputs[1]
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["convert", "--to", "nonsense", "-"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 
@@ -8,15 +9,19 @@ from weldedknots import (
     DomainError,
     GaussCode,
     Group,
+    WeldedGaussDiagram,
     arcs,
     builtin_group,
     coloring_count,
     decode_gauss_code,
     dihedral_group,
+    enumerate_canonical_wgds,
     fingerprint,
     hom_count,
     symmetric_group_3,
+    wgd_to_gauss,
 )
+from weldedknots.invariants import _wgd_arcs
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
 from conftest import TREFOIL_TEXT, coloring_count_bruteforce, random_code, subprocess_env
@@ -191,6 +196,63 @@ class TestFingerprint:
                 pool = shrink if shrink and rng.random() < 0.6 else sites
                 code, _ = apply_move(code, pool[rng.randrange(len(pool))])
                 assert fingerprint(code, primes=(3, 5), groups=(g,)) == base
+
+
+    def test_repeated_primes_count_once(self):
+        fp = fingerprint(TREFOIL, primes=(5, 3, 3, 5))
+        assert fp.coloring_counts == ((3, 9), (5, 5))
+        assert fp == fingerprint(TREFOIL, primes=(3, 5))
+
+    def test_repeated_groups_count_once(self):
+        s3 = symmetric_group_3()
+        fp = fingerprint(TREFOIL, groups=(s3, dihedral_group(4), symmetric_group_3(), s3))
+        assert fp.hom_counts == (("D4", hom_count(TREFOIL, dihedral_group(4))), ("S3", 12))
+
+    def test_different_groups_with_one_name_rejected(self):
+        impostor = Group("S3", dihedral_group(3).table)  # isomorphic, but another table
+        assert impostor != symmetric_group_3()
+        with pytest.raises(DomainError, match="S3"):
+            fingerprint(TREFOIL, groups=(symmetric_group_3(), impostor))
+
+
+def _relabelled_wgd(rng: random.Random, n: int) -> WeldedGaussDiagram:
+    """A random diagram whose labels are drawn from 1..999 (mostly outside
+    1..n) and whose order starts at a random rotation."""
+    labels = rng.sample(range(1, 1000), n)
+    k = rng.randrange(n) if n else 0
+    order = labels[k:] + labels[:k]
+    return WeldedGaussDiagram(
+        order, {c: rng.choice(labels) for c in labels}, {c: rng.choice((1, -1)) for c in labels}
+    )
+
+
+class TestWgdArcs:
+    """Arcs read off a diagram equal the arcs of its realizing code."""
+
+    def test_every_canonical_diagram_up_to_four_crossings(self):
+        diagrams = enumerate_canonical_wgds(4)
+        assert len(diagrams) == 1133
+        for w in diagrams:
+            assert _wgd_arcs(w) == arcs(wgd_to_gauss(w))
+
+    def test_any_labels_and_basepoint(self):
+        rng = random.Random("wgd-arcs")
+        groups = (symmetric_group_3(),)
+        for _ in range(300):
+            w = _relabelled_wgd(rng, rng.randint(0, 6))
+            code = wgd_to_gauss(w)
+            assert _wgd_arcs(w) == arcs(code)
+            assert fingerprint(w, primes=(3, 5), groups=groups) == fingerprint(code, primes=(3, 5), groups=groups)
+
+    @pytest.mark.parametrize("w", [
+        WeldedGaussDiagram((1, 2), {1: 2, 2: 3}, {1: 1, 2: -1}),  # head at an unknown label
+        WeldedGaussDiagram((1,), {1: 1}, {1: 1.0}),               # float sign
+    ])
+    def test_invalid_diagram_rejected(self, w):
+        with pytest.raises(DomainError):
+            fingerprint(w)
+        with pytest.raises(DomainError):
+            _wgd_arcs(w)
 
 
 def test_package_import_leaves_numpy_out():

@@ -253,6 +253,38 @@ class TestAtlas:
             assert len({r.class_id for r in records}) == 29
             assert len({r.orbit_id for r in records}) == 18
 
+    def test_canonical_tests_per_build(self, monkeypatch):
+        """A time-free cost guard: each distinct shrink neighbour is
+        canonicalised once, and enumeration tests only the assignments
+        with a rotation tie (86,244 canonical tests before either)."""
+        import weldedknots.moves
+        import weldedknots.search
+
+        calls = 0
+        canonical = weldedknots.search._canonical_encoding
+
+        def counted(e):
+            nonlocal calls
+            calls += 1
+            return canonical(e)
+
+        monkeypatch.setattr(weldedknots.search, "_canonical_encoding", counted)
+        monkeypatch.setattr(weldedknots.moves, "_canonical_encoding", counted)
+        records = build_atlas(4, 5)
+        assert calls <= 17_345
+        digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
+        assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+
+    def test_cap_six(self):
+        """Cap 6: 519,145 canonical diagrams, the 1,133 seeds with at most
+        4 crossings in 25 classes and 17 global-reversal orbits."""
+        records = build_atlas(4, 6)
+        assert len(records) == 1133
+        assert len({r.class_id for r in records}) == 25
+        assert len({r.orbit_id for r in records}) == 17
+        digest = "bf98d881a85c82d7ef5c592d03bc66576c60aa89c68f0e7e01fbec4bcd98c4a6"
+        assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+
     def test_single_record_for_trivial_enumeration(self):
         records = build_atlas(0, max_crossings=2)
         assert len(records) == 1
