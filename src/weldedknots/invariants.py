@@ -91,7 +91,8 @@ def _wgd_arcs(w: WeldedGaussDiagram) -> ArcStructure:
 
 
 def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
+    # 3.0 compares equal to 3, but Z/p needs an integer modulus
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
     return all(p % d for d in range(3, int(p**0.5) + 1, 2))
 
@@ -358,7 +359,6 @@ def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
     move-equivalence.  Accepts a code or a welded Gauss diagram.  Repeated
     primes and repeated groups count once; two different groups with one
     name are rejected."""
-    structure = _wgd_arcs(obj) if isinstance(obj, WeldedGaussDiagram) else None
     for p in primes:
         _require_odd_prime(p)
     primes = sorted(set(primes))
@@ -366,8 +366,7 @@ def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
     for g in groups:
         if by_name.setdefault(g.name, g) != g:
             raise DomainError(f"two different groups are named {g.name!r}")
-    if structure is None:
-        structure = arcs(obj)
+    structure = _wgd_arcs(obj) if isinstance(obj, WeldedGaussDiagram) else arcs(obj)
     colorings = tuple((p, _coloring_count(structure, p)) for p in primes)
     homs = tuple((name, _hom_count(structure, by_name[name])) for name in sorted(by_name))
     return InvariantFingerprint(colorings, homs)

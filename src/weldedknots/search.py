@@ -307,6 +307,13 @@ def build_atlas(
     diagrams are built only for the seeds, the diagrams with at most n_max
     crossings.  The classes are exact for that graph: no budget is
     involved.  Class and orbit ids depend only on n_max and max_crossings.
+
+    The neighbours are taken raw, as the sites leave them.  ``index`` maps
+    each state to its position and, as they turn up, each distinct raw
+    neighbour to the position of its canonical form, so a raw encoding
+    met again costs one lookup and each is canonicalised once per call.
+    Roots are linked by least index inline, so every root is the least
+    state of its component.
     """
     from .symmetry import global_reversal
 

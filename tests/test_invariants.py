@@ -87,9 +87,11 @@ class TestColorings:
         assert coloring_count_bruteforce(TREFOIL, 5) == 5
 
     def test_non_prime_rejected(self):
-        for bad in (4, 6, 9, 1, 0, -3, 2):
+        for bad in (4, 6, 9, 1, 0, -3, 2, 3.0, 5.0):
             with pytest.raises(DomainError):
                 coloring_count(TREFOIL, bad)
+            with pytest.raises(DomainError):
+                fingerprint(TREFOIL, primes=(3, bad))
 
     def test_linear_algebra_equals_bruteforce(self, rng):
         for _ in range(150):
