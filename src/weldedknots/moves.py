@@ -499,6 +499,15 @@ def _subsets(items: list[int]) -> Iterator[tuple[int, ...]]:
     )
 
 
+def _gaps(e) -> list[list[int]]:
+    """The gap ``G_u = {c : head[c] = u}`` of each position u of the
+    packed encoding ``e``, each in increasing c."""
+    gaps: list[list[int]] = [[] for _ in e]
+    for c, v in enumerate(e):
+        gaps[v >> 1].append(c)
+    return gaps
+
+
 def _inserted(entries, u: int, k: int) -> list[int]:
     """Entries after k new crossings are inserted right after position u:
     heads beyond u move up by k, and the new entries are left as -1."""
@@ -586,7 +595,9 @@ def _r2_deletes(e, gaps) -> Iterator:
         yield _relabelled(kept, _r2_delete_table(n, x))
 
 
-def _r3_moves(e, gaps) -> Iterator:
+def _r3_moves(e, gaps, e_bs=(0, 1)) -> Iterator:
+    """R3 neighbours whose bottom order e_b is in ``e_bs``: the bottom
+    pair ``(z, y)`` is ``(p, q)`` for e_b = 0 and ``(q, p)`` for e_b = 1."""
     n = len(e)
     if n < 3:
         return
@@ -595,7 +606,8 @@ def _r3_moves(e, gaps) -> Iterator:
             continue
         q = (p + 1) % n
         # swapping the two unders moves the labels, not the gap contents
-        for z, y, e_b in ((p, q, 0), (q, p, 1)):
+        for e_b in e_bs:
+            z, y = (q, p) if e_b else (p, q)
             for x in gaps[e[y] >> 1]:  # the x with head[x] = head[y]
                 if x == p or x == q:
                     continue
@@ -683,10 +695,7 @@ def _raw_neighbor_encodings(e, wanted) -> Iterator:
     R2 delete is a slice and one ``bytes.translate`` table and R3 writes
     two entries, and a tuple of the same ints beyond.  ``e`` is not
     validated."""
-    gaps: list[list[int]] = [[] for _ in e]
-    for c, v in enumerate(e):
-        gaps[v >> 1].append(c)
-
+    gaps = _gaps(e)
     if MoveKind.OC in wanted and any(len(gap) >= 2 for gap in gaps):
         yield e
     if MoveKind.R1_INSERT in wanted:

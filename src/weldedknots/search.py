@@ -11,7 +11,23 @@ exploration, it proves nothing).
 
 The atlas needs no budget: it enumerates every diagram up to a crossing
 cap and takes the connected components of the move graph on them, which
-are the equivalence classes of that graph exactly.
+are the equivalence classes of that graph exactly.  Growth edges are the
+inverses of shrink edges, and the components need only this spanning
+subset of the shrink edges, taken from each state:
+
+* R1: its first R1 delete only.  Deleting kinks c1 and c2 in either
+  order gives one diagram, and a kink stays a kink once another is
+  deleted, so any two R1 deletes share an R1 delete.
+* R2: its first R2 delete, and only when it has no kink.  With a kink c,
+  an R2 delete of a pair without c commutes with deleting c, and one of
+  a pair with c is two R1 deletes; without a kink, R2 deletes of
+  disjoint pairs commute and overlapping pairs give one diagram.
+* R3: the moves with bottom order e_b = 0 only.  The inverse of the
+  move (p, q, x, e_b, e_m) is (p, q, x, 1 - e_b, 1 - e_m) from its
+  target, so every R3 edge is found from one end.
+
+Induction on the crossing count then joins the ends of every shrink edge,
+so the components are those of the full graph.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -28,6 +44,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 from .convert import gauss_to_wgd, wgd_to_gauss
 from .invariants import Group, InvariantFingerprint, fingerprint
@@ -53,15 +70,22 @@ from .moves import (
     oc_class,
     replay,
     _CROSSING_DELTA,
+    _gaps,
     _kinds_within_cap,
     _neighbor_encodings,
     _over_blocks,
-    _raw_neighbor_encodings,
+    _r1_deletes,
+    _r2_deletes,
+    _r3_moves,
 )
 
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of one search.  ``max_states`` is tested after each state's
+    expansion, not per neighbour, so a search stopped by it can report more
+    explored states than ``max_states``."""
+
     max_crossings: int
     max_states: int = 5000
     max_depth: int = 16
@@ -100,7 +124,10 @@ def are_equivalent(
 
     Returns Equivalent with a replayable record path from w1's realization
     to a realization of w2, or Unknown on exhaustion.  Deterministic for
-    fixed inputs and budget.
+    fixed inputs and budget.  The state budget is tested once a state's
+    neighbours are all added, so "state budget exhausted" comes with
+    ``states_explored`` up to one expansion above ``max_states`` (301 to
+    375 at ``max_states=300`` on the golden pairs).
     """
     budget.validate()
     require_valid_wgd(w1)
@@ -288,6 +315,52 @@ def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
     return [_wgd_from_encoding(e) for e in _canonical_encodings(n_max)]
 
 
+def _spanning_shrink_neighbors(e) -> Iterable:
+    """The raw shrink neighbours of the packed canonical encoding ``e``
+    that the atlas unions: the first R1 delete, or the first R2 delete
+    when there is no kink, and the R3 moves with e_b = 0 (the spanning
+    rules of the module docstring)."""
+    gaps = _gaps(e)
+    r3 = _r3_moves(e, gaps, (0,))
+    first_delete = next(_r1_deletes(e), None)
+    if first_delete is None:
+        first_delete = next(_r2_deletes(e, gaps), None)
+    return r3 if first_delete is None else [first_delete, *r3]
+
+
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _union_components(states: list, index: dict) -> list[int]:
+    """Union-find parents over ``states``, the sorted packed canonical
+    encodings, joining each state to its spanning shrink neighbours.
+    ``index`` maps each state to its position and gains, as they turn up,
+    each distinct raw neighbour's position of its canonical form, so a raw
+    encoding met again costs one lookup and each is canonicalised once.
+    Roots are linked by least index inline, so every root is the least
+    state of its component."""
+    parent = list(range(len(states)))
+    for i, e in enumerate(states):
+        root = _find(parent, i)
+        for raw in _spanning_shrink_neighbors(e):
+            j = index.get(raw)
+            if j is None:  # each distinct raw neighbour is canonicalised once
+                j = index[raw] = index[_canonical_encoding(raw)]
+            while parent[j] != j:  # _find(parent, j), inline
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            if j < root:
+                parent[root] = j
+                root = j
+            elif j > root:
+                parent[j] = root
+    return parent
+
+
 def build_atlas(
     n_max: int,
     max_crossings: int,
@@ -299,21 +372,28 @@ def build_atlas(
     most max_crossings crossings, and pair classes under global reversal.
 
     Every growth edge is the inverse of a shrink edge, so the components
-    are found by union-find over the R1-delete, R2-delete and R3
-    neighbours of every diagram within the cap.  The union-find runs on
-    packed canonical encodings, one byte ``2 * head_pos + [sign > 0]`` per
-    crossing (tuples of the same ints past 128 crossings, far beyond any
-    enumerable cap), which sort as :func:`wgd_encoding` tuples do;
-    diagrams are built only for the seeds, the diagrams with at most n_max
-    crossings.  The classes are exact for that graph: no budget is
-    involved.  Class and orbit ids depend only on n_max and max_crossings.
+    are found by union-find over shrink edges of the diagrams within the
+    cap, and a spanning subset of them gives the same components.  Each
+    state contributes (see :func:`_spanning_shrink_neighbors`):
 
-    The neighbours are taken raw, as the sites leave them.  ``index`` maps
-    each state to its position and, as they turn up, each distinct raw
-    neighbour to the position of its canonical form, so a raw encoding
-    met again costs one lookup and each is canonicalised once per call.
-    Roots are linked by least index inline, so every root is the least
-    state of its component.
+    * its first R1 delete: R1 deletes commute, and a kink stays a kink
+      after another kink is deleted, so any two share an R1 delete;
+    * its first R2 delete, only when it has no kink: with a kink c every
+      R2 delete is reached through the level below (it commutes with
+      deleting c, or is two R1 deletes when c is in the pair), and
+      without one R2 deletes commute or coincide;
+    * its R3 moves with e_b = 0: the move (p, q, x, e_b, e_m) is undone by
+      (p, q, x, 1 - e_b, 1 - e_m) from its target, so each R3 edge is
+      found once.
+
+    By induction on the crossing count the ends of every shrink edge are
+    then joined.  The union-find runs on packed canonical encodings, one
+    byte ``2 * head_pos + [sign > 0]`` per crossing (tuples of the same
+    ints past 128 crossings, far beyond any enumerable cap), which sort as
+    :func:`wgd_encoding` tuples do; diagrams are built only for the seeds,
+    the diagrams with at most n_max crossings.  The classes are exact for
+    that graph: no budget is involved.  Class and orbit ids depend only on
+    n_max and max_crossings.
     """
     from .symmetry import global_reversal
 
@@ -321,32 +401,7 @@ def build_atlas(
         raise DomainError("need 0 <= n_max <= max_crossings")
     states = _canonical_encodings(max_crossings)
     index = {e: i for i, e in enumerate(states)}
-
-    parent = list(range(len(states)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # over-commutation only leads back to the state itself
-    shrink_kinds = (MoveKind.R1_DELETE, MoveKind.R2_DELETE, MoveKind.R3)
-    for i, e in enumerate(states):
-        root = find(i)
-        for raw in _raw_neighbor_encodings(e, shrink_kinds):
-            j = index.get(raw)
-            if j is None:  # each distinct raw neighbour is canonicalised once
-                j = index[raw] = index[_canonical_encoding(raw)]
-            while parent[j] != j:  # find(j), inline
-                parent[j] = parent[parent[j]]
-                j = parent[j]
-            # link by least index, so every root is its component's least state
-            if j < root:
-                parent[root] = j
-                root = j
-            elif j > root:
-                parent[j] = root
+    parent = _union_components(states, index)
 
     # states are sorted by crossing count and roots are minimal indices,
     # so the seeds are a prefix and every seed's root is a seed
@@ -355,12 +410,12 @@ def build_atlas(
 
     class_ids: dict[int, int] = {}
     for i in range(len(seeds)):
-        class_ids.setdefault(find(i), len(class_ids))
+        class_ids.setdefault(_find(parent, i), len(class_ids))
 
     partner: dict[int, int] = {}
     for root, cid in class_ids.items():
         reversed_root = index[_canonical_wgd_encoding(global_reversal(seeds[root]))]
-        partner[cid] = class_ids[find(reversed_root)]
+        partner[cid] = class_ids[_find(parent, reversed_root)]
 
     orbit_ids: dict[int, int] = {}
     for cid in range(len(class_ids)):
@@ -368,7 +423,7 @@ def build_atlas(
 
     records = []
     for i, w in enumerate(seeds):
-        cid = class_ids[find(i)]
+        cid = class_ids[_find(parent, i)]
         records.append(AtlasRecord(w, prints[i], cid, orbit_ids[min(cid, partner[cid])]))
     return records
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -27,8 +28,9 @@ from weldedknots import (
     wgd_to_gauss,
 )
 
-from weldedknots.model import _wgd_from_encoding
-from weldedknots.search import _canonical_encodings
+from weldedknots.model import _canonical_encoding, _wgd_from_encoding
+from weldedknots.moves import _gaps, _neighbor_encodings, _r1_deletes, _r2_deletes, _r3_moves
+from weldedknots.search import _canonical_encodings, _find, _union_components
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_canonical_encodings, random_wgd
 
@@ -236,6 +238,89 @@ class TestShrinkEdgesSuffice:
         assert {frozenset(c) for c in by_class.values()} == full
 
 
+SHRINK_KINDS = (MoveKind.R1_DELETE, MoveKind.R2_DELETE, MoveKind.R3)
+
+
+@pytest.fixture(scope="module")
+def states_to_five() -> list:
+    """Packed encodings of every canonical diagram with at most 5 crossings."""
+    return _canonical_encodings(5)
+
+
+def _r1(e) -> set:
+    """Canonical R1-delete neighbours of the packed encoding ``e``."""
+    return set(map(_canonical_encoding, _r1_deletes(e)))
+
+
+def _r2(e) -> set:
+    """Canonical R2-delete neighbours of the packed encoding ``e``."""
+    return set(map(_canonical_encoding, _r2_deletes(e, _gaps(e))))
+
+
+class TestSpanningEdges:
+    """The atlas unions, per state, its first R1 delete, its first R2
+    delete only when it has no kink, and its R3 moves with e_b = 0.  By
+    induction on the crossing count, these lemmas (checked on every
+    canonical state with n <= 5) join the ends of every shrink edge."""
+
+    def test_r1_deletes_share_an_r1_delete(self, states_to_five):
+        pairs = 0
+        for e in states_to_five:
+            targets = [_canonical_encoding(t) for t in _r1_deletes(e)]
+            for t1, t2 in itertools.combinations(targets, 2):
+                pairs += 1
+                assert _r1(t1) & _r1(t2), (e, t1, t2)
+        assert pairs > 0
+
+    def test_r2_deletes_with_a_kink_are_reached_through_an_r1_delete(self, states_to_five):
+        # for an R1 delete s of e: t is an R1 delete of s (the kink is in
+        # the pair), or t and s have a common R1 and R2 delete (it is not)
+        checked = 0
+        for e in states_to_five:
+            below = _r1(e)
+            if not below:
+                continue
+            twice = set().union(*map(_r1, below))
+            r2_below = set().union(*map(_r2, below))
+            for t in _r2(e):
+                checked += 1
+                assert t in twice or _r1(t) & r2_below, (e, t)
+        assert checked > 0
+
+    def test_r2_deletes_coincide_or_share_an_r2_delete(self, states_to_five):
+        # with a kink and without: overlapping pairs give one diagram,
+        # disjoint pairs commute
+        pairs = {True: 0, False: 0}
+        for e in states_to_five:
+            targets = [_canonical_encoding(t) for t in _r2_deletes(e, _gaps(e))]
+            for t1, t2 in itertools.combinations(targets, 2):
+                pairs[bool(_r1(e))] += 1
+                assert t1 == t2 or _r2(t1) & _r2(t2), (e, t1, t2)
+        assert pairs[True] > 0 and pairs[False] > 0
+
+    def test_r3_with_e_b_one_is_undone_with_e_b_zero(self, states_to_five):
+        moves = 0
+        for e in states_to_five:
+            gaps = _gaps(e)
+            assert sorted(_r3_moves(e, gaps)) == sorted([*_r3_moves(e, gaps, (0,)), *_r3_moves(e, gaps, (1,))])
+            for raw in _r3_moves(e, gaps, (1,)):
+                moves += 1
+                t = _canonical_encoding(raw)
+                assert e in set(map(_canonical_encoding, _r3_moves(t, _gaps(t), (0,)))), (e, t)
+        assert moves > 0
+
+    @pytest.mark.parametrize("cap", [4, 5])
+    def test_spanning_components_are_the_full_components(self, cap):
+        states = _canonical_encodings(cap)
+        full = _components(states, lambda e: _neighbor_encodings(e, SHRINK_KINDS))
+        parent = _union_components(states, {e: i for i, e in enumerate(states)})
+        spanning: dict[int, set] = {}
+        for i, e in enumerate(states):
+            spanning.setdefault(_find(parent, i), set()).add(e)
+        assert {frozenset(c) for c in spanning.values()} == full
+        assert len(full) < len(states)
+
+
 class TestAtlas:
     MAX_CROSSINGS = 4
 
@@ -254,24 +339,35 @@ class TestAtlas:
             assert len({r.orbit_id for r in records}) == 18
 
     def test_canonical_tests_per_build(self, monkeypatch):
-        """A time-free cost guard: each distinct shrink neighbour is
-        canonicalised once, and enumeration tests only the assignments
-        with a rotation tie (86,244 canonical tests before either)."""
+        """A time-free cost guard: the atlas looks up only the spanning
+        shrink edges (59,512 raw edges when every shrink edge was taken),
+        each distinct one is canonicalised once, and enumeration tests only
+        the assignments with a rotation tie (86,244 canonical tests before
+        either, 17,345 with every shrink edge)."""
         import weldedknots.moves
         import weldedknots.search
 
-        calls = 0
+        calls = edges = 0
         canonical = weldedknots.search._canonical_encoding
+        spanning = weldedknots.search._spanning_shrink_neighbors
 
         def counted(e):
             nonlocal calls
             calls += 1
             return canonical(e)
 
+        def counted_edges(e):
+            nonlocal edges
+            for raw in spanning(e):
+                edges += 1
+                yield raw
+
         monkeypatch.setattr(weldedknots.search, "_canonical_encoding", counted)
         monkeypatch.setattr(weldedknots.moves, "_canonical_encoding", counted)
+        monkeypatch.setattr(weldedknots.search, "_spanning_shrink_neighbors", counted_edges)
         records = build_atlas(4, 5)
-        assert calls <= 17_345
+        assert calls <= 15_435
+        assert edges == 26_204
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
 
