@@ -12,6 +12,7 @@ File conventions: ``.gc`` Gauss code text, ``.wgd`` structured diagram,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -249,15 +250,16 @@ def _cmd_symmetry(args) -> int:
 
 def _cmd_atlas(args) -> int:
     max_crossings = args.max_crossings if args.max_crossings is not None else args.n_max + 2
-    records = search_mod.build_atlas(
-        args.n_max, max_crossings, primes=_parse_primes(args.primes), groups=_parse_groups(args.groups)
-    )
-    text = search_mod.atlas_to_jsonl(records)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    primes, groups = _parse_primes(args.primes), _parse_groups(args.groups)
+    # fail before a build that can take minutes: the arguments first, so a
+    # bad one leaves no file (the empty diagram's fingerprint checks the
+    # primes and groups), then the output path
+    search_mod._require_atlas_range(args.n_max, max_crossings)
+    fingerprint(WeldedGaussDiagram((), {}, {}), primes=primes, groups=groups)
+    out = open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        records = search_mod.build_atlas(args.n_max, max_crossings, primes=primes, groups=groups)
+        fh.write(search_mod.atlas_to_jsonl(records))
     return 0
 
 

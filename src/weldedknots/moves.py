@@ -595,9 +595,9 @@ def _r2_deletes(e, gaps) -> Iterator:
         yield _relabelled(kept, _r2_delete_table(n, x))
 
 
-def _r3_moves(e, gaps, e_bs=(0, 1)) -> Iterator:
-    """R3 neighbours whose bottom order e_b is in ``e_bs``: the bottom
-    pair ``(z, y)`` is ``(p, q)`` for e_b = 0 and ``(q, p)`` for e_b = 1."""
+def _r3_moves(e, gaps) -> Iterator:
+    """R3 neighbours of both bottom orders: the bottom pair ``(z, y)`` is
+    ``(p, q)`` for e_b = 0 and ``(q, p)`` for e_b = 1."""
     n = len(e)
     if n < 3:
         return
@@ -606,7 +606,7 @@ def _r3_moves(e, gaps, e_bs=(0, 1)) -> Iterator:
             continue
         q = (p + 1) % n
         # swapping the two unders moves the labels, not the gap contents
-        for e_b in e_bs:
+        for e_b in (0, 1):
             z, y = (q, p) if e_b else (p, q)
             for x in gaps[e[y] >> 1]:  # the x with head[x] = head[y]
                 if x == p or x == q:

@@ -9,25 +9,19 @@ of :func:`simplify`.  Every reported equivalence carries such a path; a
 negative answer is always Unknown (budget exhaustion bounds the
 exploration, it proves nothing).
 
-The atlas needs no budget: it enumerates every diagram up to a crossing
-cap and takes the connected components of the move graph on them, which
-are the equivalence classes of that graph exactly.  Growth edges are the
-inverses of shrink edges, and the components need only this spanning
-subset of the shrink edges, taken from each state:
+The atlas needs no budget: its classes are the connected components of
+the move graph on all diagrams up to a crossing cap, found exactly.  It
+classifies only its seeds, the diagrams up to a smaller crossing count,
+and floods only the components that hold a seed:
 
-* R1: its first R1 delete only.  Deleting kinks c1 and c2 in either
-  order gives one diagram, and a kink stays a kink once another is
-  deleted, so any two R1 deletes share an R1 delete.
-* R2: its first R2 delete, and only when it has no kink.  With a kink c,
-  an R2 delete of a pair without c commutes with deleting c, and one of
-  a pair with c is two R1 deletes; without a kink, R2 deletes of
-  disjoint pairs commute and overlapping pairs give one diagram.
-* R3: the moves with bottom order e_b = 0 only.  The inverse of the
-  move (p, q, x, e_b, e_m) is (p, q, x, 1 - e_b, 1 - e_m) from its
-  target, so every R3 edge is found from one end.
-
-Induction on the crossing count then joins the ends of every shrink edge,
-so the components are those of the full graph.
+* a seed with an R1 or R2 delete shares the class of that smaller
+  diagram, because a delete is an edge;
+* any other seed floods its component in (crossing count, encoding)
+  order, and an exhausted flood, which follows every edge within the
+  cap, is exactly the component, so it classifies every seed inside;
+* labels pass only along edges, and an exhausted flood labels its whole
+  component, so a labelled seed met by a flood is trivial, and the flood
+  stops there.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -44,7 +38,6 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterable
 
 from .convert import gauss_to_wgd, wgd_to_gauss
 from .invariants import Group, InvariantFingerprint, fingerprint
@@ -76,7 +69,6 @@ from .moves import (
     _over_blocks,
     _r1_deletes,
     _r2_deletes,
-    _r3_moves,
 )
 
 
@@ -315,50 +307,28 @@ def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
     return [_wgd_from_encoding(e) for e in _canonical_encodings(n_max)]
 
 
-def _spanning_shrink_neighbors(e) -> Iterable:
-    """The raw shrink neighbours of the packed canonical encoding ``e``
-    that the atlas unions: the first R1 delete, or the first R2 delete
-    when there is no kink, and the R3 moves with e_b = 0 (the spanning
-    rules of the module docstring)."""
-    gaps = _gaps(e)
-    r3 = _r3_moves(e, gaps, (0,))
-    first_delete = next(_r1_deletes(e), None)
-    if first_delete is None:
-        first_delete = next(_r2_deletes(e, gaps), None)
-    return r3 if first_delete is None else [first_delete, *r3]
+def _require_atlas_range(n_max: int, max_crossings: int) -> None:
+    if not 0 <= n_max <= max_crossings:
+        raise DomainError("need 0 <= n_max <= max_crossings")
 
 
-def _find(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _union_components(states: list, index: dict) -> list[int]:
-    """Union-find parents over ``states``, the sorted packed canonical
-    encodings, joining each state to its spanning shrink neighbours.
-    ``index`` maps each state to its position and gains, as they turn up,
-    each distinct raw neighbour's position of its canonical form, so a raw
-    encoding met again costs one lookup and each is canonicalised once.
-    Roots are linked by least index inline, so every root is the least
-    state of its component."""
-    parent = list(range(len(states)))
-    for i, e in enumerate(states):
-        root = _find(parent, i)
-        for raw in _spanning_shrink_neighbors(e):
-            j = index.get(raw)
-            if j is None:  # each distinct raw neighbour is canonicalised once
-                j = index[raw] = index[_canonical_encoding(raw)]
-            while parent[j] != j:  # _find(parent, j), inline
-                parent[j] = parent[parent[j]]
-                j = parent[j]
-            if j < root:
-                parent[root] = j
-                root = j
-            elif j > root:
-                parent[j] = root
-    return parent
+def _flood(start, max_crossings: int, labelled: dict):
+    """Expand the cap-``max_crossings`` component of ``start`` best-first
+    by (crossing count, encoding).  Returns ``(met, None)`` for the first
+    state found that is a key of ``labelled``, else ``(None, component)``
+    once the component is exhausted."""
+    visited = {start}
+    heap = [(len(start), start)]
+    while heap:
+        _, state = heapq.heappop(heap)
+        for nb in _neighbors(state, max_crossings):
+            if nb in visited:
+                continue
+            if nb in labelled:
+                return nb, None
+            visited.add(nb)
+            heapq.heappush(heap, (len(nb), nb))
+    return None, visited
 
 
 def build_atlas(
@@ -367,64 +337,77 @@ def build_atlas(
     primes=(3, 5),
     groups: tuple[Group, ...] = (),
 ) -> list[AtlasRecord]:
-    """Enumerate canonical diagrams up to n_max crossings, group them into
-    the connected components of the move graph on all diagrams with at
-    most max_crossings crossings, and pair classes under global reversal.
+    """Classify the canonical diagrams with up to n_max crossings, the
+    seeds, by the connected components of the move graph on all diagrams
+    with at most max_crossings crossings, and pair classes under global
+    reversal.
 
-    Every growth edge is the inverse of a shrink edge, so the components
-    are found by union-find over shrink edges of the diagrams within the
-    cap, and a spanning subset of them gives the same components.  Each
-    state contributes (see :func:`_spanning_shrink_neighbors`):
+    Seeds are labelled in (crossing count, encoding) order with the least
+    seed of their class; the empty diagram labels itself.  A seed with an
+    R1 or R2 delete takes the label of its first delete's canonical form,
+    a smaller seed.  Any other unlabelled seed floods its component
+    (:func:`_flood`): a flood that meets a labelled seed makes the seed
+    trivial, and an exhausted flood labels every seed it visited.  This is
+    exact:
 
-    * its first R1 delete: R1 deletes commute, and a kink stays a kink
-      after another kink is deleted, so any two share an R1 delete;
-    * its first R2 delete, only when it has no kink: with a kink c every
-      R2 delete is reached through the level below (it commutes with
-      deleting c, or is two R1 deletes when c is in the pair), and
-      without one R2 deletes commute or coincide;
-    * its R3 moves with e_b = 0: the move (p, q, x, e_b, e_m) is undone by
-      (p, q, x, 1 - e_b, 1 - e_m) from its target, so each R3 edge is
-      found once.
+    * a delete is an edge of the move graph, so the seed and its delete
+      share a component;
+    * a flood follows every edge within the cap, growth ones included, so
+      an exhausted flood is exactly the component;
+    * labels pass only along edges and an exhausted flood labels its whole
+      component, so a labelled seed in an unlabelled seed's component got
+      its label from the empty diagram: it is trivial.
 
-    By induction on the crossing count the ends of every shrink edge are
-    then joined.  The union-find runs on packed canonical encodings, one
-    byte ``2 * head_pos + [sign > 0]`` per crossing (tuples of the same
-    ints past 128 crossings, far beyond any enumerable cap), which sort as
-    :func:`wgd_encoding` tuples do; diagrams are built only for the seeds,
-    the diagrams with at most n_max crossings.  The classes are exact for
-    that graph: no budget is involved.  Class and orbit ids depend only on
-    n_max and max_crossings.
+    So the trivial component, most diagrams within the cap, is never
+    flooded, nor is a component without a seed.  States are packed
+    canonical encodings (see :mod:`weldedknots.model`), which sort as
+    :func:`wgd_encoding` tuples do; diagrams are built only for the seeds.
+    No budget is involved.  Class and orbit ids depend only on n_max and
+    max_crossings: classes are numbered by their least seed, orbits by
+    their least class.
     """
     from .symmetry import global_reversal
 
-    if not 0 <= n_max <= max_crossings:
-        raise DomainError("need 0 <= n_max <= max_crossings")
-    states = _canonical_encodings(max_crossings)
-    index = {e: i for i, e in enumerate(states)}
-    parent = _union_components(states, index)
+    _require_atlas_range(n_max, max_crossings)
+    seeds = _canonical_encodings(n_max)
+    wgds = [_wgd_from_encoding(e) for e in seeds]
+    prints = [fingerprint(w, primes=primes, groups=groups) for w in wgds]
 
-    # states are sorted by crossing count and roots are minimal indices,
-    # so the seeds are a prefix and every seed's root is a seed
-    seeds = [_wgd_from_encoding(e) for e in states if len(e) <= n_max]
-    prints = [fingerprint(w, primes=primes, groups=groups) for w in seeds]
+    label = {seeds[0]: seeds[0]}  # the empty diagram
+    for e in seeds:
+        if e in label:
+            continue
+        delete = next(_r1_deletes(e), None)
+        if delete is None:
+            delete = next(_r2_deletes(e, _gaps(e)), None)
+        if delete is not None:
+            label[e] = label[_canonical_encoding(delete)]
+            continue
+        met, component = _flood(e, max_crossings, label)
+        if met is not None:
+            label[e] = label[met]
+            continue
+        for s in component:
+            if len(s) <= n_max:
+                label[s] = e
 
-    class_ids: dict[int, int] = {}
-    for i in range(len(seeds)):
-        class_ids.setdefault(_find(parent, i), len(class_ids))
+    class_ids: dict = {}
+    for e in seeds:
+        class_ids.setdefault(label[e], len(class_ids))
 
     partner: dict[int, int] = {}
-    for root, cid in class_ids.items():
-        reversed_root = index[_canonical_wgd_encoding(global_reversal(seeds[root]))]
-        partner[cid] = class_ids[_find(parent, reversed_root)]
+    for least, cid in class_ids.items():
+        reversed_least = _canonical_wgd_encoding(global_reversal(_wgd_from_encoding(least)))
+        partner[cid] = class_ids[label[reversed_least]]
 
     orbit_ids: dict[int, int] = {}
     for cid in range(len(class_ids)):
         orbit_ids.setdefault(min(cid, partner[cid]), len(orbit_ids))
 
     records = []
-    for i, w in enumerate(seeds):
-        cid = class_ids[_find(parent, i)]
-        records.append(AtlasRecord(w, prints[i], cid, orbit_ids[min(cid, partner[cid])]))
+    for e, w, fp in zip(seeds, wgds, prints):
+        cid = class_ids[label[e]]
+        records.append(AtlasRecord(w, fp, cid, orbit_ids[min(cid, partner[cid])]))
     return records
 
 

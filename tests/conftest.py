@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -18,8 +19,9 @@ from weldedknots import (
     wgd_to_gauss,
 )
 from weldedknots.convert import _gauss_to_wgd_unchecked
-from weldedknots.model import OVER, UNDER
-from weldedknots.moves import _apply_unchecked, _match_oc
+from weldedknots.model import OVER, UNDER, _canonical_encoding, _pack
+from weldedknots.moves import _apply_unchecked, _gaps, _match_oc, _r1_deletes, _r2_deletes
+from weldedknots.search import _canonical_encodings
 
 
 def random_code(rng: random.Random, n: int) -> GaussCode:
@@ -113,6 +115,98 @@ def oracle_canonical_encodings(n_max: int) -> list[tuple]:
             if oracle_wgd_encoding(w) == encoding:
                 out.append(encoding)
     return out
+
+
+def oracle_r3_moves(e, gaps, e_bs) -> list:
+    """The R3 neighbours of the packed encoding ``e`` whose bottom order
+    e_b is in ``e_bs``: the bottom pair ``(z, y)`` is ``(p, q)`` for
+    e_b = 0 and ``(q, p)`` for e_b = 1.  The rule of ``moves._r3_moves``,
+    split by bottom order; over both orders the two must agree."""
+    n, out = len(e), []
+    if n < 3:
+        return out
+    for p in range(n):
+        if gaps[p]:
+            continue
+        q = (p + 1) % n
+        for e_b in e_bs:
+            z, y = (q, p) if e_b else (p, q)
+            for x in gaps[e[y] >> 1]:
+                if x == p or x == q:
+                    continue
+                before_x = (x - 1) % n
+                if e[z] >> 1 == before_x:
+                    e_m, moved_to = 0, x
+                elif e[z] >> 1 == x:
+                    e_m, moved_to = 1, before_x
+                else:
+                    continue
+                if (e[x] ^ e[y]) & 1 != (e_m + e_b) & 1:
+                    continue
+                new = list(e)
+                new[z] = e[y]
+                new[y] = 2 * moved_to + (e[z] & 1)
+                out.append(_pack(new))
+    return out
+
+
+def oracle_spanning_shrink_neighbors(e) -> list:
+    """The raw shrink neighbours of the packed canonical encoding ``e``
+    that the oracle atlas unions, a spanning subset of the shrink edges:
+
+    * its first R1 delete only: deleting kinks c1 and c2 in either order
+      gives one diagram, and a kink stays a kink once another is deleted,
+      so any two R1 deletes share an R1 delete;
+    * its first R2 delete, and only when it has no kink: with a kink c,
+      an R2 delete of a pair without c commutes with deleting c, and one
+      of a pair with c is two R1 deletes; without a kink, R2 deletes of
+      disjoint pairs commute and overlapping pairs give one diagram;
+    * its R3 moves with bottom order e_b = 0 only: the move
+      (p, q, x, e_b, e_m) is undone by (p, q, x, 1 - e_b, 1 - e_m) from
+      its target, so every R3 edge is found from one end.
+
+    Every growth edge is the inverse of a shrink edge, and induction on
+    the crossing count joins the ends of every shrink edge, so the
+    components are those of the full move graph."""
+    gaps = _gaps(e)
+    r3 = oracle_r3_moves(e, gaps, (0,))
+    first_delete = next(_r1_deletes(e), None)
+    if first_delete is None:
+        first_delete = next(_r2_deletes(e, gaps), None)
+    return r3 if first_delete is None else [first_delete, *r3]
+
+
+def oracle_find(parent: list, i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def oracle_union_components(states: list) -> list:
+    """Union-find parents over ``states``, the sorted packed canonical
+    encodings of every diagram within a cap, joining each state to its
+    spanning shrink neighbours.  Roots are linked by least index, so every
+    root is the least state of its component."""
+    index = {e: i for i, e in enumerate(states)}
+    parent = list(range(len(states)))
+    for i, e in enumerate(states):
+        for raw in oracle_spanning_shrink_neighbors(e):
+            j = index.get(raw)
+            if j is None:  # each distinct raw neighbour is canonicalised once
+                j = index[raw] = index[_canonical_encoding(raw)]
+            a, b = oracle_find(parent, i), oracle_find(parent, j)
+            parent[max(a, b)] = min(a, b)
+    return parent
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_components(max_crossings: int) -> dict:
+    """The full enumeration within the cap, each state mapped to the least
+    state of its component by :func:`oracle_union_components`."""
+    states = _canonical_encodings(max_crossings)
+    parent = oracle_union_components(states)
+    return {e: states[oracle_find(parent, i)] for i, e in enumerate(states)}
 
 
 def long_wgd(n: int) -> WeldedGaussDiagram:

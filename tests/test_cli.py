@@ -180,6 +180,31 @@ class TestEquivSimplifyInvariantsAtlas:
             outputs.append(out_path.read_text())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("target", ["no/such/dir/atlas.jsonl", "."])
+    def test_atlas_unwritable_output_fails_before_the_build(self, capsys, tmp_path, monkeypatch, target):
+        import weldedknots.search
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the atlas was built before the output was opened")
+
+        monkeypatch.setattr(weldedknots.search, "build_atlas", no_build)
+        code, _, err = run(capsys, "atlas", "--n-max", "1", "-o", str(tmp_path / target))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--n-max", "3", "--max-crossings", "2"],
+        ["--n-max", "-1"],
+        ["--n-max", "1", "--primes", "4"],
+        ["--n-max", "1", "--groups", "S3,D9"],
+    ])
+    def test_atlas_bad_arguments_leave_no_file(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "atlas.jsonl"
+        code, _, err = run(capsys, "atlas", *argv, "-o", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not out_path.exists()
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["convert", "--to", "nonsense", "-"])

@@ -16,6 +16,7 @@ from weldedknots import (
     build_atlas,
     canonical_wgd,
     decode_gauss_code,
+    decode_wgd,
     derive_path,
     encode_wgd,
     enumerate_canonical_wgds,
@@ -30,9 +31,18 @@ from weldedknots import (
 
 from weldedknots.model import _canonical_encoding, _wgd_from_encoding
 from weldedknots.moves import _gaps, _neighbor_encodings, _r1_deletes, _r2_deletes, _r3_moves
-from weldedknots.search import _canonical_encodings, _find, _union_components
+from weldedknots.search import _canonical_encodings
 
-from conftest import TREFOIL_TEXT, long_wgd, oracle_canonical_encodings, random_wgd
+from conftest import (
+    TREFOIL_TEXT,
+    long_wgd,
+    oracle_canonical_encodings,
+    oracle_components,
+    oracle_find,
+    oracle_r3_moves,
+    oracle_union_components,
+    random_wgd,
+)
 
 EMPTY = WeldedGaussDiagram((), {}, {})
 KINK = canonical_wgd(WeldedGaussDiagram((1,), {1: 1}, {1: 1}))
@@ -204,8 +214,9 @@ def _components(states, neighbors) -> set[frozenset]:
 
 
 class TestShrinkEdgesSuffice:
-    """The atlas takes components over shrink and R3 edges only; that is
-    exact because every growth edge is the inverse of a shrink edge."""
+    """The oracle atlas (``conftest.oracle_components``) takes components
+    over shrink and R3 edges only; that is exact because every growth edge
+    is the inverse of a shrink edge."""
 
     def test_every_growth_edge_has_an_inverse_shrink_edge(self):
         edges = 0
@@ -232,6 +243,10 @@ class TestShrinkEdgesSuffice:
         full = _components(
             states, lambda w: wgd_neighbors(w, growth_allowed=w.n < cap, max_crossings=cap)
         )
+        by_least: dict = {}
+        for e, least in oracle_components(cap).items():
+            by_least.setdefault(least, set()).add(_wgd_from_encoding(e))
+        assert {frozenset(c) for c in by_least.values()} == full
         by_class: dict[int, set] = {}
         for r in build_atlas(cap, max_crossings=cap):
             by_class.setdefault(r.class_id, set()).add(r.wgd)
@@ -258,10 +273,11 @@ def _r2(e) -> set:
 
 
 class TestSpanningEdges:
-    """The atlas unions, per state, its first R1 delete, its first R2
-    delete only when it has no kink, and its R3 moves with e_b = 0.  By
-    induction on the crossing count, these lemmas (checked on every
-    canonical state with n <= 5) join the ends of every shrink edge."""
+    """The oracle atlas (``conftest.oracle_spanning_shrink_neighbors``)
+    unions, per state, its first R1 delete, its first R2 delete only when
+    it has no kink, and its R3 moves with e_b = 0.  By induction on the
+    crossing count, these lemmas (checked on every canonical state with
+    n <= 5) join the ends of every shrink edge."""
 
     def test_r1_deletes_share_an_r1_delete(self, states_to_five):
         pairs = 0
@@ -302,23 +318,43 @@ class TestSpanningEdges:
         moves = 0
         for e in states_to_five:
             gaps = _gaps(e)
-            assert sorted(_r3_moves(e, gaps)) == sorted([*_r3_moves(e, gaps, (0,)), *_r3_moves(e, gaps, (1,))])
-            for raw in _r3_moves(e, gaps, (1,)):
+            assert sorted(_r3_moves(e, gaps)) == sorted(oracle_r3_moves(e, gaps, (0, 1)))
+            for raw in oracle_r3_moves(e, gaps, (1,)):
                 moves += 1
                 t = _canonical_encoding(raw)
-                assert e in set(map(_canonical_encoding, _r3_moves(t, _gaps(t), (0,)))), (e, t)
+                assert e in set(map(_canonical_encoding, oracle_r3_moves(t, _gaps(t), (0,)))), (e, t)
         assert moves > 0
 
     @pytest.mark.parametrize("cap", [4, 5])
     def test_spanning_components_are_the_full_components(self, cap):
         states = _canonical_encodings(cap)
         full = _components(states, lambda e: _neighbor_encodings(e, SHRINK_KINDS))
-        parent = _union_components(states, {e: i for i, e in enumerate(states)})
+        parent = oracle_union_components(states)
         spanning: dict[int, set] = {}
         for i, e in enumerate(states):
-            spanning.setdefault(_find(parent, i), set()).add(e)
+            spanning.setdefault(oracle_find(parent, i), set()).add(e)
         assert {frozenset(c) for c in spanning.values()} == full
         assert len(full) < len(states)
+
+
+# the least seed of some classes of build_atlas(4, 6)
+CAP_SIX_LEAST = {
+    6: '{"order": [1, 2, 3, 4], "map": {"1": [2, "-"], "2": [3, "-"], "3": [4, "-"], "4": [1, "-"]}}',
+    8: '{"order": [1, 2, 3, 4], "map": {"1": [2, "-"], "2": [3, "-"], "3": [4, "+"], "4": [2, "-"]}}',
+    21: '{"order": [1, 2, 3, 4], "map": {"1": [2, "+"], "2": [4, "-"], "3": [1, "+"], "4": [2, "+"]}}',
+    24: '{"order": [1, 2, 3, 4], "map": {"1": [3, "+"], "2": [4, "+"], "3": [1, "+"], "4": [2, "+"]}}',
+}
+# the depth budget does not bind: 16 layers are too few for 8 vs 21
+CAP_SEVEN_BUDGET = SearchBudget(7, max_states=200_000, max_depth=64)
+
+
+def _path_states(w: WeldedGaussDiagram, path) -> list[WeldedGaussDiagram]:
+    """The diagrams a record path passes through from w's realization."""
+    code, states = wgd_to_gauss(w), [w]
+    for record in path:
+        code = replay(code, [record])
+        states.append(gauss_to_wgd(code))
+    return states
 
 
 class TestAtlas:
@@ -338,48 +374,89 @@ class TestAtlas:
             assert len({r.class_id for r in records}) == 29
             assert len({r.orbit_id for r in records}) == 18
 
-    def test_canonical_tests_per_build(self, monkeypatch):
-        """A time-free cost guard: the atlas looks up only the spanning
-        shrink edges (59,512 raw edges when every shrink edge was taken),
-        each distinct one is canonicalised once, and enumeration tests only
-        the assignments with a rotation tie (86,244 canonical tests before
-        either, 17,345 with every shrink edge)."""
+    @pytest.mark.parametrize("n_max, max_crossings", [(3, 4), (3, 5), (4, 4), (4, 5)])
+    def test_seeded_partition_is_the_oracle_partition(self, n_max, max_crossings):
+        seeds = _canonical_encodings(n_max)
+        records = build_atlas(n_max, max_crossings)
+        assert [_wgd_from_encoding(e) for e in seeds] == [r.wgd for r in records]
+        seeded: dict[int, set] = {}
+        oracle: dict = {}
+        components = oracle_components(max_crossings)
+        for e, r in zip(seeds, records):
+            seeded.setdefault(r.class_id, set()).add(e)
+            oracle.setdefault(components[e], set()).add(e)
+        assert {frozenset(c) for c in seeded.values()} == {frozenset(c) for c in oracle.values()}
+
+    def test_flood_cost_per_build(self, monkeypatch):
+        """A time-free cost guard: at (4, 5) only 44 seeds flood, 16 of them
+        stopping at a trivial seed, for 3,126 expansions in all, and the
+        build canonicalises 14,084 encodings (15,435 when the whole cap
+        was enumerated and unioned, 86,244 before canonicalising once)."""
         import weldedknots.moves
         import weldedknots.search
 
-        calls = edges = 0
+        calls = expansions = floods = trivial = 0
         canonical = weldedknots.search._canonical_encoding
-        spanning = weldedknots.search._spanning_shrink_neighbors
+        neighbors = weldedknots.search._neighbors
+        flood = weldedknots.search._flood
 
         def counted(e):
             nonlocal calls
             calls += 1
             return canonical(e)
 
-        def counted_edges(e):
-            nonlocal edges
-            for raw in spanning(e):
-                edges += 1
-                yield raw
+        def counted_neighbors(e, max_crossings):
+            nonlocal expansions
+            expansions += 1
+            return neighbors(e, max_crossings)
+
+        def counted_flood(start, max_crossings, labelled):
+            nonlocal floods, trivial
+            met, component = flood(start, max_crossings, labelled)
+            floods += 1
+            trivial += met is not None
+            return met, component
 
         monkeypatch.setattr(weldedknots.search, "_canonical_encoding", counted)
         monkeypatch.setattr(weldedknots.moves, "_canonical_encoding", counted)
-        monkeypatch.setattr(weldedknots.search, "_spanning_shrink_neighbors", counted_edges)
+        monkeypatch.setattr(weldedknots.search, "_neighbors", counted_neighbors)
+        monkeypatch.setattr(weldedknots.search, "_flood", counted_flood)
         records = build_atlas(4, 5)
+        assert (floods, trivial, expansions) == (44, 16, 3_126)
         assert calls <= 15_435
-        assert edges == 26_204
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
 
     def test_cap_six(self):
-        """Cap 6: 519,145 canonical diagrams, the 1,133 seeds with at most
-        4 crossings in 25 classes and 17 global-reversal orbits."""
+        """Cap 6: the 1,133 seeds with at most 4 crossings in 25 classes and
+        17 global-reversal orbits, with the least seeds of classes 6, 8, 21
+        and 24 as pinned in :data:`CAP_SIX_LEAST`."""
         records = build_atlas(4, 6)
         assert len(records) == 1133
         assert len({r.class_id for r in records}) == 25
         assert len({r.orbit_id for r in records}) == 17
         digest = "bf98d881a85c82d7ef5c592d03bc66576c60aa89c68f0e7e01fbec4bcd98c4a6"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+        for cid, text in CAP_SIX_LEAST.items():
+            assert next(r.wgd for r in records if r.class_id == cid) == decode_wgd(text)
+
+    def test_cap_six_classes_8_and_21_merge_at_cap_7(self):
+        a, b = (decode_wgd(CAP_SIX_LEAST[cid]) for cid in (8, 21))
+        out = are_equivalent(a, b, CAP_SEVEN_BUDGET)
+        assert out.equivalent and out.states_explored == 93_832
+        assert len(out.path) == 44
+        assert canonical_wgd(gauss_to_wgd(replay(wgd_to_gauss(a), out.path))) == canonical_wgd(b)
+        assert max(state.n for state in _path_states(a, out.path)) == 7
+
+    def test_cap_six_classes_6_and_24_distinct_within_cap_7(self):
+        """Distinct within cap 7: the search exhausts one side's cap-7
+        component without meeting the other.  This is exact for the capped
+        move graph and proves nothing about welded equivalence."""
+        a, b = (decode_wgd(CAP_SIX_LEAST[cid]) for cid in (6, 24))
+        out = are_equivalent(a, b, CAP_SEVEN_BUDGET)
+        assert not out.equivalent
+        assert out.reason == "move graph exhausted within crossing budget"
+        assert out.states_explored == 13_812
 
     def test_single_record_for_trivial_enumeration(self):
         records = build_atlas(0, max_crossings=2)
