@@ -11,7 +11,15 @@ crossing the outgoing arc is determined by the incoming and the over arc:
                     out = over^-1 * in * over     for sign -
 
 Both counts are constant along every implemented move, which is what
-makes them usable as oracles for the rewriting engine.
+makes them usable as oracles for the rewriting engine.  Colorings ignore
+signs: the coloring relation reads the over and the incoming arc only, so
+diagrams that differ in signs alone have the same coloring counts.
+
+The counts read arcs off a packed encoding (see :mod:`weldedknots.model`):
+arc j starts after the under passage at position j, so the crossing at
+position j has incoming arc j - 1 (cyclically), outgoing arc j, over arc
+``e[j] >> 1`` and sign + exactly when ``e[j] & 1``.  A diagram is read as
+it stands, a code through :func:`arcs`.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from .model import (
     WeldedGaussDiagram,
     require_valid_code,
     require_valid_wgd,
+    _pack,
+    _wgd_packed,
 )
 
 
@@ -73,21 +83,18 @@ def arcs(code: GaussCode) -> ArcStructure:
     return ArcStructure(n, tuple(table))
 
 
-def _wgd_arcs(w: WeldedGaussDiagram) -> ArcStructure:
-    """The arc decomposition of ``wgd_to_gauss(w)``, read off the diagram:
+def _code_arc_encoding(code: GaussCode) -> bytes | tuple:
+    """The packed encoding read as the arcs of :func:`arcs` ``(code)``."""
+    return _pack([2 * c.over_arc + (c.sign > 0) for c in arcs(code).crossings])
+
+
+def _wgd_arc_encoding(w: WeldedGaussDiagram) -> bytes | tuple:
+    """The packed encoding read as the arcs of ``wgd_to_gauss(w)``, checked:
     arc j starts after the under passage of ``w.order[j]``, and the over
-    passage of c lies in the gap after the under passage of ``head[c]``."""
+    passage of c lies in the gap after the under passage of ``head[c]``,
+    so position j holds ``w.order[j]`` as it does in ``w`` itself."""
     require_valid_wgd(w)
-    n = w.n
-    if n == 0:
-        return ArcStructure(1, ())
-    position = {c: j for j, c in enumerate(w.order)}
-    head, sign = w.head, w.sign
-    table = tuple(
-        CrossingArcs(crossing=c, over_arc=position[head[c]], in_arc=(j - 1) % n, out_arc=j, sign=sign[c])
-        for j, c in enumerate(w.order)
-    )
-    return ArcStructure(n, table)
+    return _wgd_packed(w)
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -100,17 +107,6 @@ def _is_odd_prime(p: int) -> bool:
 def _require_odd_prime(p: int) -> None:
     if not _is_odd_prime(p):
         raise DomainError(f"p must be an odd prime, got {p}")
-
-
-def _relation_matrix(structure: ArcStructure) -> list[list[int]]:
-    rows = []
-    for c in structure.crossings:
-        row = [0] * structure.arc_count
-        row[c.out_arc] += 1
-        row[c.in_arc] += 1
-        row[c.over_arc] -= 2
-        rows.append(row)
-    return rows
 
 
 def _rank_mod_p(rows: list[list[int]], m: int, p: int) -> int:
@@ -136,14 +132,21 @@ def coloring_count(code: GaussCode, p: int) -> int:
     """Number of Fox p-colorings of the arcs, computed from the nullspace
     dimension of the relation matrix: count = p**d."""
     _require_odd_prime(p)
-    return _coloring_count(arcs(code), p)
+    return _coloring_count(_code_arc_encoding(code), p)
 
 
-def _coloring_count(structure: ArcStructure, p: int) -> int:
-    if not structure.crossings:
+def _coloring_count(e, p: int) -> int:
+    n = len(e)
+    if not n:
         return p
-    rank = _rank_mod_p(_relation_matrix(structure), structure.arc_count, p)
-    return p ** (structure.arc_count - rank)
+    rows = []
+    for j, v in enumerate(e):
+        row = [0] * n
+        row[j] += 1  # out
+        row[j - 1] += 1  # in
+        row[v >> 1] -= 2  # over
+        rows.append(row)
+    return p ** (n - _rank_mod_p(rows, n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +256,16 @@ def hom_count(code: GaussCode, group: Group) -> int:
     state copies.  Branch values range over the first arc's conjugacy
     class, since the relations make every arc conjugate to it.
     """
-    return _hom_count(arcs(code), group)
+    return _hom_count(_code_arc_encoding(code), group)
 
 
-def _hom_count(structure: ArcStructure, group: Group) -> int:
-    m = structure.arc_count
+def _hom_count(e, group: Group) -> int:
+    m = len(e)
     k = group.order
-    if not structure.crossings:
+    if not m:
         return k
 
-    relations = [(c.in_arc, c.over_arc, c.out_arc, c.sign) for c in structure.crossings]
+    relations = [((j - 1) % m, v >> 1, j, v & 1) for j, v in enumerate(e)]
     touching: list[list[int]] = [[] for _ in range(m)]
     for ridx, (in_a, over_a, out_a, _) in enumerate(relations):
         for a in {in_a, over_a, out_a}:
@@ -289,7 +292,7 @@ def _hom_count(structure: ArcStructure, group: Group) -> int:
                 g = values[over_a]
                 if g is None:
                     continue
-                h = g if sign > 0 else inv[g]
+                h = g if sign else inv[g]
                 vin = values[in_a]
                 if vin is not None:
                     stack.append((out_a, conj[h][vin]))
@@ -354,19 +357,43 @@ class InvariantFingerprint:
         }
 
 
-def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
-    """Deterministic invariant tuple; equal fingerprints are necessary for
-    move-equivalence.  Accepts a code or a welded Gauss diagram.  Repeated
-    primes and repeated groups count once; two different groups with one
-    name are rejected."""
+def _fingerprint_terms(primes, groups) -> tuple[tuple[int, ...], tuple[Group, ...]]:
+    """The distinct primes, ascending, and the distinct groups, by name, of
+    a fingerprint, checked.  Each argument is read once, so iterators serve
+    as well as tuples; two different groups with one name are rejected."""
+    primes = tuple(primes)
     for p in primes:
         _require_odd_prime(p)
-    primes = sorted(set(primes))
     by_name: dict[str, Group] = {}
     for g in groups:
         if by_name.setdefault(g.name, g) != g:
             raise DomainError(f"two different groups are named {g.name!r}")
-    structure = _wgd_arcs(obj) if isinstance(obj, WeldedGaussDiagram) else arcs(obj)
-    colorings = tuple((p, _coloring_count(structure, p)) for p in primes)
-    homs = tuple((name, _hom_count(structure, by_name[name])) for name in sorted(by_name))
-    return InvariantFingerprint(colorings, homs)
+    return tuple(sorted(set(primes))), tuple(by_name[name] for name in sorted(by_name))
+
+
+def _fingerprints(encodings, primes: tuple[int, ...], groups: tuple[Group, ...]) -> list[InvariantFingerprint]:
+    """The fingerprints of the diagrams with the packed encodings
+    ``encodings``, in order, for terms from :func:`_fingerprint_terms`.
+    Colorings ignore signs, so each prime's count is computed once per
+    sign-free pattern (the encoding with its sign bits cleared) among
+    ``encodings``; homomorphism counts are computed per encoding."""
+    colorings: dict = {}
+    prints = []
+    for e in encodings:
+        pattern = _pack([v & ~1 for v in e])
+        counts = colorings.get(pattern)
+        if counts is None:
+            counts = colorings[pattern] = tuple((p, _coloring_count(pattern, p)) for p in primes)
+        homs = tuple((g.name, _hom_count(e, g)) for g in groups)
+        prints.append(InvariantFingerprint(counts, homs))
+    return prints
+
+
+def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
+    """Deterministic invariant tuple; equal fingerprints are necessary for
+    move-equivalence.  Accepts a code or a welded Gauss diagram.  Repeated
+    primes and repeated groups count once; two different groups with one
+    name are rejected.  ``primes`` and ``groups`` may be any iterables."""
+    primes, groups = _fingerprint_terms(primes, groups)
+    e = _wgd_arc_encoding(obj) if isinstance(obj, WeldedGaussDiagram) else _code_arc_encoding(obj)
+    return _fingerprints([e], primes, groups)[0]

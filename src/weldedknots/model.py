@@ -301,10 +301,16 @@ def _wgd_from_encoding(encoding) -> WeldedGaussDiagram:
     return WeldedGaussDiagram(order, head, sign)
 
 
+def _wgd_packed(w: WeldedGaussDiagram) -> bytes | tuple:
+    """Packed encoding of ``w`` as it stands, position i holding
+    ``w.order[i]`` (not validated, not canonicalised)."""
+    position = {c: i for i, c in enumerate(w.order)}
+    return _pack([2 * position[w.head[c]] + (w.sign[c] > 0) for c in w.order])
+
+
 def _canonical_wgd_encoding(w: WeldedGaussDiagram) -> bytes | tuple:
     """Packed encoding of the canonical form of ``w`` (not validated)."""
-    position = {c: i for i, c in enumerate(w.order)}
-    return _canonical_encoding(_pack([2 * position[w.head[c]] + (w.sign[c] > 0) for c in w.order]))
+    return _canonical_encoding(_wgd_packed(w))
 
 
 def _canonical_wgd_unchecked(w: WeldedGaussDiagram) -> WeldedGaussDiagram:

@@ -678,6 +678,20 @@ def _kinds_within_cap(kinds, n: int, max_crossings: int) -> set[MoveKind]:
     return {k for k in kinds if n + _CROSSING_DELTA[k] <= max_crossings}
 
 
+# _kinds_within_cap(ALL_KINDS, n, max_crossings) by the room max_crossings - n,
+# up to the most crossings one move adds, where every kind fits
+_KINDS_BY_ROOM = tuple(
+    frozenset(_kinds_within_cap(ALL_KINDS, 0, room)) for room in range(max(_CROSSING_DELTA.values()) + 1)
+)
+
+
+def _kinds_with_room(room: int) -> frozenset[MoveKind]:
+    """The kinds whose result has at most ``room >= 0`` more crossings:
+    :func:`_kinds_within_cap` over all kinds with room = max_crossings - n,
+    looked up instead of rebuilt."""
+    return _KINDS_BY_ROOM[min(room, len(_KINDS_BY_ROOM) - 1)]
+
+
 def _neighbor_encodings(e, wanted) -> Iterator:
     """Packed canonical encodings (see :mod:`weldedknots.model`) of the
     neighbors of the diagram with packed canonical encoding ``e``, for the

@@ -40,7 +40,7 @@ import operator
 from dataclasses import dataclass
 
 from .convert import gauss_to_wgd, wgd_to_gauss
-from .invariants import Group, InvariantFingerprint, fingerprint
+from .invariants import Group, InvariantFingerprint, _fingerprint_terms, _fingerprints
 from .model import (
     DomainError,
     GaussCode,
@@ -54,7 +54,6 @@ from .model import (
     _wgd_from_encoding,
 )
 from .moves import (
-    ALL_KINDS,
     MoveKind,
     MoveRecord,
     MoveSite,
@@ -64,11 +63,12 @@ from .moves import (
     replay,
     _CROSSING_DELTA,
     _gaps,
-    _kinds_within_cap,
+    _kinds_with_room,
     _neighbor_encodings,
     _over_blocks,
     _r1_deletes,
     _r2_deletes,
+    _raw_neighbor_encodings,
 )
 
 
@@ -105,7 +105,7 @@ def _size_then_encoding(e) -> tuple:
 def _neighbors(e, max_crossings: int) -> list:
     """The distinct neighbours of the state ``e`` with at most
     ``max_crossings`` crossings, in state order."""
-    wanted = _kinds_within_cap(ALL_KINDS, len(e), max_crossings)
+    wanted = _kinds_with_room(max_crossings - len(e))
     return sorted(set(_neighbor_encodings(e, wanted)), key=_size_then_encoding)
 
 
@@ -316,19 +316,31 @@ def _flood(start, max_crossings: int, labelled: dict):
     """Expand the cap-``max_crossings`` component of ``start`` best-first
     by (crossing count, encoding).  Returns ``(met, None)`` for the first
     state found that is a key of ``labelled``, else ``(None, component)``
-    once the component is exhausted."""
-    visited = {start}
+    once the component is exhausted, its states in the order found.
+
+    Each state's raw neighbours (:func:`moves._raw_neighbor_encodings`) are
+    canonicalised once per flood: ``seen`` holds the encodings whose
+    canonical form has been reached, raw neighbours and states alike, so a
+    raw neighbour met again is skipped, and a state, its own canonical
+    form, is in ``seen`` exactly when it has been reached.  ``seen`` is
+    dropped with the flood."""
+    seen = {start}
+    component = [start]
     heap = [(len(start), start)]
     while heap:
-        _, state = heapq.heappop(heap)
-        for nb in _neighbors(state, max_crossings):
-            if nb in visited:
+        n, state = heapq.heappop(heap)
+        for raw in _raw_neighbor_encodings(state, _kinds_with_room(max_crossings - n)):
+            if raw in seen:
                 continue
-            if nb in labelled:
-                return nb, None
-            visited.add(nb)
-            heapq.heappush(heap, (len(nb), nb))
-    return None, visited
+            nb = _canonical_encoding(raw)
+            if nb not in seen:
+                if nb in labelled:
+                    return nb, None
+                seen.add(nb)
+                component.append(nb)
+                heapq.heappush(heap, (len(nb), nb))
+            seen.add(raw)
+    return None, component
 
 
 def build_atlas(
@@ -369,9 +381,10 @@ def build_atlas(
     from .symmetry import global_reversal
 
     _require_atlas_range(n_max, max_crossings)
+    primes, groups = _fingerprint_terms(primes, groups)
     seeds = _canonical_encodings(n_max)
     wgds = [_wgd_from_encoding(e) for e in seeds]
-    prints = [fingerprint(w, primes=primes, groups=groups) for w in wgds]
+    prints = _fingerprints(seeds, primes, groups)
 
     label = {seeds[0]: seeds[0]}  # the empty diagram
     for e in seeds:

@@ -21,7 +21,7 @@ from weldedknots import (
     symmetric_group_3,
     wgd_to_gauss,
 )
-from weldedknots.invariants import _wgd_arcs
+from weldedknots.invariants import ArcStructure, CrossingArcs, _wgd_arc_encoding
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
 from conftest import TREFOIL_TEXT, coloring_count_bruteforce, random_code, subprocess_env
@@ -210,6 +210,13 @@ class TestFingerprint:
         fp = fingerprint(TREFOIL, groups=(s3, dihedral_group(4), symmetric_group_3(), s3))
         assert fp.hom_counts == (("D4", hom_count(TREFOIL, dihedral_group(4))), ("S3", 12))
 
+    def test_iterators_read_once(self):
+        """Primes and groups may be iterators: each is read once."""
+        s3 = symmetric_group_3()
+        expected = fingerprint(TREFOIL, primes=(3, 5), groups=(s3,))
+        assert fingerprint(TREFOIL, primes=iter([3, 5]), groups=iter([s3])) == expected
+        assert fingerprint(TREFOIL, primes=(p for p in (5, 3)), groups=(g for g in [s3])) == expected
+
     def test_different_groups_with_one_name_rejected(self):
         impostor = Group("S3", dihedral_group(3).table)  # isomorphic, but another table
         assert impostor != symmetric_group_3()
@@ -228,14 +235,29 @@ def _relabelled_wgd(rng: random.Random, n: int) -> WeldedGaussDiagram:
     )
 
 
+def _read_arcs(w: WeldedGaussDiagram) -> ArcStructure:
+    """The arcs that the counts read off ``_wgd_arc_encoding(w)``: the
+    crossing at position j has in arc j - 1, out arc j, over arc
+    ``e[j] >> 1`` and sign + exactly when ``e[j] & 1``."""
+    e = _wgd_arc_encoding(w)
+    n = len(e)
+    assert n == w.n
+    if n == 0:
+        return ArcStructure(1, ())
+    return ArcStructure(n, tuple(
+        CrossingArcs(crossing=c, over_arc=v >> 1, in_arc=(j - 1) % n, out_arc=j, sign=1 if v & 1 else -1)
+        for j, (c, v) in enumerate(zip(w.order, e))
+    ))
+
+
 class TestWgdArcs:
-    """Arcs read off a diagram equal the arcs of its realizing code."""
+    """Arcs read off a diagram's encoding equal the arcs of its realizing code."""
 
     def test_every_canonical_diagram_up_to_four_crossings(self):
         diagrams = enumerate_canonical_wgds(4)
         assert len(diagrams) == 1133
         for w in diagrams:
-            assert _wgd_arcs(w) == arcs(wgd_to_gauss(w))
+            assert _read_arcs(w) == arcs(wgd_to_gauss(w))
 
     def test_any_labels_and_basepoint(self):
         rng = random.Random("wgd-arcs")
@@ -243,7 +265,7 @@ class TestWgdArcs:
         for _ in range(300):
             w = _relabelled_wgd(rng, rng.randint(0, 6))
             code = wgd_to_gauss(w)
-            assert _wgd_arcs(w) == arcs(code)
+            assert _read_arcs(w) == arcs(code)
             assert fingerprint(w, primes=(3, 5), groups=groups) == fingerprint(code, primes=(3, 5), groups=groups)
 
     @pytest.mark.parametrize("w", [
@@ -254,7 +276,7 @@ class TestWgdArcs:
         with pytest.raises(DomainError):
             fingerprint(w)
         with pytest.raises(DomainError):
-            _wgd_arcs(w)
+            _wgd_arc_encoding(w)
 
 
 def test_package_import_leaves_numpy_out():

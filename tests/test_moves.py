@@ -28,6 +28,8 @@ from weldedknots import (
     wgd_neighbors_iter,
 )
 
+from weldedknots.moves import _kinds_with_room, _kinds_within_cap
+
 from conftest import TREFOIL_TEXT, long_wgd, oracle_neighbors_iter, random_code, random_wgd
 
 
@@ -242,6 +244,11 @@ class TestWgdNeighbors:
             nbs = list(wgd_neighbors_iter(w, max_crossings=cap))
             assert all(nb.n <= cap for nb in nbs)
             assert set(nbs) == {nb for nb in wgd_neighbors(w) if nb.n <= cap}
+
+    def test_kinds_looked_up_by_room_equal_the_kinds_within_the_cap(self):
+        for n in range(6):
+            for cap in range(n, n + 5):
+                assert _kinds_with_room(cap - n) == _kinds_within_cap(ALL_KINDS, n, cap), (n, cap)
 
     def test_kink_has_smaller_neighbor(self, rng):
         for _ in range(50):

@@ -18,12 +18,15 @@ from weldedknots import (
     decode_gauss_code,
     decode_wgd,
     derive_path,
+    dihedral_group,
     encode_wgd,
     enumerate_canonical_wgds,
+    fingerprint,
     gauss_to_wgd,
     global_reversal,
     replay,
     simplify,
+    symmetric_group_3,
     wgd_encoding,
     wgd_neighbors,
     wgd_to_gauss,
@@ -389,15 +392,17 @@ class TestAtlas:
 
     def test_flood_cost_per_build(self, monkeypatch):
         """A time-free cost guard: at (4, 5) only 44 seeds flood, 16 of them
-        stopping at a trivial seed, for 3,126 expansions in all, and the
-        build canonicalises 14,084 encodings (15,435 when the whole cap
-        was enumerated and unioned, 86,244 before canonicalising once)."""
+        stopping at a trivial seed, for 3,126 expansions in all (each one
+        call of ``_raw_neighbor_encodings``), and the build canonicalises
+        6,783 encodings (14,084 when every flood canonicalised every raw
+        neighbour, 15,435 when the whole cap was enumerated and unioned,
+        86,244 before canonicalising once)."""
         import weldedknots.moves
         import weldedknots.search
 
         calls = expansions = floods = trivial = 0
         canonical = weldedknots.search._canonical_encoding
-        neighbors = weldedknots.search._neighbors
+        raw_neighbors = weldedknots.search._raw_neighbor_encodings
         flood = weldedknots.search._flood
 
         def counted(e):
@@ -405,10 +410,10 @@ class TestAtlas:
             calls += 1
             return canonical(e)
 
-        def counted_neighbors(e, max_crossings):
+        def counted_raw_neighbors(e, wanted):
             nonlocal expansions
             expansions += 1
-            return neighbors(e, max_crossings)
+            return raw_neighbors(e, wanted)
 
         def counted_flood(start, max_crossings, labelled):
             nonlocal floods, trivial
@@ -419,13 +424,52 @@ class TestAtlas:
 
         monkeypatch.setattr(weldedknots.search, "_canonical_encoding", counted)
         monkeypatch.setattr(weldedknots.moves, "_canonical_encoding", counted)
-        monkeypatch.setattr(weldedknots.search, "_neighbors", counted_neighbors)
+        monkeypatch.setattr(weldedknots.search, "_raw_neighbor_encodings", counted_raw_neighbors)
         monkeypatch.setattr(weldedknots.search, "_flood", counted_flood)
         records = build_atlas(4, 5)
         assert (floods, trivial, expansions) == (44, 16, 3_126)
-        assert calls <= 15_435
+        assert calls == 6_783
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+
+    def test_colorings_once_per_sign_free_pattern(self, monkeypatch):
+        """A time-free cost guard: the 1,133 seeds at (4, 5) have 118
+        nonempty sign-free patterns, so the default primes 3 and 5 cost 236
+        eliminations (2,264 at one per seed and prime)."""
+        import weldedknots.invariants
+
+        calls = 0
+        rank = weldedknots.invariants._rank_mod_p
+
+        def counted(rows, m, p):
+            nonlocal calls
+            calls += 1
+            return rank(rows, m, p)
+
+        monkeypatch.setattr(weldedknots.invariants, "_rank_mod_p", counted)
+        records = build_atlas(4, 5)
+        assert calls == 236
+        digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
+        assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+
+    def test_fingerprints_equal_the_public_fingerprint(self):
+        primes, groups = (3, 5, 7), (symmetric_group_3(), dihedral_group(4))
+        records = build_atlas(4, 5, primes=primes, groups=groups)
+        assert len(records) == 1133
+        for r in records:
+            assert r.fingerprint == fingerprint(r.wgd, primes=primes, groups=groups), encode_wgd(r.wgd)
+
+    def test_groups_read_once(self):
+        """A generator of groups serves every seed, not the first only."""
+        s3 = symmetric_group_3()
+        records = build_atlas(1, 2, groups=(g for g in [s3]))
+        assert [r.fingerprint for r in records] == [r.fingerprint for r in build_atlas(1, 2, groups=(s3,))]
+        assert all(dict(r.fingerprint.hom_counts) == {"S3": 6} for r in records)
+
+    @pytest.mark.parametrize("primes", [(4,), (3.0,)])
+    def test_bad_primes_rejected(self, primes):
+        with pytest.raises(DomainError):
+            build_atlas(1, 2, primes=primes)
 
     def test_cap_six(self):
         """Cap 6: the 1,133 seeds with at most 4 crossings in 25 classes and
