@@ -25,6 +25,7 @@ it stands, a code through :func:`arcs`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .convert import _preceding_under
@@ -101,7 +102,7 @@ def _is_odd_prime(p: int) -> bool:
     # 3.0 compares equal to 3, but Z/p needs an integer modulus
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False
-    return all(p % d for d in range(3, int(p**0.5) + 1, 2))
+    return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
 
 def _require_odd_prime(p: int) -> None:

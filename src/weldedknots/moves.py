@@ -668,36 +668,22 @@ def wgd_neighbors_iter(
     if not growth_allowed:
         wanted = wanted - GROWTH_KINDS
     if max_crossings is not None:
-        wanted = _kinds_within_cap(wanted, w.n, max_crossings)
-    yield from map(_wgd_from_encoding, _neighbor_encodings(_canonical_wgd_encoding(w), wanted))
+        wanted = wanted & _kinds_with_room(max_crossings - w.n)
+    raw = _raw_neighbor_encodings(_canonical_wgd_encoding(w), wanted)
+    yield from map(_wgd_from_encoding, map(_canonical_encoding, raw))
 
 
-def _kinds_within_cap(kinds, n: int, max_crossings: int) -> set[MoveKind]:
-    """The kinds among ``kinds`` whose result, from n crossings, has at
-    most ``max_crossings`` crossings."""
-    return {k for k in kinds if n + _CROSSING_DELTA[k] <= max_crossings}
-
-
-# _kinds_within_cap(ALL_KINDS, n, max_crossings) by the room max_crossings - n,
-# up to the most crossings one move adds, where every kind fits
-_KINDS_BY_ROOM = tuple(
-    frozenset(_kinds_within_cap(ALL_KINDS, 0, room)) for room in range(max(_CROSSING_DELTA.values()) + 1)
-)
+# the kinds whose result has at most room = max_crossings - n more crossings,
+# from one below the most crossings a move removes (no kind fits) to the most
+# one adds (every kind fits)
+_ROOMS = range(min(_CROSSING_DELTA.values()) - 1, max(_CROSSING_DELTA.values()) + 1)
+_KINDS_BY_ROOM = tuple(frozenset(k for k in ALL_KINDS if _CROSSING_DELTA[k] <= room) for room in _ROOMS)
 
 
 def _kinds_with_room(room: int) -> frozenset[MoveKind]:
-    """The kinds whose result has at most ``room >= 0`` more crossings:
-    :func:`_kinds_within_cap` over all kinds with room = max_crossings - n,
-    looked up instead of rebuilt."""
-    return _KINDS_BY_ROOM[min(room, len(_KINDS_BY_ROOM) - 1)]
-
-
-def _neighbor_encodings(e, wanted) -> Iterator:
-    """Packed canonical encodings (see :mod:`weldedknots.model`) of the
-    neighbors of the diagram with packed canonical encoding ``e``, for the
-    kinds in ``wanted``, once per site: the canonical forms of
-    :func:`_raw_neighbor_encodings`.  ``e`` is not validated."""
-    return map(_canonical_encoding, _raw_neighbor_encodings(e, wanted))
+    """The kinds whose result has at most ``room`` more crossings, looked
+    up instead of rebuilt."""
+    return _KINDS_BY_ROOM[min(max(room, _ROOMS[0]), _ROOMS[-1]) - _ROOMS[0]]
 
 
 def _raw_neighbor_encodings(e, wanted) -> Iterator:

@@ -2,12 +2,13 @@
 Bounded equivalence search, simplification, and the exact atlas.
 
 States are packed canonical encodings (see :mod:`weldedknots.model`),
-ordered by (crossing count, encoding) for determinism.  Diagrams are
-built only at the API boundary: for the states of a found path, whose
-codes are rematerialized into a replayable move path, and for the result
-of :func:`simplify`.  Every reported equivalence carries such a path; a
-negative answer is always Unknown (budget exhaustion bounds the
-exploration, it proves nothing).
+ordered by (crossing count, encoding) for determinism.  Every search
+expands them through :func:`_expand`, which canonicalises each raw
+neighbour once per walk.  Diagrams are built only at the API boundary:
+for the states of a found path, whose codes are rematerialized into a
+replayable move path, and for the result of :func:`simplify`.  Every
+reported equivalence carries such a path; a negative answer is always
+Unknown (budget exhaustion bounds the exploration, it proves nothing).
 
 The atlas needs no budget: its classes are the connected components of
 the move graph on all diagrams up to a crossing cap, found exactly.  It
@@ -16,12 +17,13 @@ and floods only the components that hold a seed:
 
 * a seed with an R1 or R2 delete shares the class of that smaller
   diagram, because a delete is an edge;
-* any other seed floods its component in (crossing count, encoding)
-  order, and an exhausted flood, which follows every edge within the
-  cap, is exactly the component, so it classifies every seed inside;
+* any other seed floods its component best-first by (crossing count,
+  encoding), the walk of :func:`simplify`, and an exhausted flood, which
+  follows every edge within the cap, is exactly the component, so it
+  classifies every seed inside;
 * labels pass only along edges, and an exhausted flood labels its whole
   component, so a labelled seed met by a flood is trivial, and the flood
-  stops there.
+  stops there; which labelled seed it meets first does not matter.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -64,7 +66,6 @@ from .moves import (
     _CROSSING_DELTA,
     _gaps,
     _kinds_with_room,
-    _neighbor_encodings,
     _over_blocks,
     _r1_deletes,
     _r2_deletes,
@@ -83,6 +84,9 @@ class SearchBudget:
     max_depth: int = 16
 
     def validate(self) -> None:
+        # True and 2.0 compare equal to ints but are no limit
+        if any(type(x) is not int for x in (self.max_crossings, self.max_states, self.max_depth)):
+            raise DomainError("budget fields must be ints")
         if self.max_crossings < 0 or self.max_states < 1 or self.max_depth < 1:
             raise DomainError("budget fields must be positive")
 
@@ -102,11 +106,38 @@ def _size_then_encoding(e) -> tuple:
     return (len(e), e)
 
 
-def _neighbors(e, max_crossings: int) -> list:
-    """The distinct neighbours of the state ``e`` with at most
-    ``max_crossings`` crossings, in state order."""
-    wanted = _kinds_with_room(max_crossings - len(e))
-    return sorted(set(_neighbor_encodings(e, wanted)), key=_size_then_encoding)
+def _expand(state, max_crossings: int, seen: set) -> list:
+    """The neighbours of ``state`` within ``max_crossings`` crossings that
+    are not in ``seen``, in state order.  ``seen``, one per walk, holds
+    every encoding whose canonical form has been reached, raw neighbours
+    and states alike, so each raw neighbour is canonicalised once per walk."""
+    new = []
+    for raw in _raw_neighbor_encodings(state, _kinds_with_room(max_crossings - len(state))):
+        if raw in seen:
+            continue
+        nb = _canonical_encoding(raw)
+        if nb not in seen:
+            seen.add(nb)
+            new.append(nb)
+        seen.add(raw)
+    return sorted(new, key=_size_then_encoding)
+
+
+def _best_first(start, max_crossings: int, max_depth: int | None = None):
+    """Yield the states other than ``start`` reachable within
+    ``max_crossings`` crossings and ``max_depth`` moves (None: no limit),
+    in the order found: expanded best-first by (crossing count, encoding),
+    each expansion's new states in state order."""
+    seen = {start}
+    # states are distinct, so (crossing count, state) orders the heap alone
+    heap = [(len(start), start, 0)]
+    while heap:
+        _, state, depth = heapq.heappop(heap)
+        if depth == max_depth:
+            continue
+        for nb in _expand(state, max_crossings, seen):
+            yield nb
+            heapq.heappush(heap, (len(nb), nb, depth + 1))
 
 
 def are_equivalent(
@@ -130,8 +161,10 @@ def are_equivalent(
     if a == b:
         return EquivalenceOutcome(True, (), states_explored=1)
 
-    # per side, each visited state -> the state it was reached from
+    # per side, each visited state -> the state it was reached from, and
+    # the side's walk set (see _expand)
     parents = ({a: None}, {b: None})
+    seen = ({a}, {b})
     frontiers = [[a], [b]]
     layers = 0
 
@@ -142,13 +175,11 @@ def are_equivalent(
         if layers >= budget.max_depth:
             return EquivalenceOutcome(False, reason="depth budget exhausted", states_explored=total_visited())
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        seen = parents[side]
         new_frontier = []
         for state in sorted(frontiers[side], key=_size_then_encoding):
-            for nb in _neighbors(state, budget.max_crossings):
-                if nb not in seen:
-                    seen[nb] = state
-                    new_frontier.append(nb)
+            for nb in _expand(state, budget.max_crossings, seen[side]):
+                parents[side][nb] = state
+                new_frontier.append(nb)
             if total_visited() > budget.max_states:
                 return EquivalenceOutcome(False, reason="state budget exhausted", states_explored=total_visited())
         frontiers[side] = new_frontier
@@ -236,25 +267,13 @@ def simplify(w: WeldedGaussDiagram, budget: SearchBudget) -> WeldedGaussDiagram:
     if budget.max_crossings < len(start):
         raise DomainError("max_crossings is below the input's crossing count")
     best = start
-    visited = {start}
-    # states are distinct, so (crossing count, state) orders the heap alone
-    heap = [(len(start), start, 0)]
-    while heap:
-        n, state, depth = heapq.heappop(heap)
-        if (n, state) < (len(best), best):
-            best = state
-        if not best:
-            break
-        # with the state budget spent no neighbour can be added
-        if depth >= budget.max_depth or len(visited) >= budget.max_states:
-            continue
-        for nb in _neighbors(state, budget.max_crossings):
-            if nb in visited:
-                continue
-            if len(visited) >= budget.max_states:
+    if best:
+        # the start is the first of the max_states states
+        found = _best_first(start, budget.max_crossings, budget.max_depth)
+        for state in itertools.islice(found, budget.max_states - 1):
+            best = min(best, state, key=_size_then_encoding)
+            if not best:  # nothing is smaller than the empty diagram
                 break
-            visited.add(nb)
-            heapq.heappush(heap, (len(nb), nb, depth + 1))
     return _wgd_from_encoding(best)
 
 
@@ -308,38 +327,25 @@ def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
 
 
 def _require_atlas_range(n_max: int, max_crossings: int) -> None:
+    if type(n_max) is not int or type(max_crossings) is not int:
+        raise DomainError("n_max and max_crossings must be ints")
     if not 0 <= n_max <= max_crossings:
         raise DomainError("need 0 <= n_max <= max_crossings")
 
 
 def _flood(start, max_crossings: int, labelled: dict):
-    """Expand the cap-``max_crossings`` component of ``start`` best-first
-    by (crossing count, encoding).  Returns ``(met, None)`` for the first
-    state found that is a key of ``labelled``, else ``(None, component)``
-    once the component is exhausted, its states in the order found.
-
-    Each state's raw neighbours (:func:`moves._raw_neighbor_encodings`) are
-    canonicalised once per flood: ``seen`` holds the encodings whose
-    canonical form has been reached, raw neighbours and states alike, so a
-    raw neighbour met again is skipped, and a state, its own canonical
-    form, is in ``seen`` exactly when it has been reached.  ``seen`` is
-    dropped with the flood."""
-    seen = {start}
+    """Walk the cap-``max_crossings`` component of ``start`` best-first.
+    Returns ``(met, None)`` for the first state found that is a key of
+    ``labelled``, else ``(None, component)`` once the component is
+    exhausted, its states in the order found.  Which labelled state comes
+    first does not matter: labels pass only along edges and an exhausted
+    flood labels its whole component, so each one met got its label from
+    the empty diagram (see :func:`build_atlas`)."""
     component = [start]
-    heap = [(len(start), start)]
-    while heap:
-        n, state = heapq.heappop(heap)
-        for raw in _raw_neighbor_encodings(state, _kinds_with_room(max_crossings - n)):
-            if raw in seen:
-                continue
-            nb = _canonical_encoding(raw)
-            if nb not in seen:
-                if nb in labelled:
-                    return nb, None
-                seen.add(nb)
-                component.append(nb)
-                heapq.heappush(heap, (len(nb), nb))
-            seen.add(raw)
+    for state in _best_first(start, max_crossings):
+        if state in labelled:
+            return state, None
+        component.append(state)
     return None, component
 
 

@@ -239,6 +239,8 @@ class TestBoundaryErrors:
         ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 1], "variant": ""}'],
         ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 1], "variant": "x"}'],
         ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 1]}'],
+        # above the largest float, and divisible by 353
+        ["atlas", "--n-max", "1", "--primes", str(10**400 + 1)],
     ])
     def test_exit_1_without_traceback(self, tmp_path, argv):
         (tmp_path / "kink.gc").write_text("O1+ U1+")

@@ -28,7 +28,7 @@ from weldedknots import (
     wgd_neighbors_iter,
 )
 
-from weldedknots.moves import _kinds_with_room, _kinds_within_cap
+from weldedknots.moves import _CROSSING_DELTA, _kinds_with_room
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_neighbors_iter, random_code, random_wgd
 
@@ -247,8 +247,9 @@ class TestWgdNeighbors:
 
     def test_kinds_looked_up_by_room_equal_the_kinds_within_the_cap(self):
         for n in range(6):
-            for cap in range(n, n + 5):
-                assert _kinds_with_room(cap - n) == _kinds_within_cap(ALL_KINDS, n, cap), (n, cap)
+            for cap in range(n - 5, n + 5):
+                within_cap = {k for k in ALL_KINDS if n + _CROSSING_DELTA[k] <= cap}
+                assert _kinds_with_room(cap - n) == within_cap, (n, cap)
 
     def test_kink_has_smaller_neighbor(self, rng):
         for _ in range(50):

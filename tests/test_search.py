@@ -33,7 +33,7 @@ from weldedknots import (
 )
 
 from weldedknots.model import _canonical_encoding, _wgd_from_encoding
-from weldedknots.moves import _gaps, _neighbor_encodings, _r1_deletes, _r2_deletes, _r3_moves
+from weldedknots.moves import _gaps, _r1_deletes, _r2_deletes, _r3_moves, _raw_neighbor_encodings
 from weldedknots.search import _canonical_encodings
 
 from conftest import (
@@ -167,6 +167,20 @@ class TestSimplify:
     def test_budget_violation_rejected(self):
         with pytest.raises(DomainError):
             simplify(TREFOIL, SearchBudget(max_crossings=2))
+
+    @pytest.mark.parametrize("budget", [
+        SearchBudget(2.5),
+        SearchBudget(4.0),
+        SearchBudget(True),
+        SearchBudget(4, max_states=300.0),
+        SearchBudget(4, max_states=True),
+        SearchBudget(4, max_depth=6.0),
+    ])
+    def test_non_int_budget_rejected(self, budget):
+        with pytest.raises(DomainError):
+            simplify(KINK, budget)
+        with pytest.raises(DomainError):
+            are_equivalent(KINK, EMPTY, budget)
 
 
 class TestEnumeration:
@@ -331,7 +345,7 @@ class TestSpanningEdges:
     @pytest.mark.parametrize("cap", [4, 5])
     def test_spanning_components_are_the_full_components(self, cap):
         states = _canonical_encodings(cap)
-        full = _components(states, lambda e: _neighbor_encodings(e, SHRINK_KINDS))
+        full = _components(states, lambda e: map(_canonical_encoding, _raw_neighbor_encodings(e, SHRINK_KINDS)))
         parent = oracle_union_components(states)
         spanning: dict[int, set] = {}
         for i, e in enumerate(states):
@@ -466,10 +480,16 @@ class TestAtlas:
         assert [r.fingerprint for r in records] == [r.fingerprint for r in build_atlas(1, 2, groups=(s3,))]
         assert all(dict(r.fingerprint.hom_counts) == {"S3": 6} for r in records)
 
-    @pytest.mark.parametrize("primes", [(4,), (3.0,)])
+    # 10**400 + 1 is above the largest float and divisible by 353
+    @pytest.mark.parametrize("primes", [(4,), (3.0,), (10**400 + 1,)])
     def test_bad_primes_rejected(self, primes):
         with pytest.raises(DomainError):
             build_atlas(1, 2, primes=primes)
+
+    @pytest.mark.parametrize("n_max, max_crossings", [(2.5, 4), (2, 4.0), (True, 2), (1, True)])
+    def test_non_int_range_rejected(self, n_max, max_crossings):
+        with pytest.raises(DomainError):
+            build_atlas(n_max, max_crossings)
 
     def test_cap_six(self):
         """Cap 6: the 1,133 seeds with at most 4 crossings in 25 classes and
@@ -561,27 +581,64 @@ def _outcome_line(out) -> str:
     return json.dumps([out.equivalent, out.reason, out.states_explored, path])
 
 
+def _golden_pairs() -> list[tuple]:
+    """The 30 pinned equivalence queries: scrambled pairs and their budgets."""
+    rng = random.Random("golden:equiv")
+    pairs = []
+    for _ in range(30):
+        a, b = scramble(rng, rng.randint(1, 3)), scramble(rng, rng.randint(1, 3))
+        pairs.append((a, b, SearchBudget(max(a.n, b.n) + 1, max_states=300, max_depth=10)))
+    return pairs
+
+
+def _golden_simplify_inputs() -> list[tuple]:
+    """The 60 pinned simplifications: random diagrams and their budgets."""
+    rng = random.Random("golden:simplify")
+    inputs = []
+    for _ in range(60):
+        w = random_wgd(rng, rng.randint(0, 4))
+        inputs.append((w, SearchBudget(w.n + 2, max_states=300, max_depth=6)))
+    return inputs
+
+
 class TestSearchGolden:
     """Pinned search outputs: how states are held, ordered and expanded
     must move no tie-break, meeting, record or simplification result."""
 
     def test_golden_equivalence_outcomes(self):
-        rng = random.Random("golden:equiv")
-        lines = []
-        for _ in range(30):
-            a, b = scramble(rng, rng.randint(1, 3)), scramble(rng, rng.randint(1, 3))
-            out = are_equivalent(a, b, SearchBudget(max(a.n, b.n) + 1, max_states=300, max_depth=10))
-            lines.append(_outcome_line(out))
+        lines = [_outcome_line(are_equivalent(a, b, budget)) for a, b, budget in _golden_pairs()]
         # the other 6 pairs run out of states
         assert sum(json.loads(line)[0] for line in lines) == 24
         digest = "caf06f3a0183e428d40faad4970be5ae277f243aa112d9cc5ea89eadbe6d791b"
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     def test_golden_simplify(self):
-        rng = random.Random("golden:simplify")
-        lines = []
-        for _ in range(60):
-            w = random_wgd(rng, rng.randint(0, 4))
-            lines.append(encode_wgd(simplify(w, SearchBudget(w.n + 2, max_states=300, max_depth=6))))
+        lines = [encode_wgd(simplify(w, budget)) for w, budget in _golden_simplify_inputs()]
         digest = "046e97e0511abaca2e59440c1417974af70f5383fb3e931ab84783cc3e679024"
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    def test_walk_cost(self, monkeypatch):
+        """A time-free cost guard on the walk the searches share: the golden
+        queries, inputs built beforehand, canonicalise 3,795 encodings in
+        ``are_equivalent`` and 5,596 in ``simplify`` (4,437 and 6,054 when
+        each search canonicalised every raw neighbour of every expansion)."""
+        import weldedknots.moves
+        import weldedknots.search
+
+        calls = 0
+        canonical = weldedknots.search._canonical_encoding
+
+        def counted(e):
+            nonlocal calls
+            calls += 1
+            return canonical(e)
+
+        pairs, inputs = _golden_pairs(), _golden_simplify_inputs()
+        monkeypatch.setattr(weldedknots.search, "_canonical_encoding", counted)
+        monkeypatch.setattr(weldedknots.moves, "_canonical_encoding", counted)
+        for a, b, budget in pairs:
+            are_equivalent(a, b, budget)
+        equiv_calls, calls = calls, 0
+        for w, budget in inputs:
+            simplify(w, budget)
+        assert (equiv_calls, calls) == (3_795, 5_596)
