@@ -1,11 +1,12 @@
 """
 Conversions between Gauss codes, welded Gauss diagrams and Gauss diagrams.
 
-The code -> wGD direction orders crossings by their under passages and
-sends each crossing to the crossing of the nearest under passage strictly
-preceding its over passage (cyclically).  The inverse direction emits the
-unders in cyclic order and drops each over passage into the interval that
-the head map dictates; inside one interval overs are ordered by their
+Both directions go through the packed encoding of :mod:`weldedknots.model`.
+A code is read through :func:`model._code_packed`: crossings in the order
+of their under passages, each over passage in the gap of the nearest under
+passage strictly before it (cyclically).  A diagram is written back by
+emitting the unders in cyclic order, each followed by the over passages of
+its gap (:func:`model._gaps`); inside one gap overs are ordered by their
 crossing's position in the cyclic order, which fixes a deterministic
 over-commute representative.
 """
@@ -22,42 +23,18 @@ from .model import (
     WeldedGaussDiagram,
     require_valid_code,
     require_valid_wgd,
+    _canonical_encoding,
+    _code_packed,
+    _gaps,
+    _wgd_from_encoding,
+    _wgd_packed,
 )
-
-
-def _preceding_under(code: GaussCode) -> list[int]:
-    """For each position, the position of the nearest under passage
-    strictly before it, cyclically.  Requires n >= 1."""
-    L = len(code.passages)
-    prev = [-1] * L
-    last = max(i for i in range(L) if code.passages[i].role == UNDER)
-    for i in range(L):
-        prev[i] = last
-        if code.passages[i].role == UNDER:
-            last = i
-    return prev
-
-
-def _gauss_to_wgd_unchecked(code: GaussCode) -> WeldedGaussDiagram:
-    from .model import _canonical_wgd_unchecked
-
-    if code.n == 0:
-        return WeldedGaussDiagram((), {}, {})
-    prev_under = _preceding_under(code)
-    order = tuple(p.crossing for p in code.passages if p.role == UNDER)
-    head: dict[int, int] = {}
-    sign: dict[int, int] = {}
-    for i, p in enumerate(code.passages):
-        if p.role == OVER:
-            head[p.crossing] = code.passages[prev_under[i]].crossing
-            sign[p.crossing] = p.sign
-    return _canonical_wgd_unchecked(WeldedGaussDiagram(order, head, sign))
 
 
 def gauss_to_wgd(code: GaussCode) -> WeldedGaussDiagram:
     """Welded Gauss diagram of a code, in canonical form."""
     require_valid_code(code)
-    return _gauss_to_wgd_unchecked(code)
+    return _wgd_from_encoding(_canonical_encoding(_code_packed(code)))
 
 
 def wgd_to_gauss(w: WeldedGaussDiagram) -> GaussCode:
@@ -66,12 +43,10 @@ def wgd_to_gauss(w: WeldedGaussDiagram) -> GaussCode:
     Round-trip contract: ``gauss_to_wgd(wgd_to_gauss(w)) == canonical_wgd(w)``.
     """
     require_valid_wgd(w)
-    position = {c: i for i, c in enumerate(w.order)}
     passages: list[Passage] = []
-    for c in w.order:
+    for c, gap in zip(w.order, _gaps(_wgd_packed(w))):
         passages.append(Passage(UNDER, c, w.sign[c]))
-        incoming = sorted((d for d in w.order if w.head[d] == c), key=position.__getitem__)
-        passages.extend(Passage(OVER, d, w.sign[d]) for d in incoming)
+        passages.extend(Passage(OVER, w.order[d], w.sign[w.order[d]]) for d in gap)
     return GaussCode(tuple(passages))
 
 
@@ -84,9 +59,9 @@ def wgd_to_gauss_diagram(w: WeldedGaussDiagram) -> GaussDiagram:
     """
     require_valid_wgd(w)
     points: list[tuple[str, int]] = []
-    for c in w.order:
+    for c, gap in zip(w.order, _gaps(_wgd_packed(w))):
         points.append((UNDER, c))
-        points.extend((OVER, d) for d in sorted(d for d in w.order if w.head[d] == c))
+        points.extend((OVER, d) for d in sorted(w.order[i] for i in gap))
     arrows = frozenset(((OVER, c), (UNDER, c), w.sign[c]) for c in w.order)
     return GaussDiagram(tuple(points), arrows)
 

@@ -19,16 +19,14 @@ The counts read arcs off a packed encoding (see :mod:`weldedknots.model`):
 arc j starts after the under passage at position j, so the crossing at
 position j has incoming arc j - 1 (cyclically), outgoing arc j, over arc
 ``e[j] >> 1`` and sign + exactly when ``e[j] & 1``.  A diagram is read as
-it stands, a code through :func:`arcs`.
+it stands, a code through :func:`model._code_packed`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
-from .convert import _preceding_under
 from .model import (
     UNDER,
     DomainError,
@@ -36,6 +34,7 @@ from .model import (
     WeldedGaussDiagram,
     require_valid_code,
     require_valid_wgd,
+    _code_packed,
     _pack,
     _wgd_packed,
 )
@@ -58,54 +57,56 @@ class ArcStructure:
 
 def arcs(code: GaussCode) -> ArcStructure:
     """Arc decomposition of a code; the trivial diagram has one arc."""
-    require_valid_code(code)
-    n = code.n
-    if n == 0:
-        return ArcStructure(1, ())
-    under_positions = [i for i, p in enumerate(code.passages) if p.role == UNDER]
-    arc_at = {u: j for j, u in enumerate(under_positions)}  # arc j starts after under j
-    prev = _preceding_under(code)
-    over_arc: dict[int, int] = {}
-    for i, p in enumerate(code.passages):
-        if p.role != UNDER:
-            over_arc[p.crossing] = arc_at[prev[i]]
-    table = []
-    for j, u in enumerate(under_positions):
-        p = code.passages[u]
-        table.append(
-            CrossingArcs(
-                crossing=p.crossing,
-                over_arc=over_arc[p.crossing],
-                in_arc=(j - 1) % n,
-                out_arc=j,
-                sign=p.sign,
-            )
-        )
-    return ArcStructure(n, tuple(table))
+    e = _code_arc_encoding(code)
+    n = len(e)
+    unders = [p for p in code.passages if p.role == UNDER]
+    return ArcStructure(max(n, 1), tuple(
+        CrossingArcs(crossing=p.crossing, over_arc=v >> 1, in_arc=(j - 1) % n, out_arc=j, sign=p.sign)
+        for j, (p, v) in enumerate(zip(unders, e))
+    ))
 
 
 def _code_arc_encoding(code: GaussCode) -> bytes | tuple:
-    """The packed encoding read as the arcs of :func:`arcs` ``(code)``."""
-    return _pack([2 * c.over_arc + (c.sign > 0) for c in arcs(code).crossings])
+    """The packed encoding of ``code``, checked, read as its arcs."""
+    require_valid_code(code)
+    return _code_packed(code)
 
 
 def _wgd_arc_encoding(w: WeldedGaussDiagram) -> bytes | tuple:
-    """The packed encoding read as the arcs of ``wgd_to_gauss(w)``, checked:
-    arc j starts after the under passage of ``w.order[j]``, and the over
-    passage of c lies in the gap after the under passage of ``head[c]``,
-    so position j holds ``w.order[j]`` as it does in ``w`` itself."""
+    """The packed encoding of ``w``, checked, read as its arcs: those of
+    ``wgd_to_gauss(w)``, whose j-th under passage is that of ``w.order[j]``."""
     require_valid_wgd(w)
     return _wgd_packed(w)
 
 
+# Miller-Rabin with these witnesses decides primality exactly below 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_odd_prime(p: int) -> bool:
-    # 3.0 compares equal to 3, but Z/p needs an integer modulus
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+    """Whether the int ``p`` < 2**64 is an odd prime, by deterministic
+    Miller-Rabin: the time grows as log p, not as sqrt(p)."""
+    if p < 3:
         return False
-    return all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+    for a in _WITNESSES:  # small primes, such as the default 3 and 5, end here
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        # a prime p has a**d = 1 or a**(d * 2**k) = -1 for some k < s (mod p)
+        powers = [pow(a, d << k, p) for k in range(s)]
+        if powers[0] != 1 and p - 1 not in powers:
+            return False
+    return True
 
 
 def _require_odd_prime(p: int) -> None:
+    # 3.0 compares equal to 3, but Z/p needs an integer modulus
+    if not isinstance(p, int):
+        raise DomainError(f"p must be an odd prime, got {p!r}")
+    if p >= 2**64:
+        raise DomainError("p must be below 2**64")
     if not _is_odd_prime(p):
         raise DomainError(f"p must be an odd prime, got {p}")
 

@@ -224,7 +224,9 @@ def require_valid_wgd(w: WeldedGaussDiagram) -> None:
 # crossings the entries are a bytes string, one byte each (the largest
 # entry, 2 * 127 + 1, is 255), so a rotation is two slices and a relabelling
 # is ``bytes.translate``.  Past 128 crossings they are a tuple of the same
-# ints.  Only the three helpers below tell the two forms apart.
+# ints.  Only the three helpers below tell the two forms apart.  Codes and
+# diagrams meet only here: :func:`_code_packed` and :func:`_wgd_packed` read
+# them, and :func:`_gaps` lists the overs of each gap to write a code back.
 
 _BYTE_CROSSINGS = 128
 
@@ -308,13 +310,33 @@ def _wgd_packed(w: WeldedGaussDiagram) -> bytes | tuple:
     return _pack([2 * position[w.head[c]] + (w.sign[c] > 0) for c in w.order])
 
 
+def _code_packed(code: GaussCode) -> bytes | tuple:
+    """Packed encoding of ``code`` as it stands: position j holds the
+    crossing of the j-th under passage, and an over passage lies in the gap
+    of the under passage before it, cyclically (not validated, not
+    canonicalised)."""
+    unders = [p for p in code.passages if p.role == UNDER]
+    gap, head = -1, {}  # over passages before the first under lie in the last gap
+    for p in code.passages:
+        if p.role == UNDER:
+            gap += 1
+        else:
+            head[p.crossing] = gap % len(unders)
+    return _pack([2 * head[p.crossing] + (p.sign > 0) for p in unders])
+
+
+def _gaps(e) -> list[list[int]]:
+    """The gap ``G_u = {c : head[c] = u}`` of each position u of the
+    packed encoding ``e``, each in increasing c."""
+    gaps: list[list[int]] = [[] for _ in e]
+    for c, v in enumerate(e):
+        gaps[v >> 1].append(c)
+    return gaps
+
+
 def _canonical_wgd_encoding(w: WeldedGaussDiagram) -> bytes | tuple:
     """Packed encoding of the canonical form of ``w`` (not validated)."""
     return _canonical_encoding(_wgd_packed(w))
-
-
-def _canonical_wgd_unchecked(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    return _wgd_from_encoding(_canonical_wgd_encoding(w))
 
 
 def canonical_wgd(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
@@ -325,7 +347,7 @@ def canonical_wgd(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
     Idempotent, and constant on rotation/relabeling orbits.
     """
     require_valid_wgd(w)
-    return _canonical_wgd_unchecked(w)
+    return _wgd_from_encoding(_canonical_wgd_encoding(w))
 
 
 def wgd_encoding(w: WeldedGaussDiagram) -> tuple:

@@ -61,6 +61,7 @@ from .model import (
     WeldedGaussDiagram,
     _canonical_encoding,
     _canonical_wgd_encoding,
+    _gaps,
     _pack,
     _relabelled,
     _tables,
@@ -161,27 +162,34 @@ def inverse_record(record: MoveRecord) -> MoveRecord:
     )
 
 
+def _in_range(idx, stop: int) -> bool:
+    """An int in ``range(stop)``: ``True`` and ``1.0`` equal 1 but are not positions."""
+    return type(idx) is int and 0 <= idx < stop
+
+
 def apply_record(code: GaussCode, record: MoveRecord) -> GaussCode:
     """Execute a record's edit, validating that the context matches."""
     passages = list(code.passages)
     if record.removes:
         for idx, expected in record.removes:
-            if idx < 0 or idx >= len(passages) or passages[idx] != expected:
+            if not _in_range(idx, len(passages)) or passages[idx] != expected:
                 raise StaleSiteError(f"expected {expected} at position {idx}")
         drop = {idx for idx, _ in record.removes}
         passages = [p for i, p in enumerate(passages) if i not in drop]
     if record.inserts:
         existing = {p.crossing for p in passages}
-        for _, p in record.inserts:
+        for idx, p in record.inserts:
+            if type(idx) is not int:
+                raise StaleSiteError(f"insert position {idx!r} is not an int")
             if p.crossing in existing:
                 raise StaleSiteError(f"label {p.crossing} already present")
         for idx, p in sorted(record.inserts):
-            if idx < 0 or idx > len(passages):
+            if not _in_range(idx, len(passages) + 1):
                 raise StaleSiteError(f"insert position {idx} out of range")
             passages.insert(idx, p)
     for i, j in record.swaps:
-        if max(i, j) >= len(passages):
-            raise StaleSiteError("swap position out of range")
+        if not (_in_range(i, len(passages)) and _in_range(j, len(passages))):
+            raise StaleSiteError(f"swap position {(i, j)} out of range")
         passages[i], passages[j] = passages[j], passages[i]
     return GaussCode(tuple(passages))
 
@@ -377,7 +385,7 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
         last = max(last, 0)  # the empty code has one slot
     elif kind == MoveKind.OC and site.variant != "oc":
         raise DomainError(f"unknown OC variant {site.variant!r}")
-    if not all(isinstance(i, int) and 0 <= i <= last for i in positions):
+    if not all(_in_range(i, last + 1) for i in positions):
         raise StaleSiteError(f"{kind.value} positions {positions} out of range for length {L}")
     if kind in (MoveKind.R1_DELETE, MoveKind.OC) and positions[1] != (positions[0] + 1) % L:
         raise DomainError(f"{kind.value} positions {positions} are not adjacent")
@@ -497,15 +505,6 @@ def _subsets(items: list[int]) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(
         itertools.combinations(items, r) for r in range(len(items) + 1)
     )
-
-
-def _gaps(e) -> list[list[int]]:
-    """The gap ``G_u = {c : head[c] = u}`` of each position u of the
-    packed encoding ``e``, each in increasing c."""
-    gaps: list[list[int]] = [[] for _ in e]
-    for c, v in enumerate(e):
-        gaps[v >> 1].append(c)
-    return gaps
 
 
 def _inserted(entries, u: int, k: int) -> list[int]:

@@ -52,6 +52,7 @@ from .model import (
     wgd_to_obj,
     _canonical_encoding,
     _canonical_wgd_encoding,
+    _gaps,
     _pack,
     _wgd_from_encoding,
 )
@@ -64,7 +65,6 @@ from .moves import (
     oc_class,
     replay,
     _CROSSING_DELTA,
-    _gaps,
     _kinds_with_room,
     _over_blocks,
     _r1_deletes,

@@ -42,8 +42,7 @@ def _(code: GaussCode) -> GaussCode:
 
 @reverse.register
 def _(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    require_valid_wgd(w)
-    return canonical_wgd(gauss_to_wgd(reverse(wgd_to_gauss(w))))
+    return gauss_to_wgd(reverse(wgd_to_gauss(w)))
 
 
 def bar(w: WeldedGaussDiagram) -> WeldedGaussDiagram:

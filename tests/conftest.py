@@ -12,13 +12,13 @@ from weldedknots import (
     MoveKind,
     Passage,
     WeldedGaussDiagram,
-    arcs,
     canonical_wgd,
     enumerate_sites,
+    gauss_to_wgd,
     oc_class,
     wgd_to_gauss,
 )
-from weldedknots.convert import _gauss_to_wgd_unchecked
+from weldedknots.invariants import ArcStructure, CrossingArcs
 from weldedknots.model import OVER, UNDER, _canonical_encoding, _pack
 from weldedknots.moves import _apply_unchecked, _gaps, _match_oc, _r1_deletes, _r2_deletes
 from weldedknots.search import _canonical_encodings
@@ -84,7 +84,7 @@ def oracle_neighbors_iter(w: WeldedGaussDiagram, kinds=None, growth_allowed: boo
     for variant_code in oc_class(rep):
         for site in enumerate_sites(variant_code, wanted, growth_allowed):
             new_code, _ = _apply_unchecked(variant_code, site)
-            yield _gauss_to_wgd_unchecked(new_code)
+            yield gauss_to_wgd(new_code)
 
 
 def oracle_wgd_encoding(w: WeldedGaussDiagram) -> tuple:
@@ -226,10 +226,37 @@ def long_wgd(n: int) -> WeldedGaussDiagram:
     )
 
 
+def scan_back_head(code: GaussCode, i: int) -> int:
+    """Independent oracle for the head map: walk backwards one position at
+    a time until an under passage appears."""
+    L = len(code)
+    j = (i - 1) % L
+    while code[j].role != UNDER:
+        j = (j - 1) % L
+    return code[j].crossing
+
+
+def oracle_arcs(code: GaussCode) -> ArcStructure:
+    """Oracle for ``arcs``, read through :func:`scan_back_head`: arc j
+    starts after the j-th under passage, and an over passage runs on the
+    arc that starts after the under passage found scanning back from it."""
+    unders = [p for p in code.passages if p.role == UNDER]
+    if not unders:
+        return ArcStructure(1, ())
+    n = len(unders)
+    arc_after = {p.crossing: j for j, p in enumerate(unders)}
+    over_arc = {p.crossing: arc_after[scan_back_head(code, i)] for i, p in enumerate(code) if p.role == OVER}
+    return ArcStructure(n, tuple(
+        CrossingArcs(crossing=p.crossing, over_arc=over_arc[p.crossing], in_arc=(j - 1) % n, out_arc=j, sign=p.sign)
+        for j, p in enumerate(unders)
+    ))
+
+
 def coloring_count_bruteforce(code: GaussCode, p: int) -> int:
     """Oracle for ``coloring_count``: try every assignment of Z/p colours
-    to the arcs and test ``out = 2 * over - in`` at every crossing."""
-    structure = arcs(code)
+    to the arcs of :func:`oracle_arcs` and test ``out = 2 * over - in`` at
+    every crossing."""
+    structure = oracle_arcs(code)
     relations = [(c.out_arc, c.in_arc, c.over_arc) for c in structure.crossings]
     count = 0
     for colour in itertools.product(range(p), repeat=structure.arc_count):

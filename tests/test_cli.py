@@ -241,6 +241,8 @@ class TestBoundaryErrors:
         ["apply", "two.gc", "--site", '{"kind": "OC", "positions": [0, 1]}'],
         # above the largest float, and divisible by 353
         ["atlas", "--n-max", "1", "--primes", str(10**400 + 1)],
+        # prime, but 2**64 + 13 is past the bound where the primality test is exact
+        ["invariants", "kink.gc", "--primes", "3,18446744073709551629"],
     ])
     def test_exit_1_without_traceback(self, tmp_path, argv):
         (tmp_path / "kink.gc").write_text("O1+ U1+")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weldedknots import (
@@ -7,6 +9,7 @@ from weldedknots import (
     WeldedGaussDiagram,
     canonical_wgd,
     decode_gauss_code,
+    encode_gauss_code,
     enumerate_canonical_wgds,
     gauss_code_to_gauss_diagram,
     gauss_diagram_to_wgd,
@@ -15,19 +18,18 @@ from weldedknots import (
     wgd_to_gauss,
     wgd_to_gauss_diagram,
 )
-from weldedknots.model import OVER, UNDER
+from weldedknots.model import OVER, UNDER, _code_packed
 
-from conftest import TREFOIL_TEXT, random_code, random_wgd, reference_wgd
+from conftest import TREFOIL_TEXT, random_code, random_wgd, reference_wgd, scan_back_head
 
 
-def scan_back_head(code, i):
-    """Independent oracle for the head map: walk backwards one position at
-    a time until an under passage appears."""
-    L = len(code)
-    j = (i - 1) % L
-    while code[j].role != UNDER:
-        j = (j - 1) % L
-    return code[j].crossing
+def scan_wgd(code):
+    """The welded Gauss diagram of a code by :func:`scan_back_head`, with
+    the code's labels and basepoint, in canonical form."""
+    order = tuple(p.crossing for p in code.passages if p.role == UNDER)
+    head = {p.crossing: scan_back_head(code, i) for i, p in enumerate(code.passages) if p.role == OVER}
+    sign = {p.crossing: p.sign for p in code.passages}
+    return canonical_wgd(WeldedGaussDiagram(order, head, sign))
 
 
 class TestGaussToWgd:
@@ -48,15 +50,13 @@ class TestGaussToWgd:
     def test_head_against_scan_oracle(self, rng):
         for _ in range(300):
             code = random_code(rng, rng.randint(1, 8))
-            # reconstruct the raw (uncanonicalized) maps with the oracle
-            order = tuple(p.crossing for p in code.passages if p.role == UNDER)
-            head = {}
-            sign = {}
-            for i, p in enumerate(code.passages):
-                if p.role == OVER:
-                    head[p.crossing] = scan_back_head(code, i)
-                    sign[p.crossing] = p.sign
-            assert gauss_to_wgd(code) == canonical_wgd(WeldedGaussDiagram(order, head, sign))
+            assert gauss_to_wgd(code) == scan_wgd(code)
+
+    def test_long_code_against_scan_oracle(self):
+        """Past 128 crossings the packed encoding is a tuple, not bytes."""
+        code = random_code(random.Random("long code"), 130)
+        assert type(_code_packed(code)) is tuple
+        assert gauss_to_wgd(code) == scan_wgd(code)
 
     def test_output_is_canonical(self, rng):
         for _ in range(200):
@@ -94,6 +94,20 @@ class TestRoundTrip:
             for i, p in enumerate(code.passages):
                 if p.role == OVER:
                     assert scan_back_head(code, i) == w.head[p.crossing]
+
+
+class TestWriters:
+    """Overs within a gap follow their crossing's position in the code, and
+    their label in the Gauss diagram."""
+
+    W = WeldedGaussDiagram((7, 3, 5), {7: 7, 3: 7, 5: 7}, {7: 1, 3: -1, 5: 1})
+
+    def test_code_orders_a_gap_by_position(self):
+        assert encode_gauss_code(wgd_to_gauss(self.W)) == "U7+ O7+ O3- O5+ U3- U5+"
+
+    def test_gauss_diagram_orders_a_gap_by_label(self):
+        points = wgd_to_gauss_diagram(self.W).points
+        assert points == ((UNDER, 7), (OVER, 3), (OVER, 5), (OVER, 7), (UNDER, 3), (UNDER, 5))
 
 
 class TestGaussDiagrams:

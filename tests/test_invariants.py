@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from weldedknots import (
     DomainError,
     GaussCode,
     Group,
+    Passage,
     WeldedGaussDiagram,
     arcs,
     builtin_group,
@@ -21,17 +24,18 @@ from weldedknots import (
     symmetric_group_3,
     wgd_to_gauss,
 )
-from weldedknots.invariants import ArcStructure, CrossingArcs, _wgd_arc_encoding
+from weldedknots.invariants import ArcStructure, CrossingArcs, _is_odd_prime, _wgd_arc_encoding
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
-from conftest import TREFOIL_TEXT, coloring_count_bruteforce, random_code, subprocess_env
+from conftest import TREFOIL_TEXT, coloring_count_bruteforce, oracle_arcs, random_code, subprocess_env
 
 TREFOIL = decode_gauss_code(TREFOIL_TEXT)
 
 
 def brute_hom_count(code, group):
-    """Oracle: check the conjugation relation on every assignment."""
-    st = arcs(code)
+    """Oracle: check the conjugation relation on every assignment to the
+    arcs of :func:`oracle_arcs`."""
+    st = oracle_arcs(code)
     total = 0
     for vals in itertools.product(range(group.order), repeat=st.arc_count):
         ok = True
@@ -68,6 +72,16 @@ class TestArcs:
             code = random_code(rng, rng.randint(1, 8))
             assert arcs(code).arc_count == code.n
 
+    def test_any_labels_and_basepoint_against_scan_oracle(self):
+        rng = random.Random("code-arcs")
+        for _ in range(300):
+            code = random_code(rng, rng.randint(0, 8))
+            labels = dict(zip(sorted(code.labels()), rng.sample(range(1, 1000), code.n)))
+            k = rng.randrange(len(code)) if code.n else 0
+            passages = [Passage(p.role, labels[p.crossing], p.sign) for p in code.passages]
+            code = GaussCode(tuple(passages[k:] + passages[:k]))
+            assert arcs(code) == oracle_arcs(code)
+
     def test_oc_swap_leaves_table_alone(self, rng):
         for _ in range(100):
             code = random_code(rng, rng.randint(2, 6))
@@ -92,6 +106,30 @@ class TestColorings:
                 coloring_count(TREFOIL, bad)
             with pytest.raises(DomainError):
                 fingerprint(TREFOIL, primes=(3, bad))
+
+    # 561 is a Carmichael number; the others are the least strong pseudoprimes
+    # to the bases 2; 2 and 3; 2 to 7; 2 to 31
+    @pytest.mark.parametrize("p", [561, 2047, 1373653, 3215031751, 3825123056546413051])
+    def test_pseudoprimes_rejected(self, p):
+        assert not _is_odd_prime(p)
+        with pytest.raises(DomainError):
+            coloring_count(TREFOIL, p)
+
+    def test_primality_equals_trial_division(self):
+        for p in range(-3, 20000):
+            assert _is_odd_prime(p) == (p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1))), p
+
+    @pytest.mark.parametrize("p", [10**16 + 61, 2**61 - 1, 2**64 - 59])
+    def test_large_primes_accepted_at_once(self, p):
+        start = time.perf_counter()
+        assert _is_odd_prime(p)
+        assert time.perf_counter() - start < 0.1
+
+    def test_primes_from_two_to_the_64_rejected(self):
+        # 2**64 + 13 is prime, but past the bound where the test is exact
+        for p in (2**64, 2**64 + 13, 10**400 + 1):
+            with pytest.raises(DomainError):
+                fingerprint(TREFOIL, primes=(3, p))
 
     def test_linear_algebra_equals_bruteforce(self, rng):
         for _ in range(150):

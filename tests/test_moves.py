@@ -8,7 +8,9 @@ from weldedknots import (
     GROWTH_KINDS,
     GaussCode,
     MoveKind,
+    MoveRecord,
     MoveSite,
+    Passage,
     StaleSiteError,
     WeldedGaussDiagram,
     apply_move,
@@ -28,6 +30,7 @@ from weldedknots import (
     wgd_neighbors_iter,
 )
 
+from weldedknots.model import OVER, UNDER
 from weldedknots.moves import _CROSSING_DELTA, _kinds_with_room
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_neighbors_iter, random_code, random_wgd
@@ -154,11 +157,27 @@ class TestApply:
         MoveSite(MoveKind.R3, (0, 1, 7), "r3:000+"),
         MoveSite(MoveKind.R2_INSERT, (1, 1), "par+"),
         MoveSite(MoveKind.R2_INSERT, (0, 1), "par+:ou"),
+        MoveSite(MoveKind.OC, (False, True), "oc"),  # bools equal 0 and 1 but are not positions
     ])
     def test_positions_must_fit_the_code(self, site):
         code = decode_gauss_code("O1+ O2+ U1+ U2+")
         with pytest.raises(DomainError):
             apply_move(code, site)
+
+    @pytest.mark.parametrize("record", [
+        MoveRecord(MoveKind.OC, "oc", swaps=((-1, 0),)),
+        MoveRecord(MoveKind.OC, "oc", swaps=((-10, 0),)),
+        MoveRecord(MoveKind.OC, "oc", swaps=((1.0, 0),)),
+        MoveRecord(MoveKind.OC, "oc", swaps=((0, True),)),
+        MoveRecord(MoveKind.R1_DELETE, "ou+", removes=((1.0, Passage(UNDER, 1, 1)),)),
+        MoveRecord(MoveKind.R1_DELETE, "ou+", removes=((True, Passage(UNDER, 1, 1)),)),
+        MoveRecord(MoveKind.R1_INSERT, "ou+", inserts=((0, Passage(OVER, 3, 1)), (1.0, Passage(UNDER, 3, 1)))),
+        MoveRecord(MoveKind.R1_INSERT, "ou+", inserts=((5, Passage(OVER, 3, 1)), (6, Passage(UNDER, 3, 1)))),
+    ])
+    def test_record_indices_must_be_ints_in_range(self, record):
+        """Every remove, insert and swap index is an int (not a bool) in range."""
+        with pytest.raises(StaleSiteError):
+            apply_record(decode_gauss_code("O1+ U1+ O2- U2-"), record)
 
     def test_r2_insert_then_delete_identity_all_variants(self, rng):
         for _ in range(40):

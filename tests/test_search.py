@@ -480,8 +480,9 @@ class TestAtlas:
         assert [r.fingerprint for r in records] == [r.fingerprint for r in build_atlas(1, 2, groups=(s3,))]
         assert all(dict(r.fingerprint.hom_counts) == {"S3": 6} for r in records)
 
-    # 10**400 + 1 is above the largest float and divisible by 353
-    @pytest.mark.parametrize("primes", [(4,), (3.0,), (10**400 + 1,)])
+    # 10**400 + 1 is above the largest float and divisible by 353; 2**64 + 13
+    # is prime, but past the bound where the primality test is exact
+    @pytest.mark.parametrize("primes", [(4,), (3.0,), (10**400 + 1,), (2**64 + 13,)])
     def test_bad_primes_rejected(self, primes):
         with pytest.raises(DomainError):
             build_atlas(1, 2, primes=primes)
