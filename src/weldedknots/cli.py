@@ -7,6 +7,11 @@ errors, stale or malformed site, budget violation), 2 usage error.
 
 File conventions: ``.gc`` Gauss code text, ``.wgd`` structured diagram,
 ``.jsonl`` atlas.
+
+The parser is built per command: every subcommand is registered by name
+and help, but only the invoked one gets its arguments (see
+:func:`build_parser`), so a command does not pay for building the
+arguments of the eight it does not run.  Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -263,77 +268,104 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="weldedknots",
-        description="Gauss codes, welded Gauss diagrams, moves, invariants and search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert between representations")
+def _input_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", default="-")
+
+
+def _convert_arguments(p: argparse.ArgumentParser) -> None:
+    _input_argument(p)
     p.add_argument("--to", choices=["wgd", "gauss", "gd"], required=True)
-    p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("canon", help="canonical form of a welded Gauss diagram")
-    p.add_argument("input", nargs="?", default="-")
-    p.set_defaults(func=_cmd_canon)
 
-    p = sub.add_parser("moves", help="list applicable move sites")
-    p.add_argument("input", nargs="?", default="-")
+def _moves_arguments(p: argparse.ArgumentParser) -> None:
+    _input_argument(p)
     p.add_argument("--kinds", default="", help="comma-separated move kinds")
     p.add_argument("--no-growth", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_moves)
 
-    p = sub.add_parser("apply", help="apply one move site")
-    p.add_argument("input", nargs="?", default="-")
+
+def _apply_arguments(p: argparse.ArgumentParser) -> None:
+    _input_argument(p)
     p.add_argument("--site", required=True, help="site descriptor as JSON")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_apply)
 
-    p = sub.add_parser("equiv", help="bounded equivalence search")
+
+def _equiv_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("a")
     p.add_argument("b")
     _add_budget_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("simplify", help="search for a smaller equivalent diagram")
-    p.add_argument("input", nargs="?", default="-")
+
+def _simplify_arguments(p: argparse.ArgumentParser) -> None:
+    _input_argument(p)
     _add_budget_flags(p)
-    p.set_defaults(func=_cmd_simplify)
 
-    p = sub.add_parser("invariants", help="coloring and homomorphism counts")
-    p.add_argument("input", nargs="?", default="-")
+
+def _invariants_arguments(p: argparse.ArgumentParser) -> None:
+    _input_argument(p)
     p.add_argument("--primes", default="3,5")
     p.add_argument("--groups", default="")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("symmetry", help="reversal operators")
-    p.add_argument("input", nargs="?", default="-")
+
+def _symmetry_arguments(p: argparse.ArgumentParser) -> None:
+    _input_argument(p)
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--bar", action="store_true")
     p.add_argument("--global", dest="globalrev", action="store_true")
-    p.set_defaults(func=_cmd_symmetry)
 
-    atlas_help = ("classify diagrams by the components of the move graph within --max-crossings "
-                  "(default: n-max + 2); --max-states and --max-depth are ignored")
-    p = sub.add_parser("atlas", help=atlas_help, description=atlas_help)
+
+_ATLAS_HELP = ("classify diagrams by the components of the move graph within --max-crossings "
+               "(default: n-max + 2); --max-states and --max-depth are ignored")
+
+
+def _atlas_arguments(p: argparse.ArgumentParser) -> None:
+    p.description = _ATLAS_HELP  # shown by ``atlas --help`` only
     p.add_argument("--n-max", type=int, required=True)
     _add_budget_flags(p)
     p.add_argument("--primes", default="3,5")
     p.add_argument("--groups", default="")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_atlas)
 
+
+# (name, help, add_arguments, handler), in the order of the usage line
+_COMMANDS = (
+    ("convert", "convert between representations", _convert_arguments, _cmd_convert),
+    ("canon", "canonical form of a welded Gauss diagram", _input_argument, _cmd_canon),
+    ("moves", "list applicable move sites", _moves_arguments, _cmd_moves),
+    ("apply", "apply one move site", _apply_arguments, _cmd_apply),
+    ("equiv", "bounded equivalence search", _equiv_arguments, _cmd_equiv),
+    ("simplify", "search for a smaller equivalent diagram", _simplify_arguments, _cmd_simplify),
+    ("invariants", "coloring and homomorphism counts", _invariants_arguments, _cmd_invariants),
+    ("symmetry", "reversal operators", _symmetry_arguments, _cmd_symmetry),
+    ("atlas", _ATLAS_HELP, _atlas_arguments, _cmd_atlas),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered by name and
+    help; only the one that ``argv[0]`` names gets its arguments, and all
+    of them do when ``argv`` is None or its first word names none (``-h``,
+    ``--``, a typo).  So parsing ``argv`` with it gives what the full
+    parser gives, help and usage errors included."""
+    parser = argparse.ArgumentParser(
+        prog="weldedknots",
+        description="Gauss codes, welded Gauss diagrams, moves, invariants and search.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = not argv or argv[0] not in [name for name, *_ in _COMMANDS]
+    for name, help_text, add_arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if every or argv[0] == name:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, OSError, UnicodeDecodeError) as e:

@@ -35,8 +35,8 @@ from .model import (
     require_valid_code,
     require_valid_wgd,
     _code_packed,
-    _pack,
     _wgd_packed,
+    _without_signs,
 )
 
 
@@ -225,6 +225,9 @@ def symmetric_group_3() -> Group:
 
 def dihedral_group(m: int) -> Group:
     """Dihedral group of order 2m, 1 <= m <= 6."""
+    # 2.0 and True compare equal to ints but are no group size
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"m must be an int, got {m!r}")
     if m < 1 or m > 6:
         raise DomainError("dihedral groups are built in up to order 12")
     if m == 1:
@@ -240,10 +243,18 @@ _BUILTIN = {"S3": symmetric_group_3, **{f"D{m}": (lambda m=m: dihedral_group(m))
 
 
 def builtin_group(name: str) -> Group:
+    if not isinstance(name, str):
+        raise DomainError(f"a group name must be a str, got {name!r}")
     try:
         return _BUILTIN[name.upper()]()
     except KeyError:
         raise DomainError(f"unknown group {name!r}; built-ins: {', '.join(sorted(_BUILTIN))}") from None
+
+
+def _require_group(group) -> None:
+    # a name is not a group: builtin_group turns one into a Group
+    if not isinstance(group, Group):
+        raise DomainError(f"expected a Group, got {group!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +269,7 @@ def hom_count(code: GaussCode, group: Group) -> int:
     state copies.  Branch values range over the first arc's conjugacy
     class, since the relations make every arc conjugate to it.
     """
+    _require_group(group)
     return _hom_count(_code_arc_encoding(code), group)
 
 
@@ -368,6 +380,7 @@ def _fingerprint_terms(primes, groups) -> tuple[tuple[int, ...], tuple[Group, ..
         _require_odd_prime(p)
     by_name: dict[str, Group] = {}
     for g in groups:
+        _require_group(g)
         if by_name.setdefault(g.name, g) != g:
             raise DomainError(f"two different groups are named {g.name!r}")
     return tuple(sorted(set(primes))), tuple(by_name[name] for name in sorted(by_name))
@@ -382,7 +395,7 @@ def _fingerprints(encodings, primes: tuple[int, ...], groups: tuple[Group, ...])
     colorings: dict = {}
     prints = []
     for e in encodings:
-        pattern = _pack([v & ~1 for v in e])
+        pattern = _without_signs(e)
         counts = colorings.get(pattern)
         if counts is None:
             counts = colorings[pattern] = tuple((p, _coloring_count(pattern, p)) for p in primes)

@@ -224,9 +224,10 @@ def require_valid_wgd(w: WeldedGaussDiagram) -> None:
 # crossings the entries are a bytes string, one byte each (the largest
 # entry, 2 * 127 + 1, is 255), so a rotation is two slices and a relabelling
 # is ``bytes.translate``.  Past 128 crossings they are a tuple of the same
-# ints.  Only the three helpers below tell the two forms apart.  Codes and
-# diagrams meet only here: :func:`_code_packed` and :func:`_wgd_packed` read
-# them, and :func:`_gaps` lists the overs of each gap to write a code back.
+# ints.  Only the three helpers below and :func:`_without_signs` tell the
+# two forms apart.  Codes and diagrams meet only here: :func:`_code_packed`
+# and :func:`_wgd_packed` read them, :func:`_gaps` lists the overs of each
+# gap to write a code back, and :func:`_canonical_reversal` reverses one.
 
 _BYTE_CROSSINGS = 128
 
@@ -332,6 +333,29 @@ def _gaps(e) -> list[list[int]]:
     for c, v in enumerate(e):
         gaps[v >> 1].append(c)
     return gaps
+
+
+def _canonical_reversal(e, flip_signs: bool = False) -> bytes | tuple:
+    """Canonical packed encoding of the orientation reversal of the diagram
+    with the packed encoding ``e``, and of its global reversal with
+    ``flip_signs``.  Read backwards, the code ``U_0 G_0 ... U_{n-1}
+    G_{n-1}`` meets the unders in reverse order, so the entry at position
+    j moves to n-1-j, and each gap now follows the under after it, so a
+    head h becomes n-1-((h+1) mod n); global reversal also flips every
+    sign bit."""
+    n = len(e)
+    table = [2 * (n - 1 - (h + 1) % n) + (s ^ flip_signs) for h in range(n) for s in (0, 1)]
+    return _canonical_encoding(_relabelled(e[::-1], _tables(table)[0]))
+
+
+_SIGN_BITS_CLEARED = bytes(v & ~1 for v in range(256))
+
+
+def _without_signs(e) -> bytes | tuple:
+    """The packed encoding ``e`` with every sign bit cleared."""
+    if type(e) is bytes:
+        return e.translate(_SIGN_BITS_CLEARED)
+    return tuple(v & ~1 for v in e)
 
 
 def _canonical_wgd_encoding(w: WeldedGaussDiagram) -> bytes | tuple:

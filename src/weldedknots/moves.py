@@ -286,6 +286,22 @@ def _match_r3(code: GaussCode, t: int, m: int, b: int) -> str | None:
 # ---------------------------------------------------------------------------
 # site enumeration
 
+def _wanted_kinds(kinds: Iterable[MoveKind] | None, growth_allowed: bool) -> frozenset[MoveKind]:
+    """The kinds to generate: ``kinds`` (all when None), without the insert
+    kinds unless ``growth_allowed``.  An entry that is not a ``MoveKind``,
+    such as its value ``"R1_insert"``, would match nothing, so it is
+    rejected."""
+    if kinds is None:
+        wanted = ALL_KINDS
+    else:
+        kinds = tuple(kinds)
+        for kind in kinds:
+            if not isinstance(kind, MoveKind):
+                raise DomainError(f"not a MoveKind: {kind!r}")
+        wanted = frozenset(kinds)
+    return wanted if growth_allowed else wanted - GROWTH_KINDS
+
+
 def enumerate_sites(
     code: GaussCode,
     kinds: Iterable[MoveKind] | None = None,
@@ -297,9 +313,7 @@ def enumerate_sites(
     exactly the cyclically adjacent over-over pairs.
     """
     require_valid_code(code)
-    wanted = ALL_KINDS if kinds is None else frozenset(kinds)
-    if not growth_allowed:
-        wanted = wanted - GROWTH_KINDS
+    wanted = _wanted_kinds(kinds, growth_allowed)
     L = len(code)
     sites: list[MoveSite] = []
 
@@ -663,9 +677,7 @@ def wgd_neighbors_iter(
     * OC: w itself, when some gap holds at least two overs.
     """
     require_valid_wgd(w)
-    wanted = ALL_KINDS if kinds is None else frozenset(kinds)
-    if not growth_allowed:
-        wanted = wanted - GROWTH_KINDS
+    wanted = _wanted_kinds(kinds, growth_allowed)
     if max_crossings is not None:
         wanted = wanted & _kinds_with_room(max_crossings - w.n)
     raw = _raw_neighbor_encodings(_canonical_wgd_encoding(w), wanted)
@@ -685,6 +697,34 @@ def _kinds_with_room(room: int) -> frozenset[MoveKind]:
     return _KINDS_BY_ROOM[min(max(room, _ROOMS[0]), _ROOMS[-1]) - _ROOMS[0]]
 
 
+def _oc_moves(e, gaps) -> Iterator:
+    """``e`` itself, when some gap holds at least two overs."""
+    if any(len(gap) >= 2 for gap in gaps):
+        yield e
+
+
+def _r1_deletes_in_gaps(e, gaps) -> Iterator:
+    """:func:`_r1_deletes`, called as the other generators are."""
+    return _r1_deletes(e)
+
+
+# per set of kinds, its generators in output order: a flood looks its
+# kinds up here once per expansion instead of testing six memberships,
+# each hashing a MoveKind through Python's Enum.__hash__
+_GENERATORS = (
+    (MoveKind.OC, _oc_moves),
+    (MoveKind.R1_INSERT, _r1_inserts),
+    (MoveKind.R2_INSERT, _r2_inserts),
+    (MoveKind.R1_DELETE, _r1_deletes_in_gaps),
+    (MoveKind.R2_DELETE, _r2_deletes),
+    (MoveKind.R3, _r3_moves),
+)
+_GENERATORS_BY_KINDS = {
+    frozenset(kinds): tuple(generate for kind, generate in _GENERATORS if kind in kinds)
+    for kinds in _subsets(_KIND_ORDER)
+}
+
+
 def _raw_neighbor_encodings(e, wanted) -> Iterator:
     """Packed encodings of the neighbors of the diagram with packed
     encoding ``e``, for the kinds in ``wanted``, once per site (the rules
@@ -694,19 +734,11 @@ def _raw_neighbor_encodings(e, wanted) -> Iterator:
     R2 delete is a slice and one ``bytes.translate`` table and R3 writes
     two entries, and a tuple of the same ints beyond.  ``e`` is not
     validated."""
+    if type(wanted) is not frozenset:
+        wanted = frozenset(wanted)
     gaps = _gaps(e)
-    if MoveKind.OC in wanted and any(len(gap) >= 2 for gap in gaps):
-        yield e
-    if MoveKind.R1_INSERT in wanted:
-        yield from _r1_inserts(e, gaps)
-    if MoveKind.R2_INSERT in wanted:
-        yield from _r2_inserts(e, gaps)
-    if MoveKind.R1_DELETE in wanted:
-        yield from _r1_deletes(e)
-    if MoveKind.R2_DELETE in wanted:
-        yield from _r2_deletes(e, gaps)
-    if MoveKind.R3 in wanted:
-        yield from _r3_moves(e, gaps)
+    for generate in _GENERATORS_BY_KINDS[wanted]:
+        yield from generate(e, gaps)
 
 
 def wgd_neighbors(

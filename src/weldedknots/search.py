@@ -51,6 +51,7 @@ from .model import (
     require_valid_wgd,
     wgd_to_obj,
     _canonical_encoding,
+    _canonical_reversal,
     _canonical_wgd_encoding,
     _gaps,
     _pack,
@@ -384,8 +385,6 @@ def build_atlas(
     max_crossings: classes are numbered by their least seed, orbits by
     their least class.
     """
-    from .symmetry import global_reversal
-
     _require_atlas_range(n_max, max_crossings)
     primes, groups = _fingerprint_terms(primes, groups)
     seeds = _canonical_encodings(n_max)
@@ -416,8 +415,7 @@ def build_atlas(
 
     partner: dict[int, int] = {}
     for least, cid in class_ids.items():
-        reversed_least = _canonical_wgd_encoding(global_reversal(_wgd_from_encoding(least)))
-        partner[cid] = class_ids[label[reversed_least]]
+        partner[cid] = class_ids[label[_canonical_reversal(least, flip_signs=True)]]
 
     orbit_ids: dict[int, int] = {}
     for cid in range(len(class_ids)):
@@ -431,18 +429,17 @@ def build_atlas(
 
 
 def atlas_to_jsonl(records) -> str:
-    """One structured object per line with fields wgd, fingerprint, class, orbit."""
+    """One structured object per line with fields wgd, fingerprint, class,
+    orbit.  Records share few fingerprints, so each distinct one is
+    serialised once per call."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    prints: dict = {}
     lines = []
     for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "wgd": wgd_to_obj(r.wgd),
-                    "fingerprint": r.fingerprint.as_dict(),
-                    "class": r.class_id,
-                    "orbit": r.orbit_id,
-                },
-                separators=(",", ":"),
-            )
-        )
+        fp = prints.get(r.fingerprint)
+        if fp is None:
+            fp = prints[r.fingerprint] = encode(r.fingerprint.as_dict())
+        # class and orbit ids are ints, written as json writes them
+        lines.append(f'{{"wgd":{encode(wgd_to_obj(r.wgd))},"fingerprint":{fp},'
+                     f'"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}')
     return "\n".join(lines) + ("\n" if lines else "")

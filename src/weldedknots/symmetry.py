@@ -10,21 +10,24 @@ two descriptions agree: converting a sign-flipped code gives exactly the
 sign-flipped diagram.
 
 All three operators are involutions at canonical-form level, and
-orientation reversal commutes with sign reversal.
+orientation reversal commutes with sign reversal.  On a diagram,
+orientation and global reversal act on its packed encoding
+(:func:`model._canonical_reversal`) and return canonical forms.
 """
 
 from __future__ import annotations
 
 from functools import singledispatch
 
-from .convert import gauss_to_wgd, wgd_to_gauss
 from .model import (
     GaussCode,
     Passage,
     WeldedGaussDiagram,
-    canonical_wgd,
     require_valid_code,
     require_valid_wgd,
+    _canonical_reversal,
+    _wgd_from_encoding,
+    _wgd_packed,
 )
 
 
@@ -42,7 +45,14 @@ def _(code: GaussCode) -> GaussCode:
 
 @reverse.register
 def _(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    return gauss_to_wgd(reverse(wgd_to_gauss(w)))
+    return _reversed_wgd(w, flip_signs=False)
+
+
+def _reversed_wgd(w: WeldedGaussDiagram, flip_signs: bool) -> WeldedGaussDiagram:
+    """Canonical form of the orientation reversal of ``w``, and of its
+    global reversal with ``flip_signs``, reversed on its packed encoding."""
+    require_valid_wgd(w)
+    return _wgd_from_encoding(_canonical_reversal(_wgd_packed(w), flip_signs))
 
 
 def bar(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
@@ -71,4 +81,4 @@ def _(code: GaussCode) -> GaussCode:
 
 @global_reversal.register
 def _(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    return canonical_wgd(bar(reverse(w)))
+    return _reversed_wgd(w, flip_signs=True)

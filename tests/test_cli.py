@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from weldedknots.cli import main
+from weldedknots.cli import _COMMANDS, build_parser, main
 
 from conftest import TREFOIL_TEXT, subprocess_env
 
@@ -265,3 +265,114 @@ class TestBoundaryErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# one argv per subcommand, each setting some of its options
+PARSE_CASES = [
+    ["convert", "--to", "gd", "in.gc"],
+    ["canon"],
+    ["moves", "in.gc", "--kinds", "OC,R3", "--no-growth", "--json"],
+    ["apply", "--site", "{}", "--json"],
+    ["equiv", "a.wgd", "b.wgd", "--max-crossings", "6", "--json"],
+    ["simplify", "in.wgd", "--max-states", "9", "--max-depth", "3"],
+    ["invariants", "-", "--primes", "3,7", "--groups", "S3,D4"],
+    ["symmetry", "--global", "in.wgd"],
+    ["atlas", "--n-max", "3", "--max-crossings", "4", "--primes", "3", "-o", "out.jsonl"],
+]
+
+MAIN_HELP = """\
+usage: weldedknots [-h]
+                   {convert,canon,moves,apply,equiv,simplify,invariants,symmetry,atlas}
+                   ...
+
+Gauss codes, welded Gauss diagrams, moves, invariants and search.
+
+positional arguments:
+  {convert,canon,moves,apply,equiv,simplify,invariants,symmetry,atlas}
+    convert             convert between representations
+    canon               canonical form of a welded Gauss diagram
+    moves               list applicable move sites
+    apply               apply one move site
+    equiv               bounded equivalence search
+    simplify            search for a smaller equivalent diagram
+    invariants          coloring and homomorphism counts
+    symmetry            reversal operators
+    atlas               classify diagrams by the components of the move graph
+                        within --max-crossings (default: n-max + 2); --max-
+                        states and --max-depth are ignored
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+ATLAS_HELP = """\
+usage: weldedknots atlas [-h] --n-max N_MAX [--max-crossings MAX_CROSSINGS]
+                         [--max-states MAX_STATES] [--max-depth MAX_DEPTH]
+                         [--primes PRIMES] [--groups GROUPS] [-o OUTPUT]
+
+classify diagrams by the components of the move graph within --max-crossings
+(default: n-max + 2); --max-states and --max-depth are ignored
+
+options:
+  -h, --help            show this help message and exit
+  --n-max N_MAX
+  --max-crossings MAX_CROSSINGS
+                        crossing cap during search (default: input size + 2)
+  --max-states MAX_STATES
+  --max-depth MAX_DEPTH
+  --primes PRIMES
+  --groups GROUPS
+  -o OUTPUT, --output OUTPUT
+"""
+
+UNKNOWN_COMMAND = """\
+usage: weldedknots [-h]
+                   {convert,canon,moves,apply,equiv,simplify,invariants,symmetry,atlas}
+                   ...
+weldedknots: error: argument command: invalid choice: 'frobnicate' (choose from \
+'convert', 'canon', 'moves', 'apply', 'equiv', 'simplify', 'invariants', 'symmetry', 'atlas')
+"""
+
+
+def exit_and_output(capsys, parse, argv):
+    """The exit code and (stdout, stderr) of ``parse(argv)``, which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """``main`` builds the arguments of the invoked subcommand only; what it
+    parses, prints and exits with equals the full parser's."""
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=[argv[0] for argv in PARSE_CASES])
+    def test_namespace_equals_the_full_parser(self, argv):
+        args = build_parser(argv).parse_args(argv)
+        assert args == build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+    def test_every_subcommand_has_a_case(self):
+        assert [argv[0] for argv in PARSE_CASES] == [name for name, *_ in _COMMANDS]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["atlas", "--help"], ["frobnicate"], [], ["--"], ["-x", "atlas"],
+        ["atlas"], ["atlas", "--n-max", "x"], ["equiv", "a"], ["canon", "a", "b"], ["convert", "-h"],
+    ])
+    def test_help_and_usage_errors_equal_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = exit_and_output(capsys, build_parser().parse_args, argv)
+        assert exit_and_output(capsys, main, argv) == expected
+        assert expected[0] in (0, 2)
+
+    # the bytes of the argparse of 3.10 and 3.11, which CI runs; 3.13 lays
+    # out option lists and invalid choices differently
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="pinned for the argparse of 3.10 and 3.11")
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["--help"], 0, MAIN_HELP, ""),
+        (["atlas", "--help"], 0, ATLAS_HELP, ""),
+        (["frobnicate"], 2, "", UNKNOWN_COMMAND),
+    ])
+    def test_pinned_help_and_usage(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert exit_and_output(capsys, main, argv) == (code, out, err)

@@ -27,7 +27,7 @@ from weldedknots import (
 from weldedknots.invariants import ArcStructure, CrossingArcs, _is_odd_prime, _wgd_arc_encoding
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
-from conftest import TREFOIL_TEXT, coloring_count_bruteforce, oracle_arcs, random_code, subprocess_env
+from conftest import TREFOIL_TEXT, coloring_count_bruteforce, long_wgd, oracle_arcs, random_code, subprocess_env
 
 TREFOIL = decode_gauss_code(TREFOIL_TEXT)
 
@@ -158,6 +158,24 @@ class TestGroups:
         with pytest.raises(DomainError):  # identity and inverses, not associative
             Group("junk", ((0, 1, 2), (1, 0, 0), (2, 0, 1)))
 
+    @pytest.mark.parametrize("name", [3, None, b"S3"])
+    def test_name_must_be_a_str(self, name):
+        with pytest.raises(DomainError, match="must be a str"):
+            builtin_group(name)
+
+    @pytest.mark.parametrize("m", ["3", 2.0, True, None])
+    def test_dihedral_size_must_be_an_int(self, m):
+        with pytest.raises(DomainError, match="must be an int"):
+            dihedral_group(m)
+
+    def test_group_names_are_not_groups(self):
+        with pytest.raises(DomainError, match="expected a Group"):
+            fingerprint(TREFOIL, groups=["S3"])
+        with pytest.raises(DomainError, match="expected a Group"):
+            fingerprint(TREFOIL, groups=[symmetric_group_3(), "D4"])
+        with pytest.raises(DomainError, match="expected a Group"):
+            hom_count(TREFOIL, "S3")
+
     def test_s3_is_nonabelian(self):
         g = symmetric_group_3()
         assert any(g.mul(a, b) != g.mul(b, a) for a in range(6) for b in range(6))
@@ -208,6 +226,14 @@ class TestFingerprint:
             fp = fingerprint(code, primes=(3, 5, 7), groups=groups)
             assert fp.coloring_counts == tuple((p, coloring_count(code, p)) for p in (3, 5, 7))
             assert fp.hom_counts == tuple(sorted((g.name, hom_count(code, g)) for g in groups))
+
+    def test_colorings_past_128_crossings(self):
+        """Past 128 crossings a packed encoding is a tuple, whose sign bits
+        are cleared entry by entry."""
+        w = long_wgd(130)
+        code = wgd_to_gauss(w)
+        for obj in (w, code):
+            assert fingerprint(obj, primes=(3, 5)).coloring_counts == ((3, coloring_count(code, 3)), (5, coloring_count(code, 5)))
 
     def test_text_rejected(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -303,6 +304,37 @@ class TestWgdNeighbors:
                 pool = shrink if shrink and rng.random() < 0.6 else sites
                 code, _ = apply_move(code, pool[rng.randrange(len(pool))])
                 assert (coloring_count(code, 3), coloring_count(code, 5)) == base
+
+
+@pytest.mark.parametrize("kinds", [["R1_insert"], [MoveKind.R3, "OC"], "R3", [None]])
+def test_kinds_that_are_not_move_kinds_rejected(kinds):
+    """A kind's value or name matches no site, so it is an error, not an
+    empty answer."""
+    code = decode_gauss_code(TREFOIL_TEXT)
+    for generate in (enumerate_sites, lambda c, kinds: wgd_neighbors(gauss_to_wgd(c), kinds=kinds)):
+        with pytest.raises(DomainError, match="not a MoveKind"):
+            generate(code, kinds=kinds)
+
+
+def test_raw_neighbors_by_kind_table():
+    """``_raw_neighbor_encodings`` looks its generators up by the frozenset
+    of kinds: for every set of kinds, passed as a frozenset, tuple or set,
+    it yields each kind's encodings in the order OC, R1 insert, R2 insert,
+    R1 delete, R2 delete, R3."""
+    from weldedknots.model import _wgd_packed
+    from weldedknots.moves import _raw_neighbor_encodings
+
+    order = (MoveKind.OC, MoveKind.R1_INSERT, MoveKind.R2_INSERT,
+             MoveKind.R1_DELETE, MoveKind.R2_DELETE, MoveKind.R3)
+    rng = random.Random(15)
+    for _ in range(40):
+        e = _wgd_packed(random_wgd(rng, rng.randint(0, 5)))
+        by_kind = {k: list(_raw_neighbor_encodings(e, frozenset({k}))) for k in order}
+        for r in range(len(order) + 1):
+            for kinds in itertools.combinations(order, r):
+                expected = [nb for k in kinds for nb in by_kind[k]]
+                for wanted in (frozenset(kinds), kinds, set(kinds)):
+                    assert list(_raw_neighbor_encodings(e, wanted)) == expected
 
 
 def _agrees_with_oracle(w, kinds) -> None:

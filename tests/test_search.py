@@ -487,6 +487,17 @@ class TestAtlas:
         with pytest.raises(DomainError):
             build_atlas(1, 2, primes=primes)
 
+    def test_group_names_rejected(self):
+        with pytest.raises(DomainError, match="expected a Group"):
+            build_atlas(1, 2, groups=("S3",))
+
+    def test_golden_jsonl_with_primes_and_groups(self):
+        """Every fingerprint field in use: primes (3, 5, 7) and groups S3
+        and D4 at (3, 4)."""
+        records = build_atlas(3, 4, primes=(3, 5, 7), groups=(symmetric_group_3(), dihedral_group(4)))
+        digest = "848d9fbbb1f93ea9602b053c0d8d5fb30ac04f1ddc1a60beb4af97ff3b26421c"
+        assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("n_max, max_crossings", [(2.5, 4), (2, 4.0), (True, 2), (1, True)])
     def test_non_int_range_rejected(self, n_max, max_crossings):
         with pytest.raises(DomainError):

@@ -1,4 +1,9 @@
+import random
+
+import pytest
+
 from weldedknots import (
+    DomainError,
     GaussCode,
     WeldedGaussDiagram,
     bar,
@@ -6,14 +11,18 @@ from weldedknots import (
     canonical_wgd,
     decode_gauss_code,
     encode_gauss_code,
+    enumerate_canonical_wgds,
     fingerprint,
     gauss_to_wgd,
     global_reversal,
     reverse,
     wgd_neighbors,
+    wgd_to_gauss,
 )
+from weldedknots.model import _canonical_encoding, _canonical_reversal, _wgd_from_encoding, _wgd_packed
+from weldedknots.search import _canonical_encodings
 
-from conftest import TREFOIL_TEXT, random_code, random_wgd, reference_wgd
+from conftest import TREFOIL_TEXT, long_wgd, random_code, random_wgd, reference_wgd
 
 
 class TestReverse:
@@ -88,6 +97,45 @@ class TestGlobalReversal:
             g = global_reversal(w)
             image = {canonical_wgd(global_reversal(nb)) for nb in wgd_neighbors(w)}
             assert image == wgd_neighbors(g)
+
+
+class TestCanonicalReversal:
+    """The packed reversal (entry j to n-1-j, head h to n-1-((h+1) mod n),
+    sign bits flipped for global reversal) against reversing a realizing
+    code."""
+
+    @staticmethod
+    def diagrams():
+        rng = random.Random(20141)
+        yield from enumerate_canonical_wgds(4)
+        for n in range(5, 9):
+            for _ in range(300):
+                yield random_wgd(rng, n)
+        yield long_wgd(130)  # past 128 crossings: the tuple form
+
+    def test_against_code_reversal(self):
+        count = 0
+        for w in self.diagrams():
+            e = _wgd_packed(w)
+            reversed_w = _wgd_from_encoding(_canonical_reversal(e))
+            global_w = _wgd_from_encoding(_canonical_reversal(e, flip_signs=True))
+            code = wgd_to_gauss(w)
+            assert reversed_w == gauss_to_wgd(reverse(code)) == reverse(w)
+            assert global_w == gauss_to_wgd(global_reversal(code)) == global_reversal(w)
+            count += 1
+        assert count == len(_canonical_encodings(4)) + 4 * 300 + 1
+
+    def test_involution_on_the_encoding(self):
+        for w in self.diagrams():
+            e = _wgd_packed(w)
+            for flip in (False, True):
+                assert _canonical_reversal(_canonical_reversal(e, flip), flip) == _canonical_encoding(e)
+
+    def test_invalid_diagram_rejected(self):
+        bad = WeldedGaussDiagram((1, 2), {1: 2, 2: 3}, {1: 1, 2: 1})
+        for op in (reverse, global_reversal):
+            with pytest.raises(DomainError, match="invalid welded Gauss diagram"):
+                op(bad)
 
 
 class TestFingerprintCoincidence:
