@@ -228,6 +228,7 @@ def require_valid_wgd(w: WeldedGaussDiagram) -> None:
 # two forms apart.  Codes and diagrams meet only here: :func:`_code_packed`
 # and :func:`_wgd_packed` read them, :func:`_gaps` lists the overs of each
 # gap to write a code back, and :func:`_canonical_reversal` reverses one.
+# :func:`_orbit_canonical` canonicalises under the reversal group too.
 
 _BYTE_CROSSINGS = 128
 
@@ -267,6 +268,12 @@ def _rotation_tables(n: int) -> list:
     ``(v - 2r) mod 2n``: heads move back r positions, signs stay.  They
     are windows of one doubled identity."""
     return _tables(list(range(2 * n)) * 2, [2 * n - 2 * r for r in range(n)])
+
+
+@functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
+def _unsigned_rotation_tables(n: int) -> list:
+    """The tables of :func:`_rotation_tables` with every sign bit cleared."""
+    return _tables([v & ~1 for v in range(2 * n)] * 2, [2 * n - 2 * r for r in range(n)])
 
 
 def _canonical_encoding(entries) -> bytes | tuple:
@@ -335,17 +342,77 @@ def _gaps(e) -> list[list[int]]:
     return gaps
 
 
+# The reversal group G = {id, bar, rev, glob}, isomorphic to Z/2 x Z/2,
+# acts on diagrams: bar flips every sign, rev reverses the orientation and
+# glob does both.  Its elements are the ints 0..3, bit 0 for bar and bit 1
+# for rev, so a product is an XOR and every element is its own inverse.
+# Each element acts on a packed encoding by one relabelling, of the
+# reversed entries for rev and glob.  Read backwards, the code ``U_0 G_0
+# ... U_{n-1} G_{n-1}`` meets the unders in reverse order, so the entry at
+# position j moves to n-1-j, and each gap now follows the under after it,
+# so a head h becomes n-1-((h+1) mod n).
+
+_BAR, _REV, _GLOB = 1, 2, 3
+_GROUP = (0, _BAR, _REV, _GLOB)
+
+
+@functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
+def _reversal_tables(n: int) -> list:
+    """The relabel tables of the elements of G on encodings of n crossings,
+    indexed by element (index 0, the identity, is None); rev and glob apply
+    to the reversed entries."""
+    rev = [2 * (n - 1 - (h + 1) % n) + s for h in range(n) for s in (0, 1)]
+    return [None] + _tables([v ^ 1 for v in range(2 * n)]) + _tables(rev) + _tables([v ^ 1 for v in rev])
+
+
 def _canonical_reversal(e, flip_signs: bool = False) -> bytes | tuple:
     """Canonical packed encoding of the orientation reversal of the diagram
     with the packed encoding ``e``, and of its global reversal with
-    ``flip_signs``.  Read backwards, the code ``U_0 G_0 ... U_{n-1}
-    G_{n-1}`` meets the unders in reverse order, so the entry at position
-    j moves to n-1-j, and each gap now follows the under after it, so a
-    head h becomes n-1-((h+1) mod n); global reversal also flips every
-    sign bit."""
-    n = len(e)
-    table = [2 * (n - 1 - (h + 1) % n) + (s ^ flip_signs) for h in range(n) for s in (0, 1)]
-    return _canonical_encoding(_relabelled(e[::-1], _tables(table)[0]))
+    ``flip_signs``."""
+    return _canonical_encoding(_relabelled(e[::-1], _reversal_tables(len(e))[_GLOB if flip_signs else _REV]))
+
+
+def _orbit_canonical(x) -> tuple:
+    """``(rep, h, stab)`` for the diagram with the packed encoding ``x``:
+    ``rep`` is the least of the canonical encodings of the four images g.x,
+    g in G, the canonical encoding of x is that of h.rep, and ``stab`` lists
+    in increasing order the g whose image g.rep has the canonical encoding
+    ``rep``.
+
+    One least-first-entry scan serves the 4n rotations of the four images.
+    Rotation tables keep sign bits, so rotation r of bar(x) starts with the
+    first entry of rotation r of x with its sign bit flipped, and glob(x)
+    is bar(rev(x)): only x and rev(x) are scanned, their first entries read
+    with the sign bit cleared.  The least first entry over the four images
+    is the least of these, and only the rotations that start with it are
+    relabelled in full, as in :func:`_canonical_encoding`, each from x or
+    rev(x) and sign-flipped when that makes it start with it."""
+    n = len(x)
+    if n == 0:
+        return x, 0, _GROUP
+    rotations = _rotation_tables(n)
+    unsigned = _unsigned_rotation_tables(n)
+    tables = _reversal_tables(n)
+    reversed_x = _relabelled(x[::-1], tables[_REV])
+    firsts = list(map(operator.getitem, unsigned, x))
+    reversed_firsts = list(map(operator.getitem, unsigned, reversed_x))
+    lowest = min(min(firsts), min(reversed_firsts))
+    best, winners = None, []
+    for g, image, starts in ((0, x, firsts), (_REV, reversed_x, reversed_firsts)):
+        r = -1
+        for _ in range(starts.count(lowest)):
+            r = starts.index(lowest, r + 1)
+            candidate = _relabelled(image[r:] + image[:r], rotations[r])
+            element = g
+            if candidate[0] != lowest:  # the sign-flipped image starts lowest
+                candidate = _relabelled(candidate, tables[_BAR])
+                element = g ^ _BAR
+            if best is None or candidate < best:
+                best, winners = candidate, [element]
+            elif candidate == best and element not in winners:
+                winners.append(element)
+    h = winners[0]
+    return best, h, tuple(sorted(g ^ h for g in winners))
 
 
 _SIGN_BITS_CLEARED = bytes(v & ~1 for v in range(256))

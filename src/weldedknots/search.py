@@ -2,28 +2,36 @@
 Bounded equivalence search, simplification, and the exact atlas.
 
 States are packed canonical encodings (see :mod:`weldedknots.model`),
-ordered by (crossing count, encoding) for determinism.  Every search
-expands them through :func:`_expand`, which canonicalises each raw
-neighbour once per walk.  Diagrams are built only at the API boundary:
-for the states of a found path, whose codes are rematerialized into a
-replayable move path, and for the result of :func:`simplify`.  Every
-reported equivalence carries such a path; a negative answer is always
-Unknown (budget exhaustion bounds the exploration, it proves nothing).
+ordered by (crossing count, encoding) for determinism.  Equivalence
+search and :func:`simplify` expand them through :func:`_expand`, which
+canonicalises each raw neighbour once per walk.  Diagrams are built only
+at the API boundary: for the states of a found path, whose codes are
+rematerialized into a replayable move path, and for the result of
+:func:`simplify`.  Every reported equivalence carries such a path; a
+negative answer is always Unknown (budget exhaustion bounds the
+exploration, it proves nothing).
 
 The atlas needs no budget: its classes are the connected components of
 the move graph on all diagrams up to a crossing cap, found exactly.  It
 classifies only its seeds, the diagrams up to a smaller crossing count,
-and floods only the components that hold a seed:
+and floods only the components that hold a seed, one orbit of components
+under the reversal group G = {id, bar, rev, glob} at a time.  G acts on
+the move graph by automorphisms, so a flood walks orbit representatives,
+the least canonical forms of their orbits, each with a lift g in G that
+names which image of it lies in the flooded component C:
 
 * a seed with an R1 or R2 delete shares the class of that smaller
   diagram, because a delete is an edge;
-* any other seed floods its component best-first by (crossing count,
-  encoding), the walk of :func:`simplify`, and an exhausted flood, which
-  follows every edge within the cap, is exactly the component, so it
-  classifies every seed inside;
-* labels pass only along edges, and an exhausted flood labels its whole
-  component, so a labelled seed met by a flood is trivial, and the flood
-  stops there; which labelled seed it meets first does not matter.
+* any other seed floods best-first by (crossing count, encoding); an
+  exhausted flood, which follows every edge within the cap, meets every
+  representative of G.C, and the lifts it meets them with generate H,
+  the subgroup of G that maps C to itself; the classes of G.C are then
+  the cosets G/H, a seed k.r falls in class (k.lift(r))H, and class cH
+  has the global-reversal partner (glob.c)H;
+* seeds are labelled only along edges, and an exhausted flood labels
+  all of G.C, so a labelled seed that a flood meets as a representative
+  lies in the trivial component, which G fixes, and the flood stops
+  there; which one it meets first does not matter.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -49,11 +57,12 @@ from .model import (
     WeldedGaussDiagram,
     canonical_wgd,
     require_valid_wgd,
-    wgd_to_obj,
+    _GLOB,
+    _GROUP,
     _canonical_encoding,
-    _canonical_reversal,
     _canonical_wgd_encoding,
     _gaps,
+    _orbit_canonical,
     _pack,
     _wgd_from_encoding,
 )
@@ -283,11 +292,19 @@ def simplify(w: WeldedGaussDiagram, budget: SearchBudget) -> WeldedGaussDiagram:
 
 @dataclass(frozen=True)
 class AtlasRecord:
-    wgd: WeldedGaussDiagram
+    """One seed of an atlas: its packed canonical encoding (see
+    :mod:`weldedknots.model`), fingerprint, class and orbit."""
+
+    encoding: bytes | tuple
     fingerprint: InvariantFingerprint
     class_id: int
     orbit_id: int
     capped = False  # not a field: classes are exact; bench/tracer.py still reads it
+
+    @property
+    def wgd(self) -> WeldedGaussDiagram:
+        """The seed as a canonical diagram, built on each access."""
+        return _wgd_from_encoding(self.encoding)
 
 
 def _canonical_encodings(n_max: int) -> list:
@@ -334,20 +351,46 @@ def _require_atlas_range(n_max: int, max_crossings: int) -> None:
         raise DomainError("need 0 <= n_max <= max_crossings")
 
 
-def _flood(start, max_crossings: int, labelled: dict):
-    """Walk the cap-``max_crossings`` component of ``start`` best-first.
-    Returns ``(met, None)`` for the first state found that is a key of
-    ``labelled``, else ``(None, component)`` once the component is
-    exhausted, its states in the order found.  Which labelled state comes
-    first does not matter: labels pass only along edges and an exhausted
-    flood labels its whole component, so each one met got its label from
-    the empty diagram (see :func:`build_atlas`)."""
-    component = [start]
-    for state in _best_first(start, max_crossings):
-        if state in labelled:
-            return state, None
-        component.append(state)
-    return None, component
+def _orbit_flood(start, lift: int, stab, max_crossings: int, labelled: dict):
+    """Flood the orbit representatives of the cap-``max_crossings``
+    component C of ``lift.start``, where ``start`` is a representative (see
+    :func:`model._orbit_canonical`) with the stabiliser ``stab``.
+
+    Representatives are expanded best-first by (crossing count, encoding),
+    each carrying its lift g, with g.rep in C.  A raw neighbour y = h.r_y
+    of a representative with lift g is the state g.h.r_y of C, so it gives
+    a new r_y the lift g.h, and an r_y with the lift l the element g.h.l of
+    Stab(C), the elements of G that map C to itself.  Each raw neighbour is
+    canonicalised once per flood: a map keeps its h.l, which is all a
+    later meeting needs.  Returns None at the first new representative that
+    is a key of ``labelled``; otherwise, once the component is exhausted,
+    ``(lifts, subgroup)``: each visited representative's lift, and Stab(C),
+    generated by those elements and ``stab`` (see :func:`build_atlas`).
+    The stabilisers of the other representatives lie in the subgroup
+    these generate, so they are not collected."""
+    lifts = {start: lift}
+    generators = set(stab)
+    offsets: dict = {}  # raw neighbour h.r_y -> h.lift(r_y)
+    heap = [(len(start), start)]
+    while heap:
+        _, rep = heapq.heappop(heap)
+        g = lifts[rep]
+        for raw in _raw_neighbor_encodings(rep, _kinds_with_room(max_crossings - len(rep))):
+            offset = offsets.get(raw)
+            if offset is None:
+                r_y, h, _ = _orbit_canonical(raw)
+                lift_y = lifts.get(r_y)
+                if lift_y is None:
+                    if r_y in labelled:
+                        return None
+                    lift_y = lifts[r_y] = g ^ h
+                    heapq.heappush(heap, (len(r_y), r_y))
+                offset = offsets[raw] = h ^ lift_y
+            generators.add(g ^ offset)
+    subgroup = {0}
+    for x in generators:
+        subgroup |= {x ^ y for y in subgroup}
+    return lifts, subgroup
 
 
 def build_atlas(
@@ -361,85 +404,130 @@ def build_atlas(
     with at most max_crossings crossings, and pair classes under global
     reversal.
 
-    Seeds are labelled in (crossing count, encoding) order with the least
-    seed of their class; the empty diagram labels itself.  A seed with an
-    R1 or R2 delete takes the label of its first delete's canonical form,
-    a smaller seed.  Any other unlabelled seed floods its component
-    (:func:`_flood`): a flood that meets a labelled seed makes the seed
-    trivial, and an exhausted flood labels every seed it visited.  This is
-    exact:
+    The reversal group G = {id, bar, rev, glob} (see
+    :func:`model._orbit_canonical`) acts on the move graph by
+    automorphisms: g maps the neighbours of x onto those of g.x, within the
+    same cap.  So G maps components onto components, and the work is done
+    on orbit representatives.  Seeds are labelled with their class in
+    (crossing count, encoding) order; the empty diagram labels itself.
+
+    * A seed with an R1 or R2 delete takes the label of its first delete's
+      canonical form, a smaller seed.
+    * Any other seed s = k.r, with r its representative, takes its class
+      from r's placement when r is placed: r is placed at (f, g) when g.r
+      lies in the component C of the seed f that flooded it, and then s
+      falls in class (f, (k.g)H), H being the subgroup of G that maps C to
+      itself.  The classes of the orbit G.C are the cosets G/H.
+    * Otherwise r floods (:func:`_orbit_flood`), with lift k.  A flood that
+      meets a labelled seed as a new representative makes s trivial, and r
+      is placed in the trivial class; an exhausted flood places every
+      representative it visited, with its lift, and gives H.
+
+    This is exact:
 
     * a delete is an edge of the move graph, so the seed and its delete
       share a component;
     * a flood follows every edge within the cap, growth ones included, so
-      an exhausted flood is exactly the component;
-    * labels pass only along edges and an exhausted flood labels its whole
-      component, so a labelled seed in an unlabelled seed's component got
-      its label from the empty diagram: it is trivial.
+      an exhausted flood meets every representative of G.C.  By induction
+      along paths from k.r, every state of C is g.r' for a visited r' and
+      some g in lift(r')H: an edge from a representative with lift l to
+      the raw neighbour h.r' gives r' the lift l.h, or puts l.h.lift(r')
+      in H.  So every seed of G.C is placed, in its coset class;
+    * H is exactly the subgroup that maps C to itself.  Each generator
+      does: l.h.lift(r') maps the state lift(r').r' of C to the state
+      l.h.r' of C, and the stabiliser of r, also a generator, fixes k.r.
+      Conversely, if m.C = C, the state m.k.r of C is g.r for some g in
+      kH, so m.k.g lies in the stabiliser of r, and m in H.  Then the
+      stabiliser of every visited r' lies in H, as it fixes the state
+      lift(r').r', so a seed k'.r' falls in one class whichever k' names
+      it;
+    * labels pass only along edges, an exhausted flood places all of G.C,
+      and a trivially stopped flood places a trivial representative, so a
+      labelled seed met by the flood of an unplaced s got its label from
+      the empty diagram, whose component T every g fixes: the met state
+      lies in g.T = T, so s is trivial.  Which labelled seed comes first
+      does not matter.
 
     So the trivial component, most diagrams within the cap, is never
-    flooded, nor is a component without a seed.  States are packed
-    canonical encodings (see :mod:`weldedknots.model`), which sort as
-    :func:`wgd_encoding` tuples do; diagrams are built only for the seeds.
-    No budget is involved.  Class and orbit ids depend only on n_max and
-    max_crossings: classes are numbered by their least seed, orbits by
-    their least class.
+    flooded, nor is a component without a seed, and each orbit of
+    components is flooded once.  Class cH has the global-reversal partner
+    (glob.c)H, so orbits come from the cosets with no reversal of their
+    own.  States are packed canonical encodings (see
+    :mod:`weldedknots.model`), which sort as :func:`wgd_encoding` tuples
+    do; no diagram is built, and each record carries its seed's
+    encoding.  No budget is involved.  Class and orbit ids depend only on
+    n_max and max_crossings: classes are numbered by their least seed,
+    orbits by their least class.
     """
     _require_atlas_range(n_max, max_crossings)
     primes, groups = _fingerprint_terms(primes, groups)
     seeds = _canonical_encodings(n_max)
-    wgds = [_wgd_from_encoding(e) for e in seeds]
     prints = _fingerprints(seeds, primes, groups)
 
-    label = {seeds[0]: seeds[0]}  # the empty diagram
-    for e in seeds:
-        if e in label:
-            continue
+    # a class is (f, c): the coset cH of the subgroup of the seed f's
+    # flood, with c its least element, read off f's coset table; the empty
+    # diagram stands for the trivial class, which G fixes
+    empty = seeds[0]
+    cosets = {empty: (0, 0, 0, 0)}
+    placed: dict = {}  # representative r -> (f, g): g.r lies in f's component
+    label = {empty: (empty, 0)}
+    for e in seeds[1:]:
         delete = next(_r1_deletes(e), None)
         if delete is None:
             delete = next(_r2_deletes(e, _gaps(e)), None)
         if delete is not None:
             label[e] = label[_canonical_encoding(delete)]
             continue
-        met, component = _flood(e, max_crossings, label)
-        if met is not None:
-            label[e] = label[met]
-            continue
-        for s in component:
-            if len(s) <= n_max:
-                label[s] = e
+        rep, k, stab = _orbit_canonical(e)
+        if rep not in placed:
+            found = _orbit_flood(rep, k, stab, max_crossings, label)
+            if found is None:
+                placed[rep] = empty, 0
+            else:
+                lifts, subgroup = found
+                cosets[e] = tuple(min(c ^ h for h in subgroup) for c in _GROUP)
+                placed.update((r, (e, g)) for r, g in lifts.items() if len(r) <= n_max)
+        flood, g = placed[rep]
+        label[e] = flood, cosets[flood][k ^ g]
 
     class_ids: dict = {}
     for e in seeds:
         class_ids.setdefault(label[e], len(class_ids))
-
-    partner: dict[int, int] = {}
-    for least, cid in class_ids.items():
-        partner[cid] = class_ids[label[_canonical_reversal(least, flip_signs=True)]]
-
     orbit_ids: dict[int, int] = {}
-    for cid in range(len(class_ids)):
-        orbit_ids.setdefault(min(cid, partner[cid]), len(orbit_ids))
-
+    orbit_of = {}
+    for (flood, c), cid in class_ids.items():
+        partner = class_ids[flood, cosets[flood][_GLOB ^ c]]
+        orbit_of[cid] = orbit_ids.setdefault(min(cid, partner), len(orbit_ids))
     records = []
-    for e, w, fp in zip(seeds, wgds, prints):
+    for e, fp in zip(seeds, prints):
         cid = class_ids[label[e]]
-        records.append(AtlasRecord(w, fp, cid, orbit_ids[min(cid, partner[cid])]))
+        records.append(AtlasRecord(e, fp, cid, orbit_of[cid]))
     return records
 
 
 def atlas_to_jsonl(records) -> str:
     """One structured object per line with fields wgd, fingerprint, class,
-    orbit.  Records share few fingerprints, so each distinct one is
-    serialised once per call."""
+    orbit.  The wgd object is written from the record's packed encoding,
+    byte for byte as compact json writes :func:`model.wgd_to_obj`: labels
+    1..n in order, then one ``"c":[head,"+"|"-"]`` fragment per entry,
+    each built once per call.  Records share few fingerprints, so each
+    distinct one is serialised once per call too."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     prints: dict = {}
+    layouts: dict = {}  # n -> (the order, per position the fragment of each entry)
     lines = []
     for r in records:
         fp = prints.get(r.fingerprint)
         if fp is None:
             fp = prints[r.fingerprint] = encode(r.fingerprint.as_dict())
+        e = r.encoding
+        layout = layouts.get(len(e))
+        if layout is None:
+            n = len(e)
+            rows = [[f'"{c}":[{(v >> 1) + 1},"{"+-"[not v & 1]}"]' for v in range(2 * n)] for c in range(1, n + 1)]
+            layout = layouts[n] = encode(list(range(1, n + 1))), rows
+        order, rows = layout
         # class and orbit ids are ints, written as json writes them
-        lines.append(f'{{"wgd":{encode(wgd_to_obj(r.wgd))},"fingerprint":{fp},'
-                     f'"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}')
+        lines.append(f'{{"wgd":{{"order":{order},"map":{{{",".join(map(list.__getitem__, rows, e))}}}}},'
+                     f'"fingerprint":{fp},"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}')
     return "\n".join(lines) + ("\n" if lines else "")

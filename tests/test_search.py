@@ -6,6 +6,7 @@ import random
 import pytest
 
 from weldedknots import (
+    AtlasRecord,
     DomainError,
     GROWTH_KINDS,
     MoveKind,
@@ -32,7 +33,7 @@ from weldedknots import (
     wgd_to_gauss,
 )
 
-from weldedknots.model import _canonical_encoding, _wgd_from_encoding
+from weldedknots.model import _canonical_encoding, _wgd_from_encoding, _wgd_packed, wgd_to_obj
 from weldedknots.moves import _gaps, _r1_deletes, _r2_deletes, _r3_moves, _raw_neighbor_encodings
 from weldedknots.search import _canonical_encodings
 
@@ -45,6 +46,7 @@ from conftest import (
     oracle_r3_moves,
     oracle_union_components,
     random_wgd,
+    reference_wgd,
 )
 
 EMPTY = WeldedGaussDiagram((), {}, {})
@@ -395,6 +397,7 @@ class TestAtlas:
     def test_seeded_partition_is_the_oracle_partition(self, n_max, max_crossings):
         seeds = _canonical_encodings(n_max)
         records = build_atlas(n_max, max_crossings)
+        assert [r.encoding for r in records] == seeds
         assert [_wgd_from_encoding(e) for e in seeds] == [r.wgd for r in records]
         seeded: dict[int, set] = {}
         oracle: dict = {}
@@ -405,44 +408,56 @@ class TestAtlas:
         assert {frozenset(c) for c in seeded.values()} == {frozenset(c) for c in oracle.values()}
 
     def test_flood_cost_per_build(self, monkeypatch):
-        """A time-free cost guard: at (4, 5) only 44 seeds flood, 16 of them
-        stopping at a trivial seed, for 3,126 expansions in all (each one
-        call of ``_raw_neighbor_encodings``), and the build canonicalises
-        6,783 encodings (14,084 when every flood canonicalised every raw
-        neighbour, 15,435 when the whole cap was enumerated and unioned,
-        86,244 before canonicalising once)."""
+        """A time-free cost guard: at (4, 5) only 16 seeds flood orbit
+        representatives, 4 of them stopping at a trivial seed, for 804
+        expansions in all (each one call of ``_raw_neighbor_encodings``).
+        The build makes 2,441 orbit canonicalisations and 1,618 canonical
+        forms, counted wherever they are made, ``model`` included.  Flooding
+        each component on its own took 44 floods, 16 of them trivial, and
+        3,126 expansions, and 6,783 canonical forms counted in ``search``
+        and ``moves`` only."""
+        import weldedknots.convert
+        import weldedknots.model
         import weldedknots.moves
         import weldedknots.search
 
-        calls = expansions = floods = trivial = 0
-        canonical = weldedknots.search._canonical_encoding
+        calls = orbits = expansions = floods = trivial = 0
+        canonical = weldedknots.model._canonical_encoding
+        orbit_canonical = weldedknots.model._orbit_canonical
         raw_neighbors = weldedknots.search._raw_neighbor_encodings
-        flood = weldedknots.search._flood
+        flood = weldedknots.search._orbit_flood
 
         def counted(e):
             nonlocal calls
             calls += 1
             return canonical(e)
 
+        def counted_orbit(e):
+            nonlocal orbits
+            orbits += 1
+            return orbit_canonical(e)
+
         def counted_raw_neighbors(e, wanted):
             nonlocal expansions
             expansions += 1
             return raw_neighbors(e, wanted)
 
-        def counted_flood(start, max_crossings, labelled):
+        def counted_flood(*args):
             nonlocal floods, trivial
-            met, component = flood(start, max_crossings, labelled)
+            found = flood(*args)
             floods += 1
-            trivial += met is not None
-            return met, component
+            trivial += found is None
+            return found
 
-        monkeypatch.setattr(weldedknots.search, "_canonical_encoding", counted)
-        monkeypatch.setattr(weldedknots.moves, "_canonical_encoding", counted)
+        for module in (weldedknots.model, weldedknots.convert, weldedknots.moves, weldedknots.search):
+            monkeypatch.setattr(module, "_canonical_encoding", counted)
+        for module in (weldedknots.model, weldedknots.search):
+            monkeypatch.setattr(module, "_orbit_canonical", counted_orbit)
         monkeypatch.setattr(weldedknots.search, "_raw_neighbor_encodings", counted_raw_neighbors)
-        monkeypatch.setattr(weldedknots.search, "_flood", counted_flood)
+        monkeypatch.setattr(weldedknots.search, "_orbit_flood", counted_flood)
         records = build_atlas(4, 5)
-        assert (floods, trivial, expansions) == (44, 16, 3_126)
-        assert calls == 6_783
+        assert (floods, trivial, expansions) == (16, 4, 804)
+        assert (orbits, calls) == (2_441, 1_618)
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
 
@@ -574,6 +589,17 @@ class TestAtlas:
         a = build_atlas(2, max_crossings=self.MAX_CROSSINGS)
         b = build_atlas(2, max_crossings=self.MAX_CROSSINGS)
         assert a == b
+
+    def test_jsonl_wgd_is_compact_wgd_to_obj(self):
+        """The wgd object is written from the encoding, in both packed
+        forms, as compact json writes ``wgd_to_obj`` of the diagram."""
+        fp = fingerprint(EMPTY)
+        records = [AtlasRecord(_wgd_packed(w), fp, 0, 0) for w in (EMPTY, reference_wgd(), long_wgd(130))]
+        records += build_atlas(2, max_crossings=2)
+        assert type(records[2].encoding) is tuple
+        for r, line in zip(records, atlas_to_jsonl(records).splitlines(), strict=True):
+            wgd = json.dumps(wgd_to_obj(r.wgd), separators=(",", ":"))
+            assert line.startswith(f'{{"wgd":{wgd},"fingerprint":')
 
     def test_jsonl_fields_exact(self):
         records = build_atlas(1, max_crossings=3)

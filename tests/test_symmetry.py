@@ -16,13 +16,29 @@ from weldedknots import (
     gauss_to_wgd,
     global_reversal,
     reverse,
-    wgd_neighbors,
     wgd_to_gauss,
 )
-from weldedknots.model import _canonical_encoding, _canonical_reversal, _wgd_from_encoding, _wgd_packed
+from weldedknots.model import (
+    _canonical_encoding,
+    _canonical_reversal,
+    _orbit_canonical,
+    _wgd_from_encoding,
+    _wgd_packed,
+)
+from weldedknots.moves import ALL_KINDS, _raw_neighbor_encodings
 from weldedknots.search import _canonical_encodings
 
 from conftest import TREFOIL_TEXT, long_wgd, random_code, random_wgd, reference_wgd
+
+_SIGN_FLIP = bytes(v ^ 1 for v in range(256))
+
+
+def group_images(e) -> list:
+    """The canonical encodings of the images of the packed encoding ``e``
+    under id, bar, reverse and global reversal, in that order (the elements
+    0..3 of the reversal group), each computed on its own."""
+    flipped = e.translate(_SIGN_FLIP) if type(e) is bytes else tuple(v ^ 1 for v in e)
+    return [_canonical_encoding(e), _canonical_encoding(flipped), _canonical_reversal(e), _canonical_reversal(e, True)]
 
 
 class TestReverse:
@@ -89,14 +105,25 @@ class TestGlobalReversal:
         w = reference_wgd()
         assert global_reversal(w) == canonical_wgd(reverse(bar(w)))
 
-    def test_move_equivariance(self, rng):
-        # reversal is an involutive bijection on diagrams that maps moves
-        # to moves, so it must carry neighbor sets onto neighbor sets
-        for _ in range(40):
-            w = canonical_wgd(random_wgd(rng, rng.randint(0, 4)))
-            g = global_reversal(w)
-            image = {canonical_wgd(global_reversal(nb)) for nb in wgd_neighbors(w)}
-            assert image == wgd_neighbors(g)
+    def test_move_equivariance(self):
+        """bar, reverse and global reversal are involutive bijections on
+        diagrams that map moves to moves, so each carries neighbour sets
+        onto neighbour sets: checked on every canonical diagram with at most
+        4 crossings, through the packed operators, which
+        :class:`TestCanonicalReversal` checks against the public ones.  The
+        orbit flood of ``build_atlas`` is exact only because of this."""
+        neighbors = {
+            e: {_canonical_encoding(raw) for raw in _raw_neighbor_encodings(e, ALL_KINDS)}
+            for e in _canonical_encodings(4)
+        }
+        images: dict = {}
+        for e, nbs in neighbors.items():
+            for nb in nbs:
+                if nb not in images:
+                    images[nb] = group_images(nb)
+            for g in (1, 2, 3):  # bar, reverse, global reversal
+                image = {images[nb][g] for nb in nbs}
+                assert image == neighbors[group_images(e)[g]], (g, e)
 
 
 class TestCanonicalReversal:
@@ -122,6 +149,7 @@ class TestCanonicalReversal:
             code = wgd_to_gauss(w)
             assert reversed_w == gauss_to_wgd(reverse(code)) == reverse(w)
             assert global_w == gauss_to_wgd(global_reversal(code)) == global_reversal(w)
+            assert _wgd_from_encoding(group_images(e)[1]) == gauss_to_wgd(bar_code(code)) == canonical_wgd(bar(w))
             count += 1
         assert count == len(_canonical_encodings(4)) + 4 * 300 + 1
 
@@ -136,6 +164,45 @@ class TestCanonicalReversal:
         for op in (reverse, global_reversal):
             with pytest.raises(DomainError, match="invalid welded Gauss diagram"):
                 op(bad)
+
+
+class TestOrbitCanonical:
+    """``model._orbit_canonical`` against the four images computed one by
+    one, on raw encodings: rotated and relabelled, not canonical."""
+
+    @staticmethod
+    def raw_encodings():
+        rng = random.Random(20142)
+        for w in enumerate_canonical_wgds(4):
+            labels = list(w.order)
+            rng.shuffle(labels)
+            rename = dict(zip(w.order, labels))
+            r = rng.randrange(max(w.n, 1))
+            order = [rename[c] for c in w.order[r:] + w.order[:r]]
+            head = {rename[c]: rename[h] for c, h in w.head.items()}
+            sign = {rename[c]: s for c, s in w.sign.items()}
+            yield _wgd_packed(WeldedGaussDiagram(order, head, sign))
+        for n in range(5, 9):
+            for _ in range(300):
+                yield _wgd_packed(random_wgd(rng, n))
+        e = _wgd_packed(long_wgd(130))  # past 128 crossings: the tuple form
+        yield e[57:] + e[:57]
+
+    def test_against_the_four_images(self):
+        count = 0
+        for x in self.raw_encodings():
+            rep, h, stab = _orbit_canonical(x)
+            assert rep == min(group_images(x)), x
+            images = group_images(rep)
+            assert _canonical_encoding(x) == images[h]
+            assert stab == tuple(g for g in range(4) if images[g] == rep)
+            count += 1
+        assert count == len(_canonical_encodings(4)) + 4 * 300 + 1
+
+    def test_raw_inputs_are_not_all_canonical(self):
+        raw = list(self.raw_encodings())
+        assert sum(_canonical_encoding(x) != x for x in raw) > len(raw) // 2
+        assert type(raw[-1]) is tuple
 
 
 class TestFingerprintCoincidence:
