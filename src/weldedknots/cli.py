@@ -8,10 +8,10 @@ errors, stale or malformed site, budget violation), 2 usage error.
 File conventions: ``.gc`` Gauss code text, ``.wgd`` structured diagram,
 ``.jsonl`` atlas.
 
-The parser is built per command: every subcommand is registered by name
-and help, but only the invoked one gets its arguments (see
-:func:`build_parser`), so a command does not pay for building the
-arguments of the eight it does not run.  Nothing is built at import.
+The parser is built per command: only the invoked subcommand is
+registered (see :func:`build_parser`), so a command does not pay for
+building the parsers of the eight it does not run.  Help, a typo or no
+command at all gets the full parser.  Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -344,22 +344,25 @@ _COMMANDS = (
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every subcommand is registered by name and
-    help; only the one that ``argv[0]`` names gets its arguments, and all
-    of them do when ``argv`` is None or its first word names none (``-h``,
-    ``--``, a typo).  So parsing ``argv`` with it gives what the full
-    parser gives, help and usage errors included."""
+    """The command-line parser.  When ``argv[0]`` names a subcommand, only
+    that one is registered, with its arguments; the root usage line still
+    lists every command, from an explicit metavar.  When ``argv`` is None
+    or its first word names none (``-h``, ``--``, a typo, nothing), every
+    subcommand is registered, and the metavar stays unset so that an
+    invalid choice is reported for argument ``command``.  So parsing
+    ``argv`` with it gives what the full parser gives, help and usage
+    errors included."""
     parser = argparse.ArgumentParser(
         prog="weldedknots",
         description="Gauss codes, welded Gauss diagrams, moves, invariants and search.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    every = not argv or argv[0] not in [name for name, *_ in _COMMANDS]
-    for name, help_text, add_arguments, handler in _COMMANDS:
+    named = [command for command in _COMMANDS if argv and command[0] == argv[0]]
+    metavar = "{" + ",".join(name for name, *_ in _COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments, handler in named or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        if every or argv[0] == name:
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -13,7 +13,10 @@ crossing the outgoing arc is determined by the incoming and the over arc:
 Both counts are constant along every implemented move, which is what
 makes them usable as oracles for the rewriting engine.  Colorings ignore
 signs: the coloring relation reads the over and the incoming arc only, so
-diagrams that differ in signs alone have the same coloring counts.
+diagrams that differ in signs alone have the same coloring counts.  The
+counts for several primes come from one Gaussian elimination over Z/m,
+m the product of the primes, which splits the modulus at a pivot that is
+no unit (see :func:`_coloring_counts`).
 
 The counts read arcs off a packed encoding (see :mod:`weldedknots.model`):
 arc j starts after the under passage at position j, so the crossing at
@@ -25,6 +28,7 @@ it stands, a code through :func:`model._code_packed`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -111,44 +115,59 @@ def _require_odd_prime(p: int) -> None:
         raise DomainError(f"p must be an odd prime, got {p}")
 
 
-def _rank_mod_p(rows: list[list[int]], m: int, p: int) -> int:
-    """Gaussian elimination over Z/p."""
-    mat = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def coloring_count(code: GaussCode, p: int) -> int:
     """Number of Fox p-colorings of the arcs, computed from the nullspace
     dimension of the relation matrix: count = p**d."""
     _require_odd_prime(p)
-    return _coloring_count(_code_arc_encoding(code), p)
+    return _coloring_counts(_code_arc_encoding(code), (p,))[0][1]
 
 
-def _coloring_count(e, p: int) -> int:
+def _coloring_counts(e, primes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``(p, count)`` for each of the distinct odd primes ``primes``, in
+    order: the Fox p-colorings of the arcs of the packed encoding ``e``,
+    p**(n - r) for the rank r of the relation matrix over Z/p.
+
+    One Gaussian elimination over Z/m serves every prime, m the product of
+    the primes.  Z/m is the product of the fields Z/p, so a unit pivot
+    eliminates in all of them at once and a column that is zero mod m is
+    zero mod each p.  A pivot that is no unit has g = gcd(pivot, m) > 1;
+    m is squarefree, so Z/m splits as Z/g x Z/(m/g), and each part goes
+    on from that column with the rank found so far (the pivot is zero mod
+    g and a unit mod m/g).  A part that runs out of columns gives its rank
+    to every prime that divides its modulus."""
     n = len(e)
-    if not n:
-        return p
+    if not n or not primes:
+        return tuple((p, p) for p in primes)
+    m = math.prod(primes)
     rows = []
     for j, v in enumerate(e):
         row = [0] * n
-        row[j] += 1  # out
+        row[j] = 1  # out
         row[j - 1] += 1  # in
-        row[v >> 1] -= 2  # over
+        row[v >> 1] = (row[v >> 1] - 2) % m  # over
         rows.append(row)
-    return p ** (n - _rank_mod_p(rows, n, p))
+    ranks = {}
+    parts = [(m, rows, 0, 0)]  # (modulus, rows left reduced by it, column, rank)
+    while parts:
+        m, rows, start, rank = parts.pop()
+        for col in range(start, n):
+            for i, pivot in enumerate(rows):
+                if pivot[col]:
+                    break
+            else:
+                continue
+            g = math.gcd(pivot[col], m)
+            if g > 1:
+                parts += ((d, [[v % d for v in row] for row in rows], col, rank) for d in (g, m // g))
+                break
+            del rows[i]
+            inv = pow(pivot[col], -1, m)
+            rows = [[(a - f * b) % m for a, b in zip(row, pivot)] if (f := row[col] * inv) else row
+                    for row in rows]
+            rank += 1
+        else:
+            ranks.update((p, rank) for p in primes if m % p == 0)
+    return tuple((p, p ** (n - ranks[p])) for p in primes)
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +408,17 @@ def _fingerprint_terms(primes, groups) -> tuple[tuple[int, ...], tuple[Group, ..
 def _fingerprints(encodings, primes: tuple[int, ...], groups: tuple[Group, ...]) -> list[InvariantFingerprint]:
     """The fingerprints of the diagrams with the packed encodings
     ``encodings``, in order, for terms from :func:`_fingerprint_terms`.
-    Colorings ignore signs, so each prime's count is computed once per
-    sign-free pattern (the encoding with its sign bits cleared) among
-    ``encodings``; homomorphism counts are computed per encoding."""
+    Colorings ignore signs, so they are counted once per sign-free pattern
+    (the encoding with its sign bits cleared) among ``encodings``, and one
+    elimination serves every prime (see :func:`_coloring_counts`);
+    homomorphism counts are computed per encoding."""
     colorings: dict = {}
     prints = []
     for e in encodings:
         pattern = _without_signs(e)
         counts = colorings.get(pattern)
         if counts is None:
-            counts = colorings[pattern] = tuple((p, _coloring_count(pattern, p)) for p in primes)
+            counts = colorings[pattern] = _coloring_counts(pattern, primes)
         homs = tuple((g.name, _hom_count(e, g)) for g in groups)
         prints.append(InvariantFingerprint(counts, homs))
     return prints

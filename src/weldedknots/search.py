@@ -293,13 +293,26 @@ def simplify(w: WeldedGaussDiagram, budget: SearchBudget) -> WeldedGaussDiagram:
 @dataclass(frozen=True)
 class AtlasRecord:
     """One seed of an atlas: its packed canonical encoding (see
-    :mod:`weldedknots.model`), fingerprint, class and orbit."""
+    :mod:`weldedknots.model`), fingerprint, class and orbit.  The encoding
+    is checked to be one, bytes or a tuple of ints with entries in
+    range(2n), so that :attr:`wgd` and :func:`atlas_to_jsonl` can read it."""
 
     encoding: bytes | tuple
     fingerprint: InvariantFingerprint
     class_id: int
     orbit_id: int
     capped = False  # not a field: classes are exact; bench/tracer.py still reads it
+
+    def __post_init__(self):
+        # wgd and atlas_to_jsonl index per-entry tables by the entries;
+        # bytes entries are never negative, so one max checks them
+        e = self.encoding
+        if type(e) is bytes:
+            valid = not e or max(e) < 2 * len(e)
+        else:
+            valid = type(e) is tuple and all(type(v) is int and 0 <= v < 2 * len(e) for v in e)
+        if not valid:
+            raise DomainError(f"an encoding is bytes or a tuple of ints, each in range(2n) for n entries; got {e!r}")
 
     @property
     def wgd(self) -> WeldedGaussDiagram:

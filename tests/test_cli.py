@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -343,8 +344,8 @@ def exit_and_output(capsys, parse, argv):
 
 
 class TestParser:
-    """``main`` builds the arguments of the invoked subcommand only; what it
-    parses, prints and exits with equals the full parser's."""
+    """``main`` registers the invoked subcommand only; what it parses,
+    prints and exits with equals the full parser's."""
 
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=[argv[0] for argv in PARSE_CASES])
     def test_namespace_equals_the_full_parser(self, argv):
@@ -358,12 +359,35 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["--help"], ["atlas", "--help"], ["frobnicate"], [], ["--"], ["-x", "atlas"],
         ["atlas"], ["atlas", "--n-max", "x"], ["equiv", "a"], ["canon", "a", "b"], ["convert", "-h"],
+        # usage errors of a parser that registers the named command only:
+        # unrecognized arguments reported by the root, missing values by the command
+        ["atlas", "--n-max", "1", "--bogus"], ["equiv", "a", "b", "c"],
+        ["atlas", "--n-max"], ["simplify", "--max-states"],
     ])
     def test_help_and_usage_errors_equal_the_full_parser(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         expected = exit_and_output(capsys, build_parser().parse_args, argv)
         assert exit_and_output(capsys, main, argv) == expected
         assert expected[0] in (0, 2)
+
+    @pytest.mark.parametrize("argv, parsers", [
+        *(([name, "-h"], 2) for name, *_ in _COMMANDS),
+        (["--help"], 10), (["frobnicate"], 10), ([], 10),
+    ])
+    def test_parsers_built(self, monkeypatch, argv, parsers):
+        """A time-free cost guard: a named command builds the root parser
+        and its own; help, a typo or no command builds all ten."""
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser(argv)
+        assert built == parsers
 
     # the bytes of the argparse of 3.10 and 3.11, which CI runs; 3.13 lays
     # out option lists and invalid choices differently

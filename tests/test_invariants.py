@@ -99,6 +99,7 @@ class TestColorings:
         assert coloring_count(TREFOIL, 5) == 5
         assert coloring_count_bruteforce(TREFOIL, 3) == 9
         assert coloring_count_bruteforce(TREFOIL, 5) == 5
+        assert fingerprint(TREFOIL, primes=(3, 5, 7)).coloring_counts == ((3, 9), (5, 5), (7, 7))
 
     def test_non_prime_rejected(self):
         for bad in (4, 6, 9, 1, 0, -3, 2, 3.0, 5.0):
@@ -136,6 +137,16 @@ class TestColorings:
             code = random_code(rng, rng.randint(0, 4))
             for p in (3, 5, 7):
                 assert coloring_count(code, p) == coloring_count_bruteforce(code, p)
+
+    def test_several_primes_equal_bruteforce(self, rng):
+        """One elimination serves several primes, splitting the modulus at
+        a pivot that is no unit; one prime at a time never splits."""
+        primes = (3, 5, 7, 11)
+        codes = [wgd_to_gauss(w) for w in enumerate_canonical_wgds(3)]
+        codes += [random_code(rng, 4) for _ in range(12)]
+        for code in codes:
+            expected = tuple((p, coloring_count_bruteforce(code, p)) for p in primes)
+            assert fingerprint(code, primes=primes).coloring_counts == expected, code
 
 
 class TestGroups:
@@ -229,11 +240,13 @@ class TestFingerprint:
 
     def test_colorings_past_128_crossings(self):
         """Past 128 crossings a packed encoding is a tuple, whose sign bits
-        are cleared entry by entry."""
+        are cleared entry by entry; one elimination over Z/m serves every
+        prime, however large m grows."""
         w = long_wgd(130)
         code = wgd_to_gauss(w)
+        primes = (3, 5, 2**61 - 1)
         for obj in (w, code):
-            assert fingerprint(obj, primes=(3, 5)).coloring_counts == ((3, coloring_count(code, 3)), (5, coloring_count(code, 5)))
+            assert fingerprint(obj, primes=primes).coloring_counts == tuple((p, coloring_count(code, p)) for p in primes)
 
     def test_text_rejected(self):
         with pytest.raises(DomainError):

@@ -463,21 +463,22 @@ class TestAtlas:
 
     def test_colorings_once_per_sign_free_pattern(self, monkeypatch):
         """A time-free cost guard: the 1,133 seeds at (4, 5) have 118
-        nonempty sign-free patterns, so the default primes 3 and 5 cost 236
-        eliminations (2,264 at one per seed and prime)."""
+        nonempty sign-free patterns, and one elimination serves both
+        default primes 3 and 5, so they cost 118 eliminations (236 at one
+        per pattern and prime, 2,264 at one per seed and prime)."""
         import weldedknots.invariants
 
-        calls = 0
-        rank = weldedknots.invariants._rank_mod_p
+        eliminated = []
+        counts = weldedknots.invariants._coloring_counts
 
-        def counted(rows, m, p):
-            nonlocal calls
-            calls += 1
-            return rank(rows, m, p)
+        def counted(e, primes):
+            if e:
+                eliminated.append(e)
+            return counts(e, primes)
 
-        monkeypatch.setattr(weldedknots.invariants, "_rank_mod_p", counted)
+        monkeypatch.setattr(weldedknots.invariants, "_coloring_counts", counted)
         records = build_atlas(4, 5)
-        assert calls == 236
+        assert len(eliminated) == len(set(eliminated)) == 118
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
 
@@ -600,6 +601,11 @@ class TestAtlas:
         for r, line in zip(records, atlas_to_jsonl(records).splitlines(), strict=True):
             wgd = json.dumps(wgd_to_obj(r.wgd), separators=(",", ":"))
             assert line.startswith(f'{{"wgd":{wgd},"fingerprint":')
+
+    @pytest.mark.parametrize("encoding", [b"\x05", b"\x00\x04", (0, True), (0, -1), (2,), [0], "\x00", None])
+    def test_record_rejects_what_is_no_encoding(self, encoding):
+        with pytest.raises(DomainError):
+            AtlasRecord(encoding, fingerprint(EMPTY), 0, 0)
 
     def test_jsonl_fields_exact(self):
         records = build_atlas(1, max_crossings=3)
