@@ -10,13 +10,17 @@ crossing the outgoing arc is determined by the incoming and the over arc:
     homomorphisms:  out = over * in * over^-1     for sign +
                     out = over^-1 * in * over     for sign -
 
-Both counts are constant along every implemented move, which is what
-makes them usable as oracles for the rewriting engine.  Colorings ignore
-signs: the coloring relation reads the over and the incoming arc only, so
-diagrams that differ in signs alone have the same coloring counts.  The
-counts for several primes come from one Gaussian elimination over Z/m,
-m the product of the primes, which splits the modulus at a pivot that is
-no unit (see :func:`_coloring_counts`).
+Both counts are constant along every implemented move, for any finite
+group, which is what makes them usable as oracles for the rewriting
+engine.  So they are constant on each class of the move graph, and the
+atlas fingerprints each class once, on its least seed (see
+:func:`search.build_atlas`).  Both read the arc presentation of the
+welded knot group: Fox p-colorings are its homomorphisms to the dihedral
+group of order 2p that send every arc to a reflection.  Colorings ignore
+signs: the coloring relation reads the over and the incoming arc only.
+The counts for several primes come from one Gaussian elimination over
+Z/m, m the product of the primes, which splits the modulus at a pivot
+that is no unit (see :func:`_coloring_counts`).
 
 The counts read arcs off a packed encoding (see :mod:`weldedknots.model`):
 arc j starts after the under passage at position j, so the crossing at
@@ -40,7 +44,6 @@ from .model import (
     require_valid_wgd,
     _code_packed,
     _wgd_packed,
-    _without_signs,
 )
 
 
@@ -405,23 +408,12 @@ def _fingerprint_terms(primes, groups) -> tuple[tuple[int, ...], tuple[Group, ..
     return tuple(sorted(set(primes))), tuple(by_name[name] for name in sorted(by_name))
 
 
-def _fingerprints(encodings, primes: tuple[int, ...], groups: tuple[Group, ...]) -> list[InvariantFingerprint]:
-    """The fingerprints of the diagrams with the packed encodings
-    ``encodings``, in order, for terms from :func:`_fingerprint_terms`.
-    Colorings ignore signs, so they are counted once per sign-free pattern
-    (the encoding with its sign bits cleared) among ``encodings``, and one
-    elimination serves every prime (see :func:`_coloring_counts`);
-    homomorphism counts are computed per encoding."""
-    colorings: dict = {}
-    prints = []
-    for e in encodings:
-        pattern = _without_signs(e)
-        counts = colorings.get(pattern)
-        if counts is None:
-            counts = colorings[pattern] = _coloring_counts(pattern, primes)
-        homs = tuple((g.name, _hom_count(e, g)) for g in groups)
-        prints.append(InvariantFingerprint(counts, homs))
-    return prints
+def _fingerprint(e, primes: tuple[int, ...], groups: tuple[Group, ...]) -> InvariantFingerprint:
+    """The fingerprint of the diagram with the packed encoding ``e``, for
+    terms from :func:`_fingerprint_terms`: one elimination serves every
+    prime (see :func:`_coloring_counts`), and each group gets its
+    homomorphism count."""
+    return InvariantFingerprint(_coloring_counts(e, primes), tuple((g.name, _hom_count(e, g)) for g in groups))
 
 
 def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
@@ -431,4 +423,4 @@ def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
     name are rejected.  ``primes`` and ``groups`` may be any iterables."""
     primes, groups = _fingerprint_terms(primes, groups)
     e = _wgd_arc_encoding(obj) if isinstance(obj, WeldedGaussDiagram) else _code_arc_encoding(obj)
-    return _fingerprints([e], primes, groups)[0]
+    return _fingerprint(e, primes, groups)

@@ -224,11 +224,11 @@ def require_valid_wgd(w: WeldedGaussDiagram) -> None:
 # crossings the entries are a bytes string, one byte each (the largest
 # entry, 2 * 127 + 1, is 255), so a rotation is two slices and a relabelling
 # is ``bytes.translate``.  Past 128 crossings they are a tuple of the same
-# ints.  Only the three helpers below and :func:`_without_signs` tell the
-# two forms apart.  Codes and diagrams meet only here: :func:`_code_packed`
-# and :func:`_wgd_packed` read them, :func:`_gaps` lists the overs of each
-# gap to write a code back, and :func:`_canonical_reversal` reverses one.
-# :func:`_orbit_canonical` canonicalises under the reversal group too.
+# ints.  Only the three helpers below tell the two forms apart.  Codes and
+# diagrams meet only here: :func:`_code_packed` and :func:`_wgd_packed` read
+# them, and :func:`_gaps` lists the overs of each gap to write a code back.
+# :func:`_canonical_image` maps one under the reversal group, and
+# :func:`_orbit_canonical` canonicalises under the group too.
 
 _BYTE_CROSSINGS = 128
 
@@ -365,11 +365,12 @@ def _reversal_tables(n: int) -> list:
     return [None] + _tables([v ^ 1 for v in range(2 * n)]) + _tables(rev) + _tables([v ^ 1 for v in rev])
 
 
-def _canonical_reversal(e, flip_signs: bool = False) -> bytes | tuple:
-    """Canonical packed encoding of the orientation reversal of the diagram
-    with the packed encoding ``e``, and of its global reversal with
-    ``flip_signs``."""
-    return _canonical_encoding(_relabelled(e[::-1], _reversal_tables(len(e))[_GLOB if flip_signs else _REV]))
+def _canonical_image(e, g: int) -> bytes | tuple:
+    """Canonical packed encoding of the image g.e, for the element g of G,
+    of the diagram with the packed encoding ``e``."""
+    if g & _REV:
+        e = e[::-1]
+    return _canonical_encoding(_relabelled(e, _reversal_tables(len(e))[g]) if g else e)
 
 
 def _orbit_canonical(x) -> tuple:
@@ -413,16 +414,6 @@ def _orbit_canonical(x) -> tuple:
                 winners.append(element)
     h = winners[0]
     return best, h, tuple(sorted(g ^ h for g in winners))
-
-
-_SIGN_BITS_CLEARED = bytes(v & ~1 for v in range(256))
-
-
-def _without_signs(e) -> bytes | tuple:
-    """The packed encoding ``e`` with every sign bit cleared."""
-    if type(e) is bytes:
-        return e.translate(_SIGN_BITS_CLEARED)
-    return tuple(v & ~1 for v in e)
 
 
 def _canonical_wgd_encoding(w: WeldedGaussDiagram) -> bytes | tuple:

@@ -20,18 +20,24 @@ the move graph by automorphisms, so a flood walks orbit representatives,
 the least canonical forms of their orbits, each with a lift g in G that
 names which image of it lies in the flooded component C:
 
-* a seed with an R1 or R2 delete shares the class of that smaller
-  diagram, because a delete is an edge;
-* any other seed floods best-first by (crossing count, encoding); an
-  exhausted flood, which follows every edge within the cap, meets every
-  representative of G.C, and the lifts it meets them with generate H,
-  the subgroup of G that maps C to itself; the classes of G.C are then
-  the cosets G/H, a seed k.r falls in class (k.lift(r))H, and class cH
-  has the global-reversal partner (glob.c)H;
-* seeds are labelled only along edges, and an exhausted flood labels
-  all of G.C, so a labelled seed that a flood meets as a representative
-  lies in the trivial component, which G fixes, and the flood stops
-  there; which one it meets first does not matter.
+* a seed with an R1 or R2 delete never floods: a delete is an edge, so
+  its canonical form is an earlier seed of the same component, and the
+  least seed of every component is the empty diagram or has no delete;
+* a seed with no delete whose representative has no class yet floods
+  best-first by (crossing count, encoding); an exhausted flood, which
+  follows every edge within the cap, meets every representative of G.C,
+  and the lifts it meets them with generate H, the subgroup of G that
+  maps C to itself; the classes of G.C are then the cosets G/H, a seed
+  k.r falls in class (k.lift(r))H, and class cH has the global-reversal
+  partner (glob.c)H.  The flood registers every seed of G.C;
+* a flood stops at the first new representative that precedes its seed
+  s, and s is then trivial: the least seed of the component met precedes
+  s, so it is empty, or it came before s, and a flood from it that
+  exhausted would have registered s.  A seed that no flood registers is
+  trivial too.
+
+Each class is fingerprinted once, on its least seed: the fingerprints
+are invariants of the welded class (see :mod:`weldedknots.invariants`).
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -50,7 +56,7 @@ import operator
 from dataclasses import dataclass
 
 from .convert import gauss_to_wgd, wgd_to_gauss
-from .invariants import Group, InvariantFingerprint, _fingerprint_terms, _fingerprints
+from .invariants import Group, InvariantFingerprint, _fingerprint, _fingerprint_terms
 from .model import (
     DomainError,
     GaussCode,
@@ -60,6 +66,7 @@ from .model import (
     _GLOB,
     _GROUP,
     _canonical_encoding,
+    _canonical_image,
     _canonical_wgd_encoding,
     _gaps,
     _orbit_canonical,
@@ -364,10 +371,11 @@ def _require_atlas_range(n_max: int, max_crossings: int) -> None:
         raise DomainError("need 0 <= n_max <= max_crossings")
 
 
-def _orbit_flood(start, lift: int, stab, max_crossings: int, labelled: dict):
+def _orbit_flood(start, lift: int, stab, max_crossings: int, seed):
     """Flood the orbit representatives of the cap-``max_crossings``
     component C of ``lift.start``, where ``start`` is a representative (see
-    :func:`model._orbit_canonical`) with the stabiliser ``stab``.
+    :func:`model._orbit_canonical`) with the stabiliser ``stab``, for the
+    seed ``seed`` of its orbit.
 
     Representatives are expanded best-first by (crossing count, encoding),
     each carrying its lift g, with g.rep in C.  A raw neighbour y = h.r_y
@@ -376,11 +384,13 @@ def _orbit_flood(start, lift: int, stab, max_crossings: int, labelled: dict):
     Stab(C), the elements of G that map C to itself.  Each raw neighbour is
     canonicalised once per flood: a map keeps its h.l, which is all a
     later meeting needs.  Returns None at the first new representative that
-    is a key of ``labelled``; otherwise, once the component is exhausted,
-    ``(lifts, subgroup)``: each visited representative's lift, and Stab(C),
-    generated by those elements and ``stab`` (see :func:`build_atlas`).
-    The stabilisers of the other representatives lie in the subgroup
-    these generate, so they are not collected."""
+    precedes ``seed`` in (crossing count, encoding) order; otherwise, once
+    the component is exhausted, ``(lifts, subgroup)``: each visited
+    representative's lift, and Stab(C), generated by those elements and
+    ``stab`` (see :func:`build_atlas`).  The stabilisers of the other
+    representatives lie in the subgroup these generate, so they are not
+    collected."""
+    bound = _size_then_encoding(seed)
     lifts = {start: lift}
     generators = set(stab)
     offsets: dict = {}  # raw neighbour h.r_y -> h.lift(r_y)
@@ -394,7 +404,7 @@ def _orbit_flood(start, lift: int, stab, max_crossings: int, labelled: dict):
                 r_y, h, _ = _orbit_canonical(raw)
                 lift_y = lifts.get(r_y)
                 if lift_y is None:
-                    if r_y in labelled:
+                    if _size_then_encoding(r_y) < bound:
                         return None
                     lift_y = lifts[r_y] = g ^ h
                     heapq.heappush(heap, (len(r_y), r_y))
@@ -421,101 +431,105 @@ def build_atlas(
     :func:`model._orbit_canonical`) acts on the move graph by
     automorphisms: g maps the neighbours of x onto those of g.x, within the
     same cap.  So G maps components onto components, and the work is done
-    on orbit representatives.  Seeds are labelled with their class in
-    (crossing count, encoding) order; the empty diagram labels itself.
+    on orbit representatives.  Seeds are visited in (crossing count,
+    encoding) order, and only the seeds with no R1 or R2 delete can flood:
 
-    * A seed with an R1 or R2 delete takes the label of its first delete's
-      canonical form, a smaller seed.
-    * Any other seed s = k.r, with r its representative, takes its class
-      from r's placement when r is placed: r is placed at (f, g) when g.r
-      lies in the component C of the seed f that flooded it, and then s
-      falls in class (f, (k.g)H), H being the subgroup of G that maps C to
-      itself.  The classes of the orbit G.C are the cosets G/H.
-    * Otherwise r floods (:func:`_orbit_flood`), with lift k.  A flood that
-      meets a labelled seed as a new representative makes s trivial, and r
-      is placed in the trivial class; an exhausted flood places every
-      representative it visited, with its lift, and gives H.
+    * a seed s with no delete takes r, the representative of its orbit,
+      with s = k.r.  It is skipped when r has a class; otherwise r floods
+      (:func:`_orbit_flood`) with lift k.  A flood stops at the first new
+      representative that precedes s, and r takes the trivial class;
+    * an exhausted flood from s gives H, the subgroup of G that maps the
+      component C of s to itself, and registers every seed of G.C: for
+      each visited representative r' with at most n_max crossings and
+      lift g, and for each x in G, the canonical encoding of x.r' gets the
+      class (s, (x.g)H), r' itself for x = id.  The classes of the orbit
+      G.C are the cosets G/H;
+    * a seed that no flood registers lies in the trivial class, that of
+      the empty diagram.
 
     This is exact:
 
-    * a delete is an edge of the move graph, so the seed and its delete
-      share a component;
+    * a delete of a seed, canonicalised, is a seed with fewer crossings in
+      the same component, as a delete is an edge.  So the least seed of a
+      component is the empty diagram or a seed with no delete;
     * a flood follows every edge within the cap, growth ones included, so
       an exhausted flood meets every representative of G.C.  By induction
       along paths from k.r, every state of C is g.r' for a visited r' and
       some g in lift(r')H: an edge from a representative with lift l to
       the raw neighbour h.r' gives r' the lift l.h, or puts l.h.lift(r')
-      in H.  So every seed of G.C is placed, in its coset class;
+      in H.  So every seed of G.C is registered, in its coset class;
     * H is exactly the subgroup that maps C to itself.  Each generator
       does: l.h.lift(r') maps the state lift(r').r' of C to the state
       l.h.r' of C, and the stabiliser of r, also a generator, fixes k.r.
       Conversely, if m.C = C, the state m.k.r of C is g.r for some g in
       kH, so m.k.g lies in the stabiliser of r, and m in H.  Then the
       stabiliser of every visited r' lies in H, as it fixes the state
-      lift(r').r', so a seed k'.r' falls in one class whichever k' names
+      lift(r').r', so a seed x.r' falls in one class whichever x names
       it;
-    * labels pass only along edges, an exhausted flood places all of G.C,
-      and a trivially stopped flood places a trivial representative, so a
-      labelled seed met by the flood of an unplaced s got its label from
-      the empty diagram, whose component T every g fixes: the met state
-      lies in g.T = T, so s is trivial.  Which labelled seed comes first
-      does not matter.
+    * a flood from s that meets a representative t preceding s leaves s
+      trivial, by induction on s.  The component D of t is g.C for some g
+      in G, and its least seed m precedes s.  If m is empty, D is the
+      trivial component T, which G fixes, so C = T.  Otherwise m has no
+      delete and came before s; a flood over G.D = G.C that exhausted
+      would have registered s and its representative.  So m's
+      representative started a stopped flood, whose seed, in m's orbit,
+      is trivial by induction, and so are m and C;
+    * a seed that no flood registers is trivial: the least seed of its
+      component is empty or has no delete, and one with no delete is
+      registered, with its orbit of components, unless its flood stopped.
 
     So the trivial component, most diagrams within the cap, is never
-    flooded, nor is a component without a seed, and each orbit of
-    components is flooded once.  Class cH has the global-reversal partner
-    (glob.c)H, so orbits come from the cosets with no reversal of their
-    own.  States are packed canonical encodings (see
-    :mod:`weldedknots.model`), which sort as :func:`wgd_encoding` tuples
-    do; no diagram is built, and each record carries its seed's
-    encoding.  No budget is involved.  Class and orbit ids depend only on
-    n_max and max_crossings: classes are numbered by their least seed,
-    orbits by their least class.
+    flooded, nor is a component without a seed, each orbit of components
+    is flooded once, and no delete is canonicalised.  Class cH has the
+    global-reversal partner (glob.c)H, so orbits come from the cosets with
+    no reversal of their own.  The fingerprints are invariants of the
+    welded class (see :mod:`weldedknots.invariants`), so each class's is
+    computed once, on its least seed, and its records share it.  States
+    are packed canonical encodings (see :mod:`weldedknots.model`), which
+    sort as :func:`wgd_encoding` tuples do; no diagram is built, and each
+    record carries its seed's encoding.  No budget is involved.  Class and
+    orbit ids depend only on n_max and max_crossings: classes are numbered
+    by their least seed, orbits by their least class.
     """
     _require_atlas_range(n_max, max_crossings)
     primes, groups = _fingerprint_terms(primes, groups)
     seeds = _canonical_encodings(n_max)
-    prints = _fingerprints(seeds, primes, groups)
 
     # a class is (f, c): the coset cH of the subgroup of the seed f's
     # flood, with c its least element, read off f's coset table; the empty
     # diagram stands for the trivial class, which G fixes
-    empty = seeds[0]
-    cosets = {empty: (0, 0, 0, 0)}
-    placed: dict = {}  # representative r -> (f, g): g.r lies in f's component
-    label = {empty: (empty, 0)}
+    trivial = seeds[0], 0
+    cosets = {seeds[0]: (0, 0, 0, 0)}
+    label: dict = {}  # each registered seed, and each stopped flood's start -> its class
     for e in seeds[1:]:
-        delete = next(_r1_deletes(e), None)
-        if delete is None:
-            delete = next(_r2_deletes(e, _gaps(e)), None)
-        if delete is not None:
-            label[e] = label[_canonical_encoding(delete)]
+        if next(_r1_deletes(e), None) is not None or next(_r2_deletes(e, _gaps(e)), None) is not None:
             continue
         rep, k, stab = _orbit_canonical(e)
-        if rep not in placed:
-            found = _orbit_flood(rep, k, stab, max_crossings, label)
-            if found is None:
-                placed[rep] = empty, 0
-            else:
-                lifts, subgroup = found
-                cosets[e] = tuple(min(c ^ h for h in subgroup) for c in _GROUP)
-                placed.update((r, (e, g)) for r, g in lifts.items() if len(r) <= n_max)
-        flood, g = placed[rep]
-        label[e] = flood, cosets[flood][k ^ g]
+        if rep in label:  # its orbit of components is done
+            continue
+        found = _orbit_flood(rep, k, stab, max_crossings, e)
+        if found is None:
+            label[rep] = trivial
+            continue
+        lifts, subgroup = found
+        table = cosets[e] = tuple(min(c ^ h for h in subgroup) for c in _GROUP)
+        for r, g in lifts.items():
+            if len(r) <= n_max:  # r is canonical: its own image under id
+                label.update((_canonical_image(r, x) if x else r, (e, table[x ^ g])) for x in _GROUP)
 
     class_ids: dict = {}
+    cids, prints = [], []
     for e in seeds:
-        class_ids.setdefault(label[e], len(class_ids))
+        cid = class_ids.setdefault(label.get(e, trivial), len(class_ids))
+        if cid == len(prints):  # a new class: e is its least seed
+            prints.append(_fingerprint(e, primes, groups))
+        cids.append(cid)
     orbit_ids: dict[int, int] = {}
     orbit_of = {}
     for (flood, c), cid in class_ids.items():
         partner = class_ids[flood, cosets[flood][_GLOB ^ c]]
         orbit_of[cid] = orbit_ids.setdefault(min(cid, partner), len(orbit_ids))
-    records = []
-    for e, fp in zip(seeds, prints):
-        cid = class_ids[label[e]]
-        records.append(AtlasRecord(e, fp, cid, orbit_of[cid]))
-    return records
+    return [AtlasRecord(e, prints[cid], cid, orbit_of[cid]) for e, cid in zip(seeds, cids)]
 
 
 def atlas_to_jsonl(records) -> str:

@@ -12,7 +12,7 @@ sign-flipped diagram.
 All three operators are involutions at canonical-form level, and
 orientation reversal commutes with sign reversal.  On a diagram,
 orientation and global reversal act on its packed encoding
-(:func:`model._canonical_reversal`) and return canonical forms.
+(:func:`model._canonical_image`) and return canonical forms.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .model import (
     WeldedGaussDiagram,
     require_valid_code,
     require_valid_wgd,
-    _canonical_reversal,
+    _GLOB,
+    _REV,
+    _canonical_image,
     _wgd_from_encoding,
     _wgd_packed,
 )
@@ -52,7 +54,7 @@ def _reversed_wgd(w: WeldedGaussDiagram, flip_signs: bool) -> WeldedGaussDiagram
     """Canonical form of the orientation reversal of ``w``, and of its
     global reversal with ``flip_signs``, reversed on its packed encoding."""
     require_valid_wgd(w)
-    return _wgd_from_encoding(_canonical_reversal(_wgd_packed(w), flip_signs))
+    return _wgd_from_encoding(_canonical_image(_wgd_packed(w), _GLOB if flip_signs else _REV))
 
 
 def bar(w: WeldedGaussDiagram) -> WeldedGaussDiagram:

@@ -9,11 +9,13 @@ from weldedknots import (
     AtlasRecord,
     DomainError,
     GROWTH_KINDS,
+    Group,
     MoveKind,
     SearchBudget,
     WeldedGaussDiagram,
     are_equivalent,
     atlas_to_jsonl,
+    bar,
     build_atlas,
     canonical_wgd,
     decode_gauss_code,
@@ -26,6 +28,7 @@ from weldedknots import (
     gauss_to_wgd,
     global_reversal,
     replay,
+    reverse,
     simplify,
     symmetric_group_3,
     wgd_encoding,
@@ -407,15 +410,50 @@ class TestAtlas:
             oracle.setdefault(components[e], set()).add(e)
         assert {frozenset(c) for c in seeded.values()} == {frozenset(c) for c in oracle.values()}
 
+    @pytest.mark.parametrize("n_max, max_crossings", [(3, 4), (3, 5), (4, 4), (4, 5)])
+    def test_only_delete_free_least_seeds_need_floods(self, n_max, max_crossings, monkeypatch):
+        """A delete of a seed is an earlier seed of its component, so each
+        class's least seed is the empty diagram or has no R1 or R2 delete.
+        The seeds that the exhausted floods register, the images under the
+        reversal group of their visited representatives within n_max, are
+        exactly those outside the oracle's trivial component."""
+        import weldedknots.search
+
+        flood = weldedknots.search._orbit_flood
+        registered = set()
+
+        def recording_flood(*args):
+            found = flood(*args)
+            for r in found[0] if found else ():
+                if len(r) <= n_max:
+                    w = _wgd_from_encoding(r)
+                    images = (w, bar(w), reverse(w), global_reversal(w))
+                    registered.update(_canonical_encoding(_wgd_packed(x)) for x in images)
+            return found
+
+        monkeypatch.setattr(weldedknots.search, "_orbit_flood", recording_flood)
+        records = build_atlas(n_max, max_crossings)
+        least: dict = {}
+        for r in records:
+            least.setdefault(r.class_id, r.encoding)
+        for e in least.values():
+            assert not e or (next(_r1_deletes(e), None), next(_r2_deletes(e, _gaps(e)), None)) == (None, None)
+        components = oracle_components(max_crossings)
+        trivial = components[records[0].encoding]
+        assert registered <= {r.encoding for r in records}
+        for r in records:
+            assert (r.encoding in registered) == (components[r.encoding] != trivial), encode_wgd(r.wgd)
+
     def test_flood_cost_per_build(self, monkeypatch):
         """A time-free cost guard: at (4, 5) only 16 seeds flood orbit
         representatives, 4 of them stopping at a trivial seed, for 804
         expansions in all (each one call of ``_raw_neighbor_encodings``).
-        The build makes 2,441 orbit canonicalisations and 1,618 canonical
-        forms, counted wherever they are made, ``model`` included.  Flooding
-        each component on its own took 44 floods, 16 of them trivial, and
-        3,126 expansions, and 6,783 canonical forms counted in ``search``
-        and ``moves`` only."""
+        The build makes 2,441 orbit canonicalisations and 654 canonical
+        forms, counted wherever they are made, ``model`` included: no
+        delete is canonicalised (1,618 when each seed with a delete took
+        its first delete's label).  Flooding each component on its own
+        took 44 floods, 16 of them trivial, and 3,126 expansions, and 6,783
+        canonical forms counted in ``search`` and ``moves`` only."""
         import weldedknots.convert
         import weldedknots.model
         import weldedknots.moves
@@ -457,30 +495,42 @@ class TestAtlas:
         monkeypatch.setattr(weldedknots.search, "_orbit_flood", counted_flood)
         records = build_atlas(4, 5)
         assert (floods, trivial, expansions) == (16, 4, 804)
-        assert (orbits, calls) == (2_441, 1_618)
+        assert (orbits, calls) == (2_441, 654)
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
 
-    def test_colorings_once_per_sign_free_pattern(self, monkeypatch):
-        """A time-free cost guard: the 1,133 seeds at (4, 5) have 118
-        nonempty sign-free patterns, and one elimination serves both
-        default primes 3 and 5, so they cost 118 eliminations (236 at one
-        per pattern and prime, 2,264 at one per seed and prime)."""
+    def test_fingerprints_once_per_class(self, monkeypatch):
+        """A time-free cost guard: fingerprints are class invariants, so
+        the 29 classes at (4, 5) cost one fingerprint each, on the class's
+        least seed: 28 colouring eliminations, one serving both default
+        primes 3 and 5 (118 at one per nonempty sign-free pattern, 2,264
+        at one per seed and prime), and with S3 and D4 58 homomorphism
+        counts (2,266 at one per seed and group)."""
         import weldedknots.invariants
 
-        eliminated = []
-        counts = weldedknots.invariants._coloring_counts
+        eliminated, homs = [], []
+        colorings = weldedknots.invariants._coloring_counts
+        hom_count = weldedknots.invariants._hom_count
 
-        def counted(e, primes):
+        def counted_colorings(e, primes):
             if e:
                 eliminated.append(e)
-            return counts(e, primes)
+            return colorings(e, primes)
 
-        monkeypatch.setattr(weldedknots.invariants, "_coloring_counts", counted)
+        def counted_homs(e, group):
+            homs.append((e, group.name))
+            return hom_count(e, group)
+
+        monkeypatch.setattr(weldedknots.invariants, "_coloring_counts", counted_colorings)
+        monkeypatch.setattr(weldedknots.invariants, "_hom_count", counted_homs)
         records = build_atlas(4, 5)
-        assert len(eliminated) == len(set(eliminated)) == 118
+        least = [next(r.encoding for r in records if r.class_id == cid) for cid in range(29)]
+        assert eliminated == least[1:]
+        assert not homs
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+        build_atlas(4, 5, groups=(symmetric_group_3(), dihedral_group(4)))
+        assert homs == [(e, name) for e in least for name in ("D4", "S3")]
 
     def test_fingerprints_equal_the_public_fingerprint(self):
         primes, groups = (3, 5, 7), (symmetric_group_3(), dihedral_group(4))
@@ -488,6 +538,20 @@ class TestAtlas:
         assert len(records) == 1133
         for r in records:
             assert r.fingerprint == fingerprint(r.wgd, primes=primes, groups=groups), encode_wgd(r.wgd)
+
+    def test_fingerprints_with_a_non_dihedral_group(self):
+        """The alternating group A4, built from permutations, is no
+        built-in group and no dihedral one; its per-class homomorphism
+        counts equal the public fingerprint of every seed."""
+        # the even permutations: those with an even number of inversions
+        perms = [p for p in itertools.permutations(range(4))
+                 if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+        index = {p: i for i, p in enumerate(perms)}
+        a4 = Group("A4", tuple(tuple(index[tuple(a[b[x]] for x in range(4))] for b in perms) for a in perms))
+        records = build_atlas(4, 5, groups=(a4,))
+        assert len({r.fingerprint for r in records}) > 1
+        for r in records:
+            assert r.fingerprint == fingerprint(r.wgd, groups=(a4,)), encode_wgd(r.wgd)
 
     def test_groups_read_once(self):
         """A generator of groups serves every seed, not the first only."""

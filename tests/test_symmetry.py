@@ -19,8 +19,11 @@ from weldedknots import (
     wgd_to_gauss,
 )
 from weldedknots.model import (
+    _BAR,
+    _GLOB,
+    _REV,
     _canonical_encoding,
-    _canonical_reversal,
+    _canonical_image,
     _orbit_canonical,
     _wgd_from_encoding,
     _wgd_packed,
@@ -38,7 +41,7 @@ def group_images(e) -> list:
     under id, bar, reverse and global reversal, in that order (the elements
     0..3 of the reversal group), each computed on its own."""
     flipped = e.translate(_SIGN_FLIP) if type(e) is bytes else tuple(v ^ 1 for v in e)
-    return [_canonical_encoding(e), _canonical_encoding(flipped), _canonical_reversal(e), _canonical_reversal(e, True)]
+    return [_canonical_encoding(e), _canonical_encoding(flipped), _canonical_image(e, _REV), _canonical_image(e, _GLOB)]
 
 
 class TestReverse:
@@ -144,20 +147,22 @@ class TestCanonicalReversal:
         count = 0
         for w in self.diagrams():
             e = _wgd_packed(w)
-            reversed_w = _wgd_from_encoding(_canonical_reversal(e))
-            global_w = _wgd_from_encoding(_canonical_reversal(e, flip_signs=True))
+            reversed_w = _wgd_from_encoding(_canonical_image(e, _REV))
+            global_w = _wgd_from_encoding(_canonical_image(e, _GLOB))
             code = wgd_to_gauss(w)
             assert reversed_w == gauss_to_wgd(reverse(code)) == reverse(w)
             assert global_w == gauss_to_wgd(global_reversal(code)) == global_reversal(w)
-            assert _wgd_from_encoding(group_images(e)[1]) == gauss_to_wgd(bar_code(code)) == canonical_wgd(bar(w))
+            barred_w = _wgd_from_encoding(_canonical_image(e, _BAR))
+            assert barred_w == _wgd_from_encoding(group_images(e)[1])
+            assert barred_w == gauss_to_wgd(bar_code(code)) == canonical_wgd(bar(w))
             count += 1
         assert count == len(_canonical_encodings(4)) + 4 * 300 + 1
 
     def test_involution_on_the_encoding(self):
         for w in self.diagrams():
             e = _wgd_packed(w)
-            for flip in (False, True):
-                assert _canonical_reversal(_canonical_reversal(e, flip), flip) == _canonical_encoding(e)
+            for g in (_BAR, _REV, _GLOB):
+                assert _canonical_image(_canonical_image(e, g), g) == _canonical_encoding(e)
 
     def test_invalid_diagram_rejected(self):
         bad = WeldedGaussDiagram((1, 2), {1: 2, 2: 3}, {1: 1, 2: 1})
