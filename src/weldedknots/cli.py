@@ -358,7 +358,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     )
     named = [command for command in _COMMANDS if argv and command[0] == argv[0]]
     metavar = "{" + ",".join(name for name, *_ in _COMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    # an explicit prog spares argparse formatting the root usage to derive it
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog="weldedknots")
     for name, help_text, add_arguments, handler in named or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)

@@ -270,12 +270,6 @@ def _rotation_tables(n: int) -> list:
     return _tables(list(range(2 * n)) * 2, [2 * n - 2 * r for r in range(n)])
 
 
-@functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
-def _unsigned_rotation_tables(n: int) -> list:
-    """The tables of :func:`_rotation_tables` with every sign bit cleared."""
-    return _tables([v & ~1 for v in range(2 * n)] * 2, [2 * n - 2 * r for r in range(n)])
-
-
 def _canonical_encoding(entries) -> bytes | tuple:
     """Packed encoding of the canonical form of the diagram with the packed
     encoding ``entries`` (one entry ``2 * head_pos + [sign > 0]`` per crossing:
@@ -373,6 +367,15 @@ def _canonical_image(e, g: int) -> bytes | tuple:
     return _canonical_encoding(_relabelled(e, _reversal_tables(len(e))[g]) if g else e)
 
 
+@functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
+def _orbit_tables(n: int) -> tuple:
+    """The three per-n tables of :func:`_orbit_canonical`, in one lookup:
+    the tables of :func:`_rotation_tables`, the same with every sign bit
+    cleared, and those of :func:`_reversal_tables`."""
+    unsigned = _tables([v & ~1 for v in range(2 * n)] * 2, [2 * n - 2 * r for r in range(n)])
+    return _rotation_tables(n), unsigned, _reversal_tables(n)
+
+
 def _orbit_canonical(x) -> tuple:
     """``(rep, h, stab)`` for the diagram with the packed encoding ``x``:
     ``rep`` is the least of the canonical encodings of the four images g.x,
@@ -387,13 +390,14 @@ def _orbit_canonical(x) -> tuple:
     with the sign bit cleared.  The least first entry over the four images
     is the least of these, and only the rotations that start with it are
     relabelled in full, as in :func:`_canonical_encoding`, each from x or
-    rev(x) and sign-flipped when that makes it start with it."""
+    rev(x) and sign-flipped when that makes it start with it.  The three
+    per-n tables come from one cached lookup, :func:`_orbit_tables`, and
+    when one element alone gives ``rep``, as for most diagrams, ``stab``
+    is ``(0,)`` with nothing sorted."""
     n = len(x)
     if n == 0:
         return x, 0, _GROUP
-    rotations = _rotation_tables(n)
-    unsigned = _unsigned_rotation_tables(n)
-    tables = _reversal_tables(n)
+    rotations, unsigned, tables = _orbit_tables(n)
     reversed_x = _relabelled(x[::-1], tables[_REV])
     firsts = list(map(operator.getitem, unsigned, x))
     reversed_firsts = list(map(operator.getitem, unsigned, reversed_x))
@@ -413,6 +417,8 @@ def _orbit_canonical(x) -> tuple:
             elif candidate == best and element not in winners:
                 winners.append(element)
     h = winners[0]
+    if len(winners) == 1:  # the usual case: only the identity fixes rep
+        return best, h, (0,)
     return best, h, tuple(sorted(g ^ h for g in winners))
 
 

@@ -595,6 +595,20 @@ def _r1_deletes(e) -> Iterator:
             yield _relabelled(e[:c] + e[c + 1 :], _r1_delete_table(n, c))
 
 
+def _has_delete(e) -> bool:
+    """Whether the diagram with the packed encoding ``e`` has an R1 or R2
+    delete, by the rules of :func:`_r1_deletes` and :func:`_r2_deletes`,
+    with nothing built: some c has head[c] in {c, pred(c)}, or some x has
+    an empty gap and ``e[x] ^ e[succ(x)] == 1``."""
+    n = len(e)
+    for c in range(n):
+        h = e[c] >> 1
+        if h == c or h == (c - 1) % n:
+            return True
+    heads = {v >> 1 for v in e}
+    return any(e[x] ^ e[(x + 1) % n] == 1 and x not in heads for x in range(n))
+
+
 def _r2_deletes(e, gaps) -> Iterator:
     n = len(e)
     if n < 2:
@@ -679,6 +693,9 @@ def wgd_neighbors_iter(
     require_valid_wgd(w)
     wanted = _wanted_kinds(kinds, growth_allowed)
     if max_crossings is not None:
+        # True and 2.0 compare equal to ints but are no cap
+        if type(max_crossings) is not int:
+            raise DomainError(f"max_crossings must be None or an int, got {max_crossings!r}")
         wanted = wanted & _kinds_with_room(max_crossings - w.n)
     raw = _raw_neighbor_encodings(_canonical_wgd_encoding(w), wanted)
     yield from map(_wgd_from_encoding, map(_canonical_encoding, raw))
@@ -689,12 +706,16 @@ def wgd_neighbors_iter(
 # one adds (every kind fits)
 _ROOMS = range(min(_CROSSING_DELTA.values()) - 1, max(_CROSSING_DELTA.values()) + 1)
 _KINDS_BY_ROOM = tuple(frozenset(k for k in ALL_KINDS if _CROSSING_DELTA[k] <= room) for room in _ROOMS)
+# the same without OC, which maps a diagram to itself: the edges of the
+# move graph, all an atlas flood follows
+_EDGE_KINDS_BY_ROOM = tuple(kinds - {MoveKind.OC} for kinds in _KINDS_BY_ROOM)
 
 
-def _kinds_with_room(room: int) -> frozenset[MoveKind]:
+def _kinds_with_room(room: int, by_room=_KINDS_BY_ROOM) -> frozenset[MoveKind]:
     """The kinds whose result has at most ``room`` more crossings, looked
-    up instead of rebuilt."""
-    return _KINDS_BY_ROOM[min(max(room, _ROOMS[0]), _ROOMS[-1]) - _ROOMS[0]]
+    up in ``by_room`` (:data:`_KINDS_BY_ROOM` or
+    :data:`_EDGE_KINDS_BY_ROOM`) instead of rebuilt."""
+    return by_room[min(max(room, _ROOMS[0]), _ROOMS[-1]) - _ROOMS[0]]
 
 
 def _oc_moves(e, gaps) -> Iterator:

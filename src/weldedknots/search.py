@@ -68,9 +68,10 @@ from .model import (
     _canonical_encoding,
     _canonical_image,
     _canonical_wgd_encoding,
-    _gaps,
     _orbit_canonical,
     _pack,
+    _relabelled,
+    _rotation_tables,
     _wgd_from_encoding,
 )
 from .moves import (
@@ -82,10 +83,10 @@ from .moves import (
     oc_class,
     replay,
     _CROSSING_DELTA,
+    _EDGE_KINDS_BY_ROOM,
+    _has_delete,
     _kinds_with_room,
     _over_blocks,
-    _r1_deletes,
-    _r2_deletes,
     _raw_neighbor_encodings,
 )
 
@@ -341,16 +342,23 @@ def _canonical_encodings(n_max: int) -> list:
     with ``(v - 2r) mod 2n >= v1``; the other assignments are never
     visited.  Rotation r then starts with ``(v - 2r) mod 2n``, which ties
     v1 only when v is ``(v1 + 2r) mod 2n``: an assignment with no such tie
-    has every other rotation start above v1, so it is canonical untested,
-    and only the assignments with a tie are canonicalised."""
+    has every other rotation start above v1, so it is canonical untested.
+    One with ties is canonical unless a tying rotation, the only kind that
+    can precede it, relabels to a smaller encoding: only those rotations
+    are relabelled, each compared with the assignment."""
     out: list = [_pack([])]
     for n in range(1, n_max + 1):
+        tables = _rotation_tables(n)
         for v1 in range(2 * n):
             allowed = [[v for v in range(2 * n) if (v - 2 * r) % (2 * n) >= v1] for r in range(1, n)]
             ties = [(v1 + 2 * r) % (2 * n) for r in range(1, n)]
             for rest in itertools.product(*allowed):
                 encoding = _pack((v1,) + rest)
-                if any(map(operator.eq, rest, ties)) and _canonical_encoding(encoding) != encoding:
+                if any(map(operator.eq, rest, ties)) and any(
+                    _relabelled(encoding[r:] + encoding[:r], tables[r]) < encoding
+                    for r, v, tie in zip(range(1, n), rest, ties)
+                    if v == tie
+                ):
                     continue
                 out.append(encoding)
     return out
@@ -361,6 +369,8 @@ def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
     sorted by (crossing count, encoding): the diagrams of
     :func:`_canonical_encodings`, which visits only the assignments whose
     later entries are no less than the first entry under rotation."""
+    if type(n_max) is not int or n_max < 0:
+        raise DomainError(f"n_max must be an int >= 0, got {n_max!r}")
     return [_wgd_from_encoding(e) for e in _canonical_encodings(n_max)]
 
 
@@ -378,10 +388,13 @@ def _orbit_flood(start, lift: int, stab, max_crossings: int, seed):
     seed ``seed`` of its orbit.
 
     Representatives are expanded best-first by (crossing count, encoding),
-    each carrying its lift g, with g.rep in C.  A raw neighbour y = h.r_y
-    of a representative with lift g is the state g.h.r_y of C, so it gives
-    a new r_y the lift g.h, and an r_y with the lift l the element g.h.l of
-    Stab(C), the elements of G that map C to itself.  Each raw neighbour is
+    each carrying its lift g, with g.rep in C, along the edges of the move
+    graph only: OC maps a diagram to itself, so the kinds come from
+    :data:`moves._EDGE_KINDS_BY_ROOM`, which leaves it out.  A raw
+    neighbour y = h.r_y of a representative with lift g is the state
+    g.h.r_y of C, so it gives a new r_y the lift g.h, and an r_y with the
+    lift l the element g.h.l of Stab(C), the elements of G that map C to
+    itself.  Each raw neighbour is
     canonicalised once per flood: a map keeps its h.l, which is all a
     later meeting needs.  Returns None at the first new representative that
     precedes ``seed`` in (crossing count, encoding) order; otherwise, once
@@ -398,7 +411,8 @@ def _orbit_flood(start, lift: int, stab, max_crossings: int, seed):
     while heap:
         _, rep = heapq.heappop(heap)
         g = lifts[rep]
-        for raw in _raw_neighbor_encodings(rep, _kinds_with_room(max_crossings - len(rep))):
+        kinds = _kinds_with_room(max_crossings - len(rep), _EDGE_KINDS_BY_ROOM)
+        for raw in _raw_neighbor_encodings(rep, kinds):
             offset = offsets.get(raw)
             if offset is None:
                 r_y, h, _ = _orbit_canonical(raw)
@@ -434,7 +448,8 @@ def build_atlas(
     on orbit representatives.  Seeds are visited in (crossing count,
     encoding) order, and only the seeds with no R1 or R2 delete can flood:
 
-    * a seed s with no delete takes r, the representative of its orbit,
+    * a seed s with no delete (:func:`moves._has_delete`, which builds
+      nothing) takes r, the representative of its orbit,
       with s = k.r.  It is skipped when r has a class; otherwise r floods
       (:func:`_orbit_flood`) with lift k.  A flood stops at the first new
       representative that precedes s, and r takes the trivial class;
@@ -457,7 +472,9 @@ def build_atlas(
       along paths from k.r, every state of C is g.r' for a visited r' and
       some g in lift(r')H: an edge from a representative with lift l to
       the raw neighbour h.r' gives r' the lift l.h, or puts l.h.lift(r')
-      in H.  So every seed of G.C is registered, in its coset class;
+      in H.  So every seed of G.C is registered, in its coset class.  The
+      flood skips OC: its self-loop at r' would only contribute an
+      element of Stab(r'), which lies in H already (below);
     * H is exactly the subgroup that maps C to itself.  Each generator
       does: l.h.lift(r') maps the state lift(r').r' of C to the state
       l.h.r' of C, and the stabiliser of r, also a generator, fixes k.r.
@@ -502,7 +519,7 @@ def build_atlas(
     cosets = {seeds[0]: (0, 0, 0, 0)}
     label: dict = {}  # each registered seed, and each stopped flood's start -> its class
     for e in seeds[1:]:
-        if next(_r1_deletes(e), None) is not None or next(_r2_deletes(e, _gaps(e)), None) is not None:
+        if _has_delete(e):
             continue
         rep, k, stab = _orbit_canonical(e)
         if rep in label:  # its orbit of components is done

@@ -31,8 +31,15 @@ from weldedknots import (
     wgd_neighbors_iter,
 )
 
-from weldedknots.model import OVER, UNDER
-from weldedknots.moves import _CROSSING_DELTA, _kinds_with_room
+from weldedknots.model import OVER, UNDER, _gaps, _pack, _wgd_packed
+from weldedknots.moves import (
+    _CROSSING_DELTA,
+    _EDGE_KINDS_BY_ROOM,
+    _has_delete,
+    _kinds_with_room,
+    _r1_deletes,
+    _r2_deletes,
+)
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_neighbors_iter, random_code, random_wgd
 
@@ -270,6 +277,20 @@ class TestWgdNeighbors:
             for cap in range(n - 5, n + 5):
                 within_cap = {k for k in ALL_KINDS if n + _CROSSING_DELTA[k] <= cap}
                 assert _kinds_with_room(cap - n) == within_cap, (n, cap)
+                edges = _kinds_with_room(cap - n, _EDGE_KINDS_BY_ROOM)
+                assert edges == within_cap - {MoveKind.OC}, (n, cap)
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, "3", True, [3]])
+    def test_non_int_cap_rejected(self, cap):
+        """A cap is None or an int: ``True`` and ``3.0`` compare equal to
+        ints but are no cap."""
+        w = gauss_to_wgd(decode_gauss_code(TREFOIL_TEXT))
+        with pytest.raises(DomainError, match="max_crossings"):
+            wgd_neighbors(w, max_crossings=cap)
+        with pytest.raises(DomainError, match="max_crossings"):
+            next(wgd_neighbors_iter(w, max_crossings=cap))
+        assert wgd_neighbors(w, max_crossings=None) == wgd_neighbors(w)
+        assert wgd_neighbors(w, max_crossings=-1) == set()
 
     def test_kink_has_smaller_neighbor(self, rng):
         for _ in range(50):
@@ -335,6 +356,40 @@ def test_raw_neighbors_by_kind_table():
                 expected = [nb for k in kinds for nb in by_kind[k]]
                 for wanted in (frozenset(kinds), kinds, set(kinds)):
                     assert list(_raw_neighbor_encodings(e, wanted)) == expected
+
+
+class TestHasDelete:
+    """``_has_delete`` reads the R1 and R2 delete rules off the entries and
+    builds nothing; it says whether the generators yield a delete."""
+
+    @staticmethod
+    def _agrees(e) -> None:
+        first = (next(_r1_deletes(e), None), next(_r2_deletes(e, _gaps(e)), None))
+        assert _has_delete(e) == (first != (None, None)), e
+
+    def test_every_raw_encoding_up_to_four_crossings(self):
+        for n in range(5):
+            for entries in itertools.product(range(2 * n), repeat=n):
+                self._agrees(_pack(entries))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_encodings(self, n):
+        rng = random.Random(f"has_delete:{n}")
+        for _ in range(300):
+            self._agrees(_pack([rng.randrange(2 * n) for _ in range(n)]))
+
+    def test_past_128_crossings(self):
+        # tuples, with an R1 delete at 50 and an R2 delete at (100, 101);
+        # heading 50 into gap 52 leaves the R2 delete alone
+        w = long_wgd(130)
+        e = _wgd_packed(w)
+        assert type(e) is tuple and _has_delete(e)
+        self._agrees(e)
+        head = dict(w.head)
+        head[w.order[50]] = w.order[52]
+        e = _wgd_packed(WeldedGaussDiagram(w.order, head, w.sign))
+        assert next(_r1_deletes(e), None) is None and _has_delete(e)
+        self._agrees(e)
 
 
 def _agrees_with_oracle(w, kinds) -> None:

@@ -207,6 +207,21 @@ class TestEnumeration:
         for w in seeds:
             assert canonical_wgd(w) == w
 
+    @pytest.mark.parametrize("n_max", [-1, True, 2.5, 3.0, "3", None])
+    def test_bad_n_max_rejected(self, n_max):
+        """``-1`` would give the empty diagram and ``True`` would act as 1."""
+        with pytest.raises(DomainError, match="n_max"):
+            enumerate_canonical_wgds(n_max)
+
+    def test_pruned_enumeration_is_the_brute_force_filter(self):
+        """Every raw encoding of up to four crossings that is its own
+        canonical encoding, and no other, in (crossing count, encoding)
+        order: the tie test that relabels only the tying rotations keeps
+        exactly what a full canonicalisation keeps."""
+        brute = [e for n in range(5) for e in map(bytes, itertools.product(range(2 * n), repeat=n))
+                 if _canonical_encoding(e) == e]
+        assert _canonical_encodings(4) == brute
+
     def test_pruning_keeps_every_canonical_encoding(self):
         # the lists are cumulative, so n_max=4 covers every n <= 4
         packed = _canonical_encodings(4)
@@ -448,12 +463,15 @@ class TestAtlas:
         """A time-free cost guard: at (4, 5) only 16 seeds flood orbit
         representatives, 4 of them stopping at a trivial seed, for 804
         expansions in all (each one call of ``_raw_neighbor_encodings``).
-        The build makes 2,441 orbit canonicalisations and 654 canonical
+        The build makes 2,039 orbit canonicalisations and 102 canonical
         forms, counted wherever they are made, ``model`` included: no
         delete is canonicalised (1,618 when each seed with a delete took
-        its first delete's label).  Flooding each component on its own
-        took 44 floods, 16 of them trivial, and 3,126 expansions, and 6,783
-        canonical forms counted in ``search`` and ``moves`` only."""
+        its first delete's label), no OC self-loop is expanded (2,441
+        orbit canonicalisations when it was), and no tie of the seed
+        enumeration is fully canonicalised (654 canonical forms when it
+        was).  Flooding each component on its own took 44 floods, 16 of
+        them trivial, and 3,126 expansions, and 6,783 canonical forms
+        counted in ``search`` and ``moves`` only."""
         import weldedknots.convert
         import weldedknots.model
         import weldedknots.moves
@@ -495,9 +513,27 @@ class TestAtlas:
         monkeypatch.setattr(weldedknots.search, "_orbit_flood", counted_flood)
         records = build_atlas(4, 5)
         assert (floods, trivial, expansions) == (16, 4, 804)
-        assert (orbits, calls) == (2_441, 654)
+        assert (orbits, calls) == (2_039, 102)
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
+
+    def test_floods_follow_edges_only(self, monkeypatch):
+        """OC maps a diagram to itself, so a flood never asks for it: its
+        self-loop would only put an element of Stab(rep) into H."""
+        import weldedknots.search
+
+        raw_neighbors = weldedknots.search._raw_neighbor_encodings
+        asked = []
+
+        def recording(e, wanted):
+            asked.append(wanted)
+            return raw_neighbors(e, wanted)
+
+        monkeypatch.setattr(weldedknots.search, "_raw_neighbor_encodings", recording)
+        build_atlas(4, 5)
+        assert len(asked) == 804
+        assert not any(MoveKind.OC in wanted for wanted in asked)
+        assert any(MoveKind.R2_INSERT in wanted for wanted in asked)
 
     def test_fingerprints_once_per_class(self, monkeypatch):
         """A time-free cost guard: fingerprints are class invariants, so
