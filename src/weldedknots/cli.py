@@ -188,6 +188,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    if args.a == args.b == "-":  # b would read the empty rest of stdin
+        raise DomainError("only one of a and b can be read from stdin (-)")
     w1 = _as_wgd(_parse_any(_read_input(args.a)))
     w2 = _as_wgd(_parse_any(_read_input(args.b)))
     budget = _budget_from_args(args, max(w1.n, w2.n) + 2)

@@ -203,11 +203,15 @@ class Group:
         return tuple(sorted({self.conjugate(g, a) for g in range(self.order)}))
 
     def __post_init__(self):
-        k = len(self.table)
-        if any(len(row) != k for row in self.table):
-            raise DomainError("multiplication table must be square")
-        if any(v < 0 or v >= k for row in self.table for v in row):
-            raise DomainError("table entries must index elements")
+        # groups are ordered and told apart by name
+        if not isinstance(self.name, str):
+            raise DomainError(f"a group name must be a str, got {self.name!r}")
+        k = len(self.table) if isinstance(self.table, (tuple, list)) else -1
+        if k < 0 or any(not isinstance(row, (tuple, list)) or len(row) != k for row in self.table):
+            raise DomainError("multiplication table must be a square of rows")
+        # True and 1.0 compare equal to 1 but index no element
+        if any(type(v) is not int or v < 0 or v >= k for row in self.table for v in row):
+            raise DomainError("table entries must be ints indexing elements")
         identity = None
         for e in range(k):
             if all(self.table[e][x] == x == self.table[x][e] for x in range(k)):

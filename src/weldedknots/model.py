@@ -22,6 +22,7 @@ goes through :func:`canonical_wgd`.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 import re
@@ -295,6 +296,42 @@ def _canonical_encoding(entries) -> bytes | tuple:
                 if candidate < best:
                     best = candidate
     return best
+
+
+def _canonical_encodings(n_max: int) -> list:
+    """Packed encodings of all canonical welded Gauss diagrams with up to
+    n_max crossings, sorted by (crossing count, encoding): bytes, one entry
+    ``2 * head_pos + [sign > 0]`` per crossing, up to 128 crossings, tuples
+    of the same ints beyond.
+
+    For each n, the assignments are visited in encoding order (heads
+    ascending, sign -1 before +1), and an assignment is kept when it is its
+    own canonical encoding, so the sort holds by construction.  The first
+    entry of a canonical encoding is the least first entry of its rotations,
+    so after a first entry v1 position r >= 1 may hold only the entries v
+    with ``(v - 2r) mod 2n >= v1``; the other assignments are never
+    visited.  Rotation r then starts with ``(v - 2r) mod 2n``, which ties
+    v1 only when v is ``(v1 + 2r) mod 2n``: an assignment with no such tie
+    has every other rotation start above v1, so it is canonical untested.
+    One with ties is canonical unless a tying rotation, the only kind that
+    can precede it, relabels to a smaller encoding: only those rotations
+    are relabelled, each compared with the assignment."""
+    out: list = [_pack([])]
+    for n in range(1, n_max + 1):
+        tables = _rotation_tables(n)
+        for v1 in range(2 * n):
+            allowed = [[v for v in range(2 * n) if (v - 2 * r) % (2 * n) >= v1] for r in range(1, n)]
+            ties = [(v1 + 2 * r) % (2 * n) for r in range(1, n)]
+            for rest in itertools.product(*allowed):
+                encoding = _pack((v1,) + rest)
+                if any(map(operator.eq, rest, ties)) and any(
+                    _relabelled(encoding[r:] + encoding[:r], tables[r]) < encoding
+                    for r, v, tie in zip(range(1, n), rest, ties)
+                    if v == tie
+                ):
+                    continue
+                out.append(encoding)
+    return out
 
 
 def _wgd_from_encoding(encoding) -> WeldedGaussDiagram:

@@ -42,6 +42,11 @@ of the gap ``G_u = {c : head[c] = u}`` may come in any order.  Each move
 touches a few adjacent gaps, so its sites are read off ``order``,
 ``head`` and ``sign`` (see :func:`wgd_neighbors_iter` for the rules),
 once per site instead of once per code of the over-commute class.
+
+The move graph's edges are the R1, R2 and R3 moves (OC maps a diagram to
+itself).  :func:`_edges` is the one neighbour step of every walk of
+:mod:`weldedknots.search`, and :func:`_edge_records` realises an edge a
+walk found as records on a concrete code.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
+from .convert import gauss_to_wgd
 from .model import (
     OVER,
     UNDER,
@@ -515,6 +521,42 @@ def oc_class(code: GaussCode) -> Iterator[GaussCode]:
         yield GaussCode(tuple(passages))
 
 
+def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[MoveRecord]:
+    """Over-commute records turning ``code`` into ``variant``, a code of its
+    over-commute class, by adjacent transpositions inside each over block."""
+    records: list[MoveRecord] = []
+    current = code
+    for block in _over_blocks(code):
+        for k, pos in enumerate(block):
+            j = next(jj for jj in range(k, len(block)) if current[block[jj]] == variant[pos])
+            while j > k:
+                site = MoveSite(MoveKind.OC, (block[j - 1], block[j]), "oc")
+                current, rec = apply(current, site)
+                records.append(rec)
+                j -= 1
+    return records
+
+
+# the one Reidemeister kind that changes the crossing count by each amount
+_KIND_BY_DELTA = {delta: kind for kind, delta in _CROSSING_DELTA.items() if kind != MoveKind.OC}
+
+
+def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> tuple[list[MoveRecord], GaussCode]:
+    """The records that realise on ``code`` a move-graph edge from its
+    diagram to the canonical diagram ``target``, and the code they reach:
+    over-commute records reordering ``code`` into the first code of its
+    over-commute class with a site reaching ``target``, then that move's
+    record."""
+    kind = _KIND_BY_DELTA.get(target.n - code.n)
+    if kind is not None:
+        for variant in oc_class(code):
+            for site in enumerate_sites(variant, kinds=(kind,)):
+                new_code, rec = apply(variant, site)
+                if gauss_to_wgd(new_code) == target:
+                    return _block_permutation_records(code, variant) + [rec], new_code
+    raise DomainError("states are not one move apart")
+
+
 def _subsets(items: list[int]) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(
         itertools.combinations(items, r) for r in range(len(items) + 1)
@@ -696,26 +738,9 @@ def wgd_neighbors_iter(
         # True and 2.0 compare equal to ints but are no cap
         if type(max_crossings) is not int:
             raise DomainError(f"max_crossings must be None or an int, got {max_crossings!r}")
-        wanted = wanted & _kinds_with_room(max_crossings - w.n)
+        wanted = {k for k in wanted if w.n + _CROSSING_DELTA[k] <= max_crossings}
     raw = _raw_neighbor_encodings(_canonical_wgd_encoding(w), wanted)
     yield from map(_wgd_from_encoding, map(_canonical_encoding, raw))
-
-
-# the kinds whose result has at most room = max_crossings - n more crossings,
-# from one below the most crossings a move removes (no kind fits) to the most
-# one adds (every kind fits)
-_ROOMS = range(min(_CROSSING_DELTA.values()) - 1, max(_CROSSING_DELTA.values()) + 1)
-_KINDS_BY_ROOM = tuple(frozenset(k for k in ALL_KINDS if _CROSSING_DELTA[k] <= room) for room in _ROOMS)
-# the same without OC, which maps a diagram to itself: the edges of the
-# move graph, all an atlas flood follows
-_EDGE_KINDS_BY_ROOM = tuple(kinds - {MoveKind.OC} for kinds in _KINDS_BY_ROOM)
-
-
-def _kinds_with_room(room: int, by_room=_KINDS_BY_ROOM) -> frozenset[MoveKind]:
-    """The kinds whose result has at most ``room`` more crossings, looked
-    up in ``by_room`` (:data:`_KINDS_BY_ROOM` or
-    :data:`_EDGE_KINDS_BY_ROOM`) instead of rebuilt."""
-    return by_room[min(max(room, _ROOMS[0]), _ROOMS[-1]) - _ROOMS[0]]
 
 
 def _oc_moves(e, gaps) -> Iterator:
@@ -729,9 +754,7 @@ def _r1_deletes_in_gaps(e, gaps) -> Iterator:
     return _r1_deletes(e)
 
 
-# per set of kinds, its generators in output order: a flood looks its
-# kinds up here once per expansion instead of testing six memberships,
-# each hashing a MoveKind through Python's Enum.__hash__
+# each kind's generator, in output order
 _GENERATORS = (
     (MoveKind.OC, _oc_moves),
     (MoveKind.R1_INSERT, _r1_inserts),
@@ -740,10 +763,6 @@ _GENERATORS = (
     (MoveKind.R2_DELETE, _r2_deletes),
     (MoveKind.R3, _r3_moves),
 )
-_GENERATORS_BY_KINDS = {
-    frozenset(kinds): tuple(generate for kind, generate in _GENERATORS if kind in kinds)
-    for kinds in _subsets(_KIND_ORDER)
-}
 
 
 def _raw_neighbor_encodings(e, wanted) -> Iterator:
@@ -755,10 +774,29 @@ def _raw_neighbor_encodings(e, wanted) -> Iterator:
     R2 delete is a slice and one ``bytes.translate`` table and R3 writes
     two entries, and a tuple of the same ints beyond.  ``e`` is not
     validated."""
-    if type(wanted) is not frozenset:
-        wanted = frozenset(wanted)
     gaps = _gaps(e)
-    for generate in _GENERATORS_BY_KINDS[wanted]:
+    for kind, generate in _GENERATORS:
+        if kind in wanted:
+            yield from generate(e, gaps)
+
+
+# per room = max_crossings - n, from -3 (no kind fits) to 2 (every kind
+# fits), the generators of the edges, every kind but OC, whose result fits
+_ROOMS = range(min(_CROSSING_DELTA.values()) - 1, max(_CROSSING_DELTA.values()) + 1)
+_EDGES_BY_ROOM = tuple(
+    tuple(generate for kind, generate in _GENERATORS if kind != MoveKind.OC and _CROSSING_DELTA[kind] <= room)
+    for room in _ROOMS
+)
+
+
+def _edges(e, max_crossings: int) -> Iterator:
+    """The raw neighbours of the diagram with packed encoding ``e`` along
+    the move-graph edges whose result has at most ``max_crossings``
+    crossings: :func:`_raw_neighbor_encodings` of those kinds, in its
+    order, from generators chosen at import."""
+    room = min(max(max_crossings - len(e), _ROOMS[0]), _ROOMS[-1])
+    gaps = _gaps(e)
+    for generate in _EDGES_BY_ROOM[room - _ROOMS[0]]:
         yield from generate(e, gaps)
 
 

@@ -2,8 +2,11 @@
 Bounded equivalence search, simplification, and the exact atlas.
 
 States are packed canonical encodings (see :mod:`weldedknots.model`),
-ordered by (crossing count, encoding) for determinism.  Equivalence
-search and :func:`simplify` expand them through :func:`_expand`, which
+ordered by (crossing count, encoding) for determinism.  Every walk, the
+equivalence search, :func:`simplify` and the atlas floods, takes one
+neighbour step, :func:`moves._edges`: the raw neighbours along the R1,
+R2 and R3 edges of the move graph within the crossing cap.  Equivalence
+search and :func:`simplify` expand states through :func:`_expand`, which
 canonicalises each raw neighbour once per walk.  Diagrams are built only
 at the API boundary: for the states of a found path, whose codes are
 rematerialized into a replayable move path, and for the result of
@@ -41,10 +44,10 @@ are invariants of the welded class (see :mod:`weldedknots.invariants`).
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
-the discovered state sequence on the concrete code, inserting explicit
-over-commute records where the realization has to be reordered first, so
-the returned record list replays start to finish with no hidden
-normalization.
+the discovered state sequence on the concrete code
+(:func:`moves._edge_records`), inserting explicit over-commute records
+where the realization has to be reordered first, so the returned record
+list replays start to finish with no hidden normalization.
 """
 
 from __future__ import annotations
@@ -52,43 +55,25 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 
-from .convert import gauss_to_wgd, wgd_to_gauss
+from .convert import wgd_to_gauss
 from .invariants import Group, InvariantFingerprint, _fingerprint, _fingerprint_terms
 from .model import (
     DomainError,
-    GaussCode,
     WeldedGaussDiagram,
     canonical_wgd,
     require_valid_wgd,
     _GLOB,
     _GROUP,
     _canonical_encoding,
+    _canonical_encodings,
     _canonical_image,
     _canonical_wgd_encoding,
     _orbit_canonical,
-    _pack,
-    _relabelled,
-    _rotation_tables,
     _wgd_from_encoding,
 )
-from .moves import (
-    MoveKind,
-    MoveRecord,
-    MoveSite,
-    apply,
-    enumerate_sites,
-    oc_class,
-    replay,
-    _CROSSING_DELTA,
-    _EDGE_KINDS_BY_ROOM,
-    _has_delete,
-    _kinds_with_room,
-    _over_blocks,
-    _raw_neighbor_encodings,
-)
+from .moves import MoveRecord, _edge_records, _edges, _has_delete
 
 
 @dataclass(frozen=True)
@@ -125,12 +110,13 @@ def _size_then_encoding(e) -> tuple:
 
 
 def _expand(state, max_crossings: int, seen: set) -> list:
-    """The neighbours of ``state`` within ``max_crossings`` crossings that
-    are not in ``seen``, in state order.  ``seen``, one per walk, holds
-    every encoding whose canonical form has been reached, raw neighbours
-    and states alike, so each raw neighbour is canonicalised once per walk."""
+    """The neighbours of ``state`` along the edges within ``max_crossings``
+    crossings (:func:`moves._edges`) that are not in ``seen``, in state
+    order.  ``seen``, one per walk, holds every encoding whose canonical
+    form has been reached, raw neighbours and states alike, so each raw
+    neighbour is canonicalised once per walk."""
     new = []
-    for raw in _raw_neighbor_encodings(state, _kinds_with_room(max_crossings - len(state))):
+    for raw in _edges(state, max_crossings):
         if raw in seen:
             continue
         nb = _canonical_encoding(raw)
@@ -141,11 +127,11 @@ def _expand(state, max_crossings: int, seen: set) -> list:
     return sorted(new, key=_size_then_encoding)
 
 
-def _best_first(start, max_crossings: int, max_depth: int | None = None):
+def _best_first(start, max_crossings: int, max_depth: int):
     """Yield the states other than ``start`` reachable within
-    ``max_crossings`` crossings and ``max_depth`` moves (None: no limit),
-    in the order found: expanded best-first by (crossing count, encoding),
-    each expansion's new states in state order."""
+    ``max_crossings`` crossings and ``max_depth`` moves, in the order
+    found: expanded best-first by (crossing count, encoding), each
+    expansion's new states in state order."""
     seen = {start}
     # states are distinct, so (crossing count, state) orders the heap alone
     heap = [(len(start), start, 0)]
@@ -222,22 +208,6 @@ def _walk(parents: dict, state) -> list:
     return seq
 
 
-def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[MoveRecord]:
-    """Over-commute records turning ``code`` into ``variant``, a code of its
-    over-commute class, by adjacent transpositions inside each over block."""
-    records: list[MoveRecord] = []
-    current = code
-    for block in _over_blocks(code):
-        for k, pos in enumerate(block):
-            j = next(jj for jj in range(k, len(block)) if current[block[jj]] == variant[pos])
-            while j > k:
-                site = MoveSite(MoveKind.OC, (block[j - 1], block[j]), "oc")
-                current, rec = apply(current, site)
-                records.append(rec)
-                j -= 1
-    return records
-
-
 def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     """Record path realizing a sequence of adjacent states, starting from
     the first state's realization.  Each step may prepend over-commute
@@ -249,25 +219,9 @@ def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     code = wgd_to_gauss(states[0])
     records: list[MoveRecord] = []
     for target in states[1:]:
-        step = _edge_records(code, target)
+        step, code = _edge_records(code, target)
         records.extend(step)
-        code = replay(code, step)
     return records
-
-
-# the one Reidemeister kind that changes the crossing count by each amount
-_KIND_BY_DELTA = {delta: kind for kind, delta in _CROSSING_DELTA.items() if kind != MoveKind.OC}
-
-
-def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> list[MoveRecord]:
-    kind = _KIND_BY_DELTA.get(target.n - code.n)
-    if kind is not None:
-        for variant in oc_class(code):
-            for site in enumerate_sites(variant, kinds=(kind,)):
-                new_code, rec = apply(variant, site)
-                if gauss_to_wgd(new_code) == target:
-                    return _block_permutation_records(code, variant) + [rec]
-    raise DomainError("states are not one move apart")
 
 
 # ---------------------------------------------------------------------------
@@ -328,42 +282,6 @@ class AtlasRecord:
         return _wgd_from_encoding(self.encoding)
 
 
-def _canonical_encodings(n_max: int) -> list:
-    """Packed encodings (see :mod:`weldedknots.model`) of all canonical
-    welded Gauss diagrams with up to n_max crossings, sorted by (crossing
-    count, encoding): bytes, one entry ``2 * head_pos + [sign > 0]`` per
-    crossing, up to 128 crossings, tuples of the same ints beyond.
-
-    For each n, the assignments are visited in encoding order (heads
-    ascending, sign -1 before +1), and an assignment is kept when it is its
-    own canonical encoding, so the sort holds by construction.  The first
-    entry of a canonical encoding is the least first entry of its rotations,
-    so after a first entry v1 position r >= 1 may hold only the entries v
-    with ``(v - 2r) mod 2n >= v1``; the other assignments are never
-    visited.  Rotation r then starts with ``(v - 2r) mod 2n``, which ties
-    v1 only when v is ``(v1 + 2r) mod 2n``: an assignment with no such tie
-    has every other rotation start above v1, so it is canonical untested.
-    One with ties is canonical unless a tying rotation, the only kind that
-    can precede it, relabels to a smaller encoding: only those rotations
-    are relabelled, each compared with the assignment."""
-    out: list = [_pack([])]
-    for n in range(1, n_max + 1):
-        tables = _rotation_tables(n)
-        for v1 in range(2 * n):
-            allowed = [[v for v in range(2 * n) if (v - 2 * r) % (2 * n) >= v1] for r in range(1, n)]
-            ties = [(v1 + 2 * r) % (2 * n) for r in range(1, n)]
-            for rest in itertools.product(*allowed):
-                encoding = _pack((v1,) + rest)
-                if any(map(operator.eq, rest, ties)) and any(
-                    _relabelled(encoding[r:] + encoding[:r], tables[r]) < encoding
-                    for r, v, tie in zip(range(1, n), rest, ties)
-                    if v == tie
-                ):
-                    continue
-                out.append(encoding)
-    return out
-
-
 def enumerate_canonical_wgds(n_max: int) -> list[WeldedGaussDiagram]:
     """All canonical welded Gauss diagrams with up to n_max crossings,
     sorted by (crossing count, encoding): the diagrams of
@@ -389,12 +307,11 @@ def _orbit_flood(start, lift: int, stab, max_crossings: int, seed):
 
     Representatives are expanded best-first by (crossing count, encoding),
     each carrying its lift g, with g.rep in C, along the edges of the move
-    graph only: OC maps a diagram to itself, so the kinds come from
-    :data:`moves._EDGE_KINDS_BY_ROOM`, which leaves it out.  A raw
-    neighbour y = h.r_y of a representative with lift g is the state
-    g.h.r_y of C, so it gives a new r_y the lift g.h, and an r_y with the
-    lift l the element g.h.l of Stab(C), the elements of G that map C to
-    itself.  Each raw neighbour is
+    graph only, through :func:`moves._edges`: OC maps a diagram to
+    itself and is no edge.  A raw neighbour y = h.r_y of a representative
+    with lift g is the state g.h.r_y of C, so it gives a new r_y the lift
+    g.h, and an r_y with the lift l the element g.h.l of Stab(C), the
+    elements of G that map C to itself.  Each raw neighbour is
     canonicalised once per flood: a map keeps its h.l, which is all a
     later meeting needs.  Returns None at the first new representative that
     precedes ``seed`` in (crossing count, encoding) order; otherwise, once
@@ -411,8 +328,7 @@ def _orbit_flood(start, lift: int, stab, max_crossings: int, seed):
     while heap:
         _, rep = heapq.heappop(heap)
         g = lifts[rep]
-        kinds = _kinds_with_room(max_crossings - len(rep), _EDGE_KINDS_BY_ROOM)
-        for raw in _raw_neighbor_encodings(rep, kinds):
+        for raw in _edges(rep, max_crossings):
             offset = offsets.get(raw)
             if offset is None:
                 r_y, h, _ = _orbit_canonical(raw)

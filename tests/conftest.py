@@ -19,9 +19,8 @@ from weldedknots import (
     wgd_to_gauss,
 )
 from weldedknots.invariants import ArcStructure, CrossingArcs
-from weldedknots.model import OVER, UNDER, _canonical_encoding, _pack
+from weldedknots.model import OVER, UNDER, _canonical_encoding, _canonical_encodings, _pack
 from weldedknots.moves import _apply_unchecked, _gaps, _match_oc, _r1_deletes, _r2_deletes
-from weldedknots.search import _canonical_encodings
 
 
 def random_code(rng: random.Random, n: int) -> GaussCode:

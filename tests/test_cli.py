@@ -212,12 +212,13 @@ class TestEquivSimplifyInvariantsAtlas:
         assert exc.value.code == 2
 
 
-def run_process(*argv, cwd):
+def run_process(*argv, cwd, stdin=None):
     """The CLI in a fresh interpreter, so an uncaught exception shows as a
-    traceback on stderr instead of failing the test run itself."""
+    traceback on stderr instead of failing the test run itself; ``stdin``
+    is the text it reads for an input ``-``."""
     return subprocess.run(
         [sys.executable, "-m", "weldedknots.cli", *argv],
-        cwd=cwd, env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=subprocess_env(), capture_output=True, text=True, timeout=60, input=stdin,
     )
 
 
@@ -253,6 +254,17 @@ class TestBoundaryErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_stdin_is_one_input(self, tmp_path):
+        """``equiv - -`` would read the kink for a and the empty rest of
+        stdin for b, and call them equivalent: it is rejected unread."""
+        (tmp_path / "kink.gc").write_text("O1+ U1+")
+        proc = run_process("equiv", "-", "-", cwd=tmp_path, stdin="O1+ U1+")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and "stdin" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        proc = run_process("equiv", "-", "kink.gc", cwd=tmp_path, stdin="O1+ U1+")
+        assert (proc.returncode, proc.stdout) == (0, "equivalent, path length 0\n")
 
     @pytest.mark.parametrize("argv", [
         ["--seed", "1", "canon", "-"],

@@ -168,6 +168,17 @@ class TestGroups:
             Group("junk", ((0, 1, 2), (1, 2, 0), (2, 1, 0)))
         with pytest.raises(DomainError):  # identity and inverses, not associative
             Group("junk", ((0, 1, 2), (1, 0, 0), (2, 0, 1)))
+        for table in (5, (1, 2), ((0, 1), 5), ((0, 1), (1,))):
+            with pytest.raises(DomainError, match="square"):
+                Group("F", table)
+        for table in (((0.0, 1.0), (1.0, 0.0)), ((0, 1), (1, 0.0)), ((False, True), (True, False))):
+            with pytest.raises(DomainError, match="must be ints"):  # 1.0 and True equal 1
+                Group("F", table)
+        for name in (5, None, b"A"):
+            with pytest.raises(DomainError, match="must be a str"):
+                Group(name, ((0,),))
+        with pytest.raises(DomainError, match="must be a str"):
+            fingerprint(TREFOIL, groups=[Group(5, ((0,),)), Group("A", ((0,),))])
 
     @pytest.mark.parametrize("name", [3, None, b"S3"])
     def test_name_must_be_a_str(self, name):

@@ -31,14 +31,14 @@ from weldedknots import (
     wgd_neighbors_iter,
 )
 
-from weldedknots.model import OVER, UNDER, _gaps, _pack, _wgd_packed
+from weldedknots.model import OVER, UNDER, _canonical_encodings, _gaps, _pack, _wgd_packed
 from weldedknots.moves import (
     _CROSSING_DELTA,
-    _EDGE_KINDS_BY_ROOM,
+    _edges,
     _has_delete,
-    _kinds_with_room,
     _r1_deletes,
     _r2_deletes,
+    _raw_neighbor_encodings,
 )
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_neighbors_iter, random_code, random_wgd
@@ -272,14 +272,6 @@ class TestWgdNeighbors:
             assert all(nb.n <= cap for nb in nbs)
             assert set(nbs) == {nb for nb in wgd_neighbors(w) if nb.n <= cap}
 
-    def test_kinds_looked_up_by_room_equal_the_kinds_within_the_cap(self):
-        for n in range(6):
-            for cap in range(n - 5, n + 5):
-                within_cap = {k for k in ALL_KINDS if n + _CROSSING_DELTA[k] <= cap}
-                assert _kinds_with_room(cap - n) == within_cap, (n, cap)
-                edges = _kinds_with_room(cap - n, _EDGE_KINDS_BY_ROOM)
-                assert edges == within_cap - {MoveKind.OC}, (n, cap)
-
     @pytest.mark.parametrize("cap", [2.5, 3.0, "3", True, [3]])
     def test_non_int_cap_rejected(self, cap):
         """A cap is None or an int: ``True`` and ``3.0`` compare equal to
@@ -338,13 +330,10 @@ def test_kinds_that_are_not_move_kinds_rejected(kinds):
 
 
 def test_raw_neighbors_by_kind_table():
-    """``_raw_neighbor_encodings`` looks its generators up by the frozenset
-    of kinds: for every set of kinds, passed as a frozenset, tuple or set,
-    it yields each kind's encodings in the order OC, R1 insert, R2 insert,
-    R1 delete, R2 delete, R3."""
-    from weldedknots.model import _wgd_packed
-    from weldedknots.moves import _raw_neighbor_encodings
-
+    """``_raw_neighbor_encodings`` filters the one generator table by the
+    kinds: for every set of kinds, passed as a frozenset, tuple or set, it
+    yields each kind's encodings in the order OC, R1 insert, R2 insert, R1
+    delete, R2 delete, R3."""
     order = (MoveKind.OC, MoveKind.R1_INSERT, MoveKind.R2_INSERT,
              MoveKind.R1_DELETE, MoveKind.R2_DELETE, MoveKind.R3)
     rng = random.Random(15)
@@ -356,6 +345,37 @@ def test_raw_neighbors_by_kind_table():
                 expected = [nb for k in kinds for nb in by_kind[k]]
                 for wanted in (frozenset(kinds), kinds, set(kinds)):
                     assert list(_raw_neighbor_encodings(e, wanted)) == expected
+
+
+class TestEdges:
+    """``_edges``, the neighbour step of every walk, yields in order the
+    raw neighbours of the kinds other than OC whose result fits the cap."""
+
+    @staticmethod
+    def _agrees(e, cap) -> None:
+        within = {k for k in ALL_KINDS - {MoveKind.OC} if len(e) + _CROSSING_DELTA[k] <= cap}
+        # compared as streams: the R2 inserts past 128 crossings are many
+        pairs = itertools.zip_longest(_edges(e, cap), _raw_neighbor_encodings(e, within))
+        assert all(a == b for a, b in pairs), (e, cap)
+
+    def test_every_canonical_diagram_up_to_three_crossings(self):
+        for e in _canonical_encodings(3):
+            for cap in range(len(e) - 3, len(e) + 4):
+                self._agrees(e, cap)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_seeded_diagrams(self, n):
+        rng = random.Random(f"edges:{n}")
+        for _ in range(30):
+            e = _wgd_packed(random_wgd(rng, n))
+            for cap in range(n - 3, n + 4):
+                self._agrees(e, cap)
+
+    def test_past_128_crossings(self):
+        e = _wgd_packed(long_wgd(130))
+        assert type(e) is tuple
+        for cap in range(len(e) - 3, len(e) + 4):
+            self._agrees(e, cap)
 
 
 class TestHasDelete:

@@ -36,9 +36,16 @@ from weldedknots import (
     wgd_to_gauss,
 )
 
-from weldedknots.model import _canonical_encoding, _wgd_from_encoding, _wgd_packed, wgd_to_obj
-from weldedknots.moves import _gaps, _r1_deletes, _r2_deletes, _r3_moves, _raw_neighbor_encodings
-from weldedknots.search import _canonical_encodings
+from weldedknots.model import _canonical_encoding, _canonical_encodings, _wgd_from_encoding, _wgd_packed, wgd_to_obj
+from weldedknots.moves import (
+    _CROSSING_DELTA,
+    _edge_records,
+    _gaps,
+    _r1_deletes,
+    _r2_deletes,
+    _r3_moves,
+    _raw_neighbor_encodings,
+)
 
 from conftest import (
     TREFOIL_TEXT,
@@ -143,6 +150,23 @@ class TestDerivePath:
         path = derive_path([EMPTY, kink])
         assert [r.kind for r in path] == [MoveKind.R1_INSERT]
         assert gauss_to_wgd(replay(wgd_to_gauss(EMPTY), path)) == canonical_wgd(kink)
+
+    def test_edge_records_return_the_code_they_reach(self, rng):
+        """``_edge_records`` hands back the code its records replay to, so
+        ``derive_path`` never replays them; over-commute records come first
+        where a code has to be reordered."""
+        reordered = 0
+        for _ in range(40):
+            w = canonical_wgd(random_wgd(rng, rng.randint(0, 3)))
+            code = wgd_to_gauss(w)
+            for nb in wgd_neighbors(w, max_crossings=w.n + 1):
+                if nb == w:  # an OC self-loop is no edge
+                    continue
+                records, reached = _edge_records(code, nb)
+                assert replay(code, records) == reached and gauss_to_wgd(reached) == nb
+                assert records[-1].kind != MoveKind.OC
+                reordered += len(records) > 1
+        assert reordered > 0
 
     def test_every_state_is_validated(self):
         with pytest.raises(DomainError):
@@ -462,7 +486,7 @@ class TestAtlas:
     def test_flood_cost_per_build(self, monkeypatch):
         """A time-free cost guard: at (4, 5) only 16 seeds flood orbit
         representatives, 4 of them stopping at a trivial seed, for 804
-        expansions in all (each one call of ``_raw_neighbor_encodings``).
+        expansions in all (each one call of ``_edges``).
         The build makes 2,039 orbit canonicalisations and 102 canonical
         forms, counted wherever they are made, ``model`` included: no
         delete is canonicalised (1,618 when each seed with a delete took
@@ -480,7 +504,7 @@ class TestAtlas:
         calls = orbits = expansions = floods = trivial = 0
         canonical = weldedknots.model._canonical_encoding
         orbit_canonical = weldedknots.model._orbit_canonical
-        raw_neighbors = weldedknots.search._raw_neighbor_encodings
+        edges = weldedknots.search._edges
         flood = weldedknots.search._orbit_flood
 
         def counted(e):
@@ -493,10 +517,10 @@ class TestAtlas:
             orbits += 1
             return orbit_canonical(e)
 
-        def counted_raw_neighbors(e, wanted):
+        def counted_edges(e, max_crossings):
             nonlocal expansions
             expansions += 1
-            return raw_neighbors(e, wanted)
+            return edges(e, max_crossings)
 
         def counted_flood(*args):
             nonlocal floods, trivial
@@ -509,7 +533,7 @@ class TestAtlas:
             monkeypatch.setattr(module, "_canonical_encoding", counted)
         for module in (weldedknots.model, weldedknots.search):
             monkeypatch.setattr(module, "_orbit_canonical", counted_orbit)
-        monkeypatch.setattr(weldedknots.search, "_raw_neighbor_encodings", counted_raw_neighbors)
+        monkeypatch.setattr(weldedknots.search, "_edges", counted_edges)
         monkeypatch.setattr(weldedknots.search, "_orbit_flood", counted_flood)
         records = build_atlas(4, 5)
         assert (floods, trivial, expansions) == (16, 4, 804)
@@ -519,21 +543,27 @@ class TestAtlas:
 
     def test_floods_follow_edges_only(self, monkeypatch):
         """OC maps a diagram to itself, so a flood never asks for it: its
-        self-loop would only put an element of Stab(rep) into H."""
+        self-loop would only put an element of Stab(rep) into H.  Each of
+        the 804 expansions yields the raw neighbours of the other kinds
+        within the cap, growth ones included."""
         import weldedknots.search
 
-        raw_neighbors = weldedknots.search._raw_neighbor_encodings
+        edges = weldedknots.search._edges
         asked = []
 
-        def recording(e, wanted):
-            asked.append(wanted)
-            return raw_neighbors(e, wanted)
+        def recording(e, max_crossings):
+            asked.append((e, max_crossings))
+            return edges(e, max_crossings)
 
-        monkeypatch.setattr(weldedknots.search, "_raw_neighbor_encodings", recording)
+        monkeypatch.setattr(weldedknots.search, "_edges", recording)
         build_atlas(4, 5)
         assert len(asked) == 804
-        assert not any(MoveKind.OC in wanted for wanted in asked)
-        assert any(MoveKind.R2_INSERT in wanted for wanted in asked)
+        kinds_seen = set()
+        for e, cap in asked:
+            wanted = {k for k in MoveKind if k != MoveKind.OC and len(e) + _CROSSING_DELTA[k] <= cap}
+            assert list(edges(e, cap)) == list(_raw_neighbor_encodings(e, wanted)), (e, cap)
+            kinds_seen |= wanted
+        assert MoveKind.R2_INSERT in kinds_seen
 
     def test_fingerprints_once_per_class(self, monkeypatch):
         """A time-free cost guard: fingerprints are class invariants, so

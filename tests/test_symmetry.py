@@ -23,13 +23,13 @@ from weldedknots.model import (
     _GLOB,
     _REV,
     _canonical_encoding,
+    _canonical_encodings,
     _canonical_image,
     _orbit_canonical,
     _wgd_from_encoding,
     _wgd_packed,
 )
 from weldedknots.moves import ALL_KINDS, _raw_neighbor_encodings
-from weldedknots.search import _canonical_encodings
 
 from conftest import TREFOIL_TEXT, long_wgd, random_code, random_wgd, reference_wgd
 
