@@ -87,7 +87,10 @@ def gauss_diagram_to_wgd(gd: GaussDiagram) -> WeldedGaussDiagram:
     interval, which makes the two diagram-construction paths comparable.
     """
     passage_at: dict = {}
-    for label, (tail, head, sign) in enumerate(gd.arrows, start=1):
+    for label, arrow in enumerate(gd.arrows, start=1):
+        if not (isinstance(arrow, tuple) and len(arrow) == 3):
+            raise DomainError(f"an arrow is a (tail, head, sign) triple, got {arrow!r}")
+        tail, head, sign = arrow
         passage_at[tail] = Passage(OVER, label, sign)
         passage_at[head] = Passage(UNDER, label, sign)
     if len(passage_at) != 2 * len(gd.arrows):

@@ -152,6 +152,12 @@ def _is_sign(value) -> bool:
     return type(value) is int and (value == 1 or value == -1)
 
 
+def _is_label(value) -> bool:
+    """An int that is not a bool: ``True`` and ``False``, which JSON
+    ``true`` and ``false`` decode to, are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_code(code: GaussCode) -> str | None:
     """Return the first violated invariant as a message, or None if valid.
 
@@ -159,11 +165,15 @@ def validate_code(code: GaussCode) -> str | None:
     """
     if not isinstance(code, GaussCode):
         return f"expected a GaussCode, got {type(code).__name__}"
+    if not isinstance(code.passages, tuple):
+        return f"passages must be a tuple, got {type(code.passages).__name__}"
     seen: dict[int, dict[str, int]] = {}
     for p in code.passages:
+        if not isinstance(p, Passage):
+            return f"expected a Passage, got {p!r}"
         if p.role not in (OVER, UNDER):
             return f"passage role must be O or U, got {p.role!r}"
-        if isinstance(p.crossing, bool) or not isinstance(p.crossing, int) or p.crossing < 1:
+        if not _is_label(p.crossing) or p.crossing < 1:
             return f"crossing label must be a positive integer, got {p.crossing!r}"
         if not _is_sign(p.sign):
             return f"sign must be +1 or -1, got {p.sign!r}"
@@ -183,18 +193,18 @@ def validate_wgd(w: WeldedGaussDiagram) -> str | None:
     """Return the first violated invariant as a message, or None if valid."""
     if not isinstance(w, WeldedGaussDiagram):
         return f"expected a WeldedGaussDiagram, got {type(w).__name__}"
+    for c in w.order:
+        if not _is_label(c) or c < 1:
+            return f"label must be a positive integer, got {c!r}"
     labels = set(w.order)
     if len(labels) != len(w.order):
         return "order repeats a label"
-    for c in w.order:
-        if isinstance(c, bool) or not isinstance(c, int) or c < 1:
-            return f"label must be a positive integer, got {c!r}"
     if set(w.head) != labels:
         return "head map is not total on the label set"
     if set(w.sign) != labels:
         return "sign map is not total on the label set"
     for c, h in w.head.items():
-        if isinstance(h, bool) or h not in labels:
+        if not _is_label(h) or h not in labels:
             return f"head of {c} points at unknown label {h}"
     for c, s in w.sign.items():
         if not _is_sign(s):
@@ -477,9 +487,8 @@ def canonical_wgd(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
 
 def wgd_encoding(w: WeldedGaussDiagram) -> tuple:
     """Hashable encoding of a *canonical* wGD: ((head(1), sign(1)), ...).
-
-    Used as a state key in searches and as the atlas sort key.
-    """
+    Diagrams with equally many crossings sort by it as by their packed
+    encodings, which the package itself keys and sorts by."""
     return tuple((w.head[i], w.sign[i]) for i in range(1, w.n + 1))
 
 
@@ -532,6 +541,8 @@ def encode_gauss_code(code: GaussCode) -> str:
 def decode_gauss_code(text: str) -> GaussCode:
     """Parse the token grammar; reject syntax errors with position/token
     and semantic errors (bad pairing) with a validation report."""
+    if not isinstance(text, str):
+        raise DecodeError(f"expected text, got {type(text).__name__}")
     passages = []
     for i, token in enumerate(text.split()):
         m = _TOKEN.match(token)
@@ -566,6 +577,8 @@ def encode_wgd(w: WeldedGaussDiagram) -> str:
 
 
 def decode_wgd(text: str) -> WeldedGaussDiagram:
+    if not isinstance(text, str):
+        raise DecodeError(f"expected text, got {type(text).__name__}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -576,12 +589,6 @@ def decode_wgd(text: str) -> WeldedGaussDiagram:
 
 
 _MAP_KEY = re.compile(r"-?[0-9]+")
-
-
-def _is_label(value) -> bool:
-    """JSON integers only: ``true`` and ``false`` decode to Python bools,
-    which are ints too."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def wgd_from_obj(obj) -> WeldedGaussDiagram:

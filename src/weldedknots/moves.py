@@ -78,7 +78,7 @@ from .model import (
 
 
 class StaleSiteError(DomainError):
-    """The site's pattern is no longer present in the code."""
+    """The site's pattern is not present in the code."""
 
 
 class MoveKind(Enum):
@@ -92,14 +92,8 @@ class MoveKind(Enum):
 
 ALL_KINDS = frozenset(MoveKind)
 GROWTH_KINDS = frozenset({MoveKind.R1_INSERT, MoveKind.R2_INSERT})
-_KIND_ORDER = [
-    MoveKind.R1_INSERT,
-    MoveKind.R1_DELETE,
-    MoveKind.R2_INSERT,
-    MoveKind.R2_DELETE,
-    MoveKind.R3,
-    MoveKind.OC,
-]
+# sites sort by kind in declaration order
+_KIND_RANK = {kind: rank for rank, kind in enumerate(MoveKind)}
 
 
 @dataclass(frozen=True)
@@ -221,12 +215,11 @@ def _match_r1_delete(code: GaussCode, i: int) -> str | None:
     return order + ("+" if a.sign > 0 else "-")
 
 
-def _match_oc(code: GaussCode, i: int) -> bool:
+def _match_oc(code: GaussCode, i: int) -> str | None:
     L = len(code)
-    if L < 2:
-        return False
-    j = (i + 1) % L
-    return code[i].role == OVER and code[j].role == OVER
+    if L < 2 or code[i].role != OVER or code[(i + 1) % L].role != OVER:
+        return None
+    return "oc"
 
 
 def _match_r2_delete(code: GaussCode, p: int, q: int) -> str | None:
@@ -374,7 +367,7 @@ def enumerate_sites(
             if _match_oc(code, i):
                 sites.append(MoveSite(MoveKind.OC, (i, (i + 1) % L), "oc"))
 
-    sites.sort(key=lambda s: (_KIND_ORDER.index(s.kind), s.positions, s.variant))
+    sites.sort(key=lambda s: (_KIND_RANK[s.kind], s.positions, s.variant))
     return sites
 
 
@@ -387,12 +380,17 @@ def _fresh_labels(code: GaussCode, count: int) -> list[int]:
 
 
 def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
-    """Apply a move at the given site; reject stale sites.
+    """Apply a move at the given site; reject a malformed or stale site.
 
-    Returns the rewritten code and a record that replays or inverts the
-    rewrite bit-exactly.
+    This is the one place a site is checked: a site is accepted exactly
+    when :func:`enumerate_sites` lists it.  Code that applies the sites it
+    has just enumerated or built calls :func:`_apply_unchecked`.  Returns
+    the rewritten code and a record that replays or inverts the rewrite
+    bit-exactly.
     """
     require_valid_code(code)
+    if not (isinstance(site, MoveSite) and isinstance(site.kind, MoveKind) and isinstance(site.positions, tuple)):
+        raise DomainError(f"expected a MoveSite with a MoveKind and a tuple of positions, got {site!r}")
     kind, positions, L = site.kind, site.positions, len(code)
     if len(positions) != _ARITY[kind]:
         raise DomainError(f"{kind.value} site needs {_ARITY[kind]} positions, got {len(positions)}")
@@ -403,16 +401,28 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
         if kind == MoveKind.R2_INSERT and (positions[0] == positions[1]) != (site.variant in _R2_SHARED_SLOT):
             raise DomainError(f"R2_insert variant {site.variant!r} does not fit slots {positions}")
         last = max(last, 0)  # the empty code has one slot
-    elif kind == MoveKind.OC and site.variant != "oc":
-        raise DomainError(f"unknown OC variant {site.variant!r}")
     if not all(_in_range(i, last + 1) for i in positions):
         raise StaleSiteError(f"{kind.value} positions {positions} out of range for length {L}")
     if kind in (MoveKind.R1_DELETE, MoveKind.OC) and positions[1] != (positions[0] + 1) % L:
         raise DomainError(f"{kind.value} positions {positions} are not adjacent")
+    if kind == MoveKind.R1_DELETE:
+        matched = _match_r1_delete(code, positions[0])
+    elif kind == MoveKind.R2_DELETE:
+        matched = _match_r2_delete(code, *positions)
+    elif kind == MoveKind.R3:
+        matched = _match_r3(code, *positions)
+    elif kind == MoveKind.OC:
+        matched = _match_oc(code, positions[0])
+    else:  # an insert matches no pattern
+        matched = site.variant
+    if matched != site.variant:
+        raise StaleSiteError(f"no {kind.value} pattern {site.variant!r} at positions {positions}")
     return _apply_unchecked(code, site)
 
 
 def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
+    """:func:`apply` for a site known to fit ``code``, such as one that
+    :func:`enumerate_sites` has just listed, with the site unchecked."""
     L = len(code)
     kind = site.kind
 
@@ -426,8 +436,6 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
 
     elif kind == MoveKind.R1_DELETE:
         i = site.positions[0]
-        if _match_r1_delete(code, i) != site.variant:
-            raise StaleSiteError("R1 kink no longer present")
         j = (i + 1) % L
         removes = tuple(sorted([(i, code[i]), (j, code[j])]))
         record = MoveRecord(kind, site.variant, removes=removes, site=site)
@@ -454,27 +462,18 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
 
     elif kind == MoveKind.R2_DELETE:
         p, q = site.positions
-        if _match_r2_delete(code, p, q) != site.variant:
-            raise StaleSiteError("R2 pattern no longer present")
         idxs = sorted({p, (p + 1) % L, q, (q + 1) % L})
         removes = tuple((i, code[i]) for i in idxs)
         record = MoveRecord(kind, site.variant, removes=removes, site=site)
 
     elif kind == MoveKind.R3:
         t, m, b = site.positions
-        if _match_r3(code, t, m, b) != site.variant:
-            raise StaleSiteError("R3 pattern no longer present")
         swaps = ((t, (t + 1) % L), (m, (m + 1) % L), (b, (b + 1) % L))
         record = MoveRecord(kind, site.variant, swaps=swaps, site=site)
 
-    elif kind == MoveKind.OC:
+    else:  # OC
         i = site.positions[0]
-        if not _match_oc(code, i):
-            raise StaleSiteError("over-over pair no longer present")
         record = MoveRecord(kind, "oc", swaps=((i, (i + 1) % L),), site=site)
-
-    else:  # pragma: no cover
-        raise DomainError(f"unknown move kind {kind}")
 
     return apply_record(code, record), record
 
@@ -531,7 +530,7 @@ def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[Move
             j = next(jj for jj in range(k, len(block)) if current[block[jj]] == variant[pos])
             while j > k:
                 site = MoveSite(MoveKind.OC, (block[j - 1], block[j]), "oc")
-                current, rec = apply(current, site)
+                current, rec = _apply_unchecked(current, site)
                 records.append(rec)
                 j -= 1
     return records
@@ -551,7 +550,7 @@ def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> tuple[list[Mov
     if kind is not None:
         for variant in oc_class(code):
             for site in enumerate_sites(variant, kinds=(kind,)):
-                new_code, rec = apply(variant, site)
+                new_code, rec = _apply_unchecked(variant, site)
                 if gauss_to_wgd(new_code) == target:
                     return _block_permutation_records(code, variant) + [rec], new_code
     raise DomainError("states are not one move apart")

@@ -18,29 +18,9 @@ The atlas needs no budget: its classes are the connected components of
 the move graph on all diagrams up to a crossing cap, found exactly.  It
 classifies only its seeds, the diagrams up to a smaller crossing count,
 and floods only the components that hold a seed, one orbit of components
-under the reversal group G = {id, bar, rev, glob} at a time.  G acts on
-the move graph by automorphisms, so a flood walks orbit representatives,
-the least canonical forms of their orbits, each with a lift g in G that
-names which image of it lies in the flooded component C:
-
-* a seed with an R1 or R2 delete never floods: a delete is an edge, so
-  its canonical form is an earlier seed of the same component, and the
-  least seed of every component is the empty diagram or has no delete;
-* a seed with no delete whose representative has no class yet floods
-  best-first by (crossing count, encoding); an exhausted flood, which
-  follows every edge within the cap, meets every representative of G.C,
-  and the lifts it meets them with generate H, the subgroup of G that
-  maps C to itself; the classes of G.C are then the cosets G/H, a seed
-  k.r falls in class (k.lift(r))H, and class cH has the global-reversal
-  partner (glob.c)H.  The flood registers every seed of G.C;
-* a flood stops at the first new representative that precedes its seed
-  s, and s is then trivial: the least seed of the component met precedes
-  s, so it is empty, or it came before s, and a flood from it that
-  exhausted would have registered s.  A seed that no flood registers is
-  trivial too.
-
-Each class is fingerprinted once, on its least seed: the fingerprints
-are invariants of the welded class (see :mod:`weldedknots.invariants`).
+under the reversal group G = {id, bar, rev, glob} at a time, on orbit
+representatives.  :func:`build_atlas` states the method and proves it
+exact.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -86,12 +66,15 @@ class SearchBudget:
     max_states: int = 5000
     max_depth: int = 16
 
-    def validate(self) -> None:
-        # True and 2.0 compare equal to ints but are no limit
-        if any(type(x) is not int for x in (self.max_crossings, self.max_states, self.max_depth)):
-            raise DomainError("budget fields must be ints")
-        if self.max_crossings < 0 or self.max_states < 1 or self.max_depth < 1:
-            raise DomainError("budget fields must be positive")
+
+def _require_budget(budget: SearchBudget) -> None:
+    if not isinstance(budget, SearchBudget):
+        raise DomainError(f"expected a SearchBudget, got {type(budget).__name__}")
+    # True and 2.0 compare equal to ints but are no limit
+    if any(type(x) is not int for x in (budget.max_crossings, budget.max_states, budget.max_depth)):
+        raise DomainError("budget fields must be ints")
+    if budget.max_crossings < 0 or budget.max_states < 1 or budget.max_depth < 1:
+        raise DomainError("budget fields must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,7 +139,7 @@ def are_equivalent(
     ``states_explored`` up to one expansion above ``max_states`` (301 to
     375 at ``max_states=300`` on the golden pairs).
     """
-    budget.validate()
+    _require_budget(budget)
     require_valid_wgd(w1)
     require_valid_wgd(w2)
     a, b = _canonical_wgd_encoding(w1), _canonical_wgd_encoding(w2)
@@ -233,7 +216,7 @@ def simplify(w: WeldedGaussDiagram, budget: SearchBudget) -> WeldedGaussDiagram:
     Best-first on crossing count, so shrinking paths are explored before
     growth; never returns more crossings than the input; deterministic.
     """
-    budget.validate()
+    _require_budget(budget)
     require_valid_wgd(w)
     start = _canonical_wgd_encoding(w)
     if budget.max_crossings < len(start):
@@ -303,23 +286,19 @@ def _orbit_flood(start, lift: int, stab, max_crossings: int, seed):
     """Flood the orbit representatives of the cap-``max_crossings``
     component C of ``lift.start``, where ``start`` is a representative (see
     :func:`model._orbit_canonical`) with the stabiliser ``stab``, for the
-    seed ``seed`` of its orbit.
+    seed ``seed`` of its orbit; :func:`build_atlas` proves the method.
 
-    Representatives are expanded best-first by (crossing count, encoding),
-    each carrying its lift g, with g.rep in C, along the edges of the move
-    graph only, through :func:`moves._edges`: OC maps a diagram to
-    itself and is no edge.  A raw neighbour y = h.r_y of a representative
-    with lift g is the state g.h.r_y of C, so it gives a new r_y the lift
-    g.h, and an r_y with the lift l the element g.h.l of Stab(C), the
-    elements of G that map C to itself.  Each raw neighbour is
-    canonicalised once per flood: a map keeps its h.l, which is all a
-    later meeting needs.  Returns None at the first new representative that
-    precedes ``seed`` in (crossing count, encoding) order; otherwise, once
-    the component is exhausted, ``(lifts, subgroup)``: each visited
-    representative's lift, and Stab(C), generated by those elements and
-    ``stab`` (see :func:`build_atlas`).  The stabilisers of the other
-    representatives lie in the subgroup these generate, so they are not
-    collected."""
+    Representatives are expanded best-first by (crossing count, encoding)
+    along the edges of :func:`moves._edges`, each carrying its lift g, with
+    g.rep in C.  A raw neighbour y = h.r_y of a representative with lift g
+    gives a new r_y the lift g.h, and an r_y with the lift l the element
+    g.h.l of Stab(C), the elements of G that map C to itself.  Each raw
+    neighbour is canonicalised once per flood: a map keeps its h.l, which
+    is all a later meeting needs.  Returns None at the first new
+    representative that precedes ``seed`` in (crossing count, encoding)
+    order; otherwise, once the component is exhausted, ``(lifts,
+    subgroup)``: each visited representative's lift, and Stab(C),
+    generated by those elements and ``stab``."""
     bound = _size_then_encoding(seed)
     lifts = {start: lift}
     generators = set(stab)

@@ -17,9 +17,8 @@ orientation and global reversal act on its packed encoding
 
 from __future__ import annotations
 
-from functools import singledispatch
-
 from .model import (
+    DomainError,
     GaussCode,
     Passage,
     WeldedGaussDiagram,
@@ -33,28 +32,23 @@ from .model import (
 )
 
 
-@singledispatch
 def reverse(x):
-    """Reverse the traversal orientation; roles and signs are preserved."""
-    raise TypeError(f"cannot reverse {type(x).__name__}")
+    """Reverse the traversal orientation of a code or a diagram; roles and
+    signs are preserved."""
+    if isinstance(x, GaussCode):
+        require_valid_code(x)
+        return GaussCode(tuple(reversed(x.passages)))
+    return _reversed_wgd(x, _REV)
 
 
-@reverse.register
-def _(code: GaussCode) -> GaussCode:
-    require_valid_code(code)
-    return GaussCode(tuple(reversed(code.passages)))
-
-
-@reverse.register
-def _(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    return _reversed_wgd(w, flip_signs=False)
-
-
-def _reversed_wgd(w: WeldedGaussDiagram, flip_signs: bool) -> WeldedGaussDiagram:
-    """Canonical form of the orientation reversal of ``w``, and of its
-    global reversal with ``flip_signs``, reversed on its packed encoding."""
+def _reversed_wgd(w: WeldedGaussDiagram, g: int) -> WeldedGaussDiagram:
+    """Canonical form of the image of the diagram ``w`` under the element g
+    of the reversal group (see :mod:`weldedknots.model`), reversed on its
+    packed encoding."""
+    if not isinstance(w, WeldedGaussDiagram):
+        raise DomainError(f"expected a GaussCode or a WeldedGaussDiagram, got {type(w).__name__}")
     require_valid_wgd(w)
-    return _wgd_from_encoding(_canonical_image(_wgd_packed(w), _GLOB if flip_signs else _REV))
+    return _wgd_from_encoding(_canonical_image(_wgd_packed(w), g))
 
 
 def bar(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
@@ -70,17 +64,8 @@ def bar_code(code: GaussCode) -> GaussCode:
     return GaussCode(tuple(Passage(p.role, p.crossing, -p.sign) for p in code.passages))
 
 
-@singledispatch
 def global_reversal(x):
-    """Simultaneous orientation and sign reversal."""
-    raise TypeError(f"cannot globally reverse {type(x).__name__}")
-
-
-@global_reversal.register
-def _(code: GaussCode) -> GaussCode:
-    return bar_code(reverse(code))
-
-
-@global_reversal.register
-def _(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    return _reversed_wgd(w, flip_signs=True)
+    """Simultaneous orientation and sign reversal of a code or a diagram."""
+    if isinstance(x, GaussCode):
+        return bar_code(reverse(x))
+    return _reversed_wgd(x, _GLOB)

@@ -1,24 +1,36 @@
-"""Property tests for the input boundary: a move site is accepted exactly
-when ``enumerate_sites`` lists it, and malformed text or JSON ends in
+"""Tests for the input boundary: a move site is accepted exactly when
+``enumerate_sites`` lists it, and malformed text, JSON or arguments end in
 ``DomainError``, never in another exception."""
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from weldedknots import (
     DomainError,
     GaussCode,
+    GaussDiagram,
     MoveKind,
     MoveSite,
     Passage,
+    SearchBudget,
+    WeldedGaussDiagram,
     apply_move,
+    are_equivalent,
     decode_gauss_code,
     decode_wgd,
     enumerate_sites,
+    gauss_diagram_to_wgd,
+    gauss_to_wgd,
+    global_reversal,
+    reverse,
+    simplify,
 )
 from weldedknots.cli import _site_from_text
-from weldedknots.model import OVER, UNDER
+from weldedknots.model import OVER, UNDER, require_valid_code, require_valid_wgd
+
+from conftest import TREFOIL_TEXT
 
 # bounded so that the whole file runs in a few seconds; no deadline, since
 # a loaded host can stall any single example
@@ -128,3 +140,40 @@ def test_site_parser_raises_only_domain_error(text):
         return
     assert isinstance(site.kind, MoveKind) and isinstance(site.variant, str)
     assert all(type(i) is int for i in site.positions)
+
+
+TREFOIL_CODE = decode_gauss_code(TREFOIL_TEXT)
+TREFOIL = gauss_to_wgd(TREFOIL_CODE)
+R3_SITE = enumerate_sites(decode_gauss_code("O2+ O1+ O3+ U1+ U3+ U2+"), kinds=(MoveKind.R3,))[0]
+MISUSES = {
+    "apply_move, a site that is None": lambda: apply_move(TREFOIL_CODE, None),
+    "apply_move, a kind that is its value": lambda: apply_move(TREFOIL_CODE, MoveSite("R3", (0, 1, 2))),
+    "apply_move, positions that are None": lambda: apply_move(TREFOIL_CODE, MoveSite(MoveKind.R3, None)),
+    "apply_move, positions that are a list": lambda: apply_move(
+        decode_gauss_code("O2+ O1+ O3+ U1+ U3+ U2+"), MoveSite(MoveKind.R3, list(R3_SITE.positions), R3_SITE.variant)
+    ),
+    "reverse of None": lambda: reverse(None),
+    "reverse of text": lambda: reverse(TREFOIL_TEXT),
+    "global_reversal of an int": lambda: global_reversal(5),
+    "a passage that is a plain tuple": lambda: require_valid_code(GaussCode((("O", 1, 1), ("U", 1, 1)))),
+    "passages that are None": lambda: require_valid_code(GaussCode(None)),
+    "an unhashable head": lambda: require_valid_wgd(WeldedGaussDiagram([1], {1: [1]}, {1: 1})),
+    "an unhashable label": lambda: require_valid_wgd(WeldedGaussDiagram([[1]], {}, {})),
+    "are_equivalent without a budget": lambda: are_equivalent(TREFOIL, TREFOIL, None),
+    "simplify without a budget": lambda: simplify(TREFOIL, None),
+    "decode_gauss_code of None": lambda: decode_gauss_code(None),
+    "decode_wgd of None": lambda: decode_wgd(None),
+    "decode_wgd of bytes": lambda: decode_wgd(b'{"order": [], "map": {}}'),
+    "an arrow that is a pair": lambda: gauss_diagram_to_wgd(
+        GaussDiagram(((OVER, 1), (UNDER, 1)), frozenset({((OVER, 1), (UNDER, 1))}))
+    ),
+}
+
+
+@pytest.mark.parametrize("misuse", MISUSES.values(), ids=MISUSES.keys())
+def test_misuse_ends_in_domain_error(misuse):
+    """Each argument is type-checked where it enters: none of these ends in
+    AttributeError, KeyError, TypeError or ValueError, and bytes are not
+    read as text."""
+    with pytest.raises(DomainError):
+        misuse()

@@ -97,6 +97,11 @@ class TestAreEquivalent:
         assert not out.equivalent
         assert out.reason
 
+    def test_depth_budget_exhausted(self):
+        out = are_equivalent(TREFOIL, EMPTY, SearchBudget(5, max_states=100_000, max_depth=1))
+        assert not out.equivalent and out.path is None
+        assert out.reason == "depth budget exhausted" and out.states_explored == 25
+
     def test_budget_violation_rejected(self):
         with pytest.raises(DomainError):
             are_equivalent(TREFOIL, EMPTY, SearchBudget(max_crossings=2))
@@ -171,6 +176,13 @@ class TestDerivePath:
     def test_every_state_is_validated(self):
         with pytest.raises(DomainError):
             derive_path([EMPTY, 5])
+
+    def test_no_states_no_records(self):
+        assert derive_path([]) == []
+
+    def test_states_must_be_one_move_apart(self):
+        with pytest.raises(DomainError, match="not one move apart"):
+            derive_path([TREFOIL, EMPTY])
 
 
 class TestSimplify:
@@ -427,6 +439,7 @@ class TestAtlas:
         (3, 4, "0dc6c1e4084c048b3ea29eb215fb0cd0a22beb73382948eace67bee8f7e0df09"),
         (3, 5, "0dc6c1e4084c048b3ea29eb215fb0cd0a22beb73382948eace67bee8f7e0df09"),
         (4, 5, "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"),
+        (5, 6, "dceefad23fde9f55bef13d3c10f05eee456d2932edaf8bf8a5c123cae1dbe30d"),
     ])
     def test_golden_jsonl(self, n_max, max_crossings, digest):
         records = build_atlas(n_max, max_crossings)
@@ -434,6 +447,10 @@ class TestAtlas:
         if (n_max, max_crossings) == (4, 5):
             assert len({r.class_id for r in records}) == 29
             assert len({r.orbit_id for r in records}) == 18
+        if (n_max, max_crossings) == (5, 6):
+            assert len(records) == 21_141
+            assert len({r.class_id for r in records}) == 442
+            assert len({r.orbit_id for r in records}) == 231
 
     @pytest.mark.parametrize("n_max, max_crossings", [(3, 4), (3, 5), (4, 4), (4, 5)])
     def test_seeded_partition_is_the_oracle_partition(self, n_max, max_crossings):
