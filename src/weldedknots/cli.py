@@ -8,10 +8,11 @@ errors, stale or malformed site, budget violation), 2 usage error.
 File conventions: ``.gc`` Gauss code text, ``.wgd`` structured diagram,
 ``.jsonl`` atlas.
 
-The parser is built per command: only the invoked subcommand is
-registered (see :func:`build_parser`), so a command does not pay for
-building the parsers of the eight it does not run.  Help, a typo or no
-command at all gets the full parser.  Nothing is built at import.
+A named command parses with its own parser alone (see :func:`parse_args`),
+so it does not pay for building the root and the eight parsers it does not
+run.  Help, a typo, no command at all or arguments the command leaves over
+get the full parser (:func:`build_parser`), so what is printed is the
+same.  Nothing is built at import.
 """
 
 from __future__ import annotations
@@ -345,33 +346,47 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command-line parser.  When ``argv[0]`` names a subcommand, only
-    that one is registered, with its arguments; the root usage line still
-    lists every command, from an explicit metavar.  When ``argv`` is None
-    or its first word names none (``-h``, ``--``, a typo, nothing), every
-    subcommand is registered, and the metavar stays unset so that an
-    invalid choice is reported for argument ``command``.  So parsing
-    ``argv`` with it gives what the full parser gives, help and usage
-    errors included."""
+def _add_command(p: argparse.ArgumentParser, name: str, add_arguments, handler) -> None:
+    add_arguments(p)
+    p.set_defaults(func=handler, command=name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser, with every subcommand registered.
+    ``main`` builds it only for help, a typo, no command or arguments the
+    named command leaves over; its usage line lists every command."""
     parser = argparse.ArgumentParser(
         prog="weldedknots",
         description="Gauss codes, welded Gauss diagrams, moves, invariants and search.",
     )
-    named = [command for command in _COMMANDS if argv and command[0] == argv[0]]
-    metavar = "{" + ",".join(name for name, *_ in _COMMANDS) + "}" if named else None
     # an explicit prog spares argparse formatting the root usage to derive it
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog="weldedknots")
-    for name, help_text, add_arguments, handler in named or _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True, prog="weldedknots")
+    for name, help_text, add_arguments, handler in _COMMANDS:
+        _add_command(sub.add_parser(name, help=help_text), name, add_arguments, handler)
     return parser
 
 
+def parse_args(argv: list) -> argparse.Namespace:
+    """Parse ``argv`` as :func:`build_parser` would.  A named command
+    parses with ``ArgumentParser(prog="weldedknots <name>")`` alone, the
+    parser the full one hands it to, so its namespace, help and usage
+    errors are the same; arguments it leaves over, which the root reports,
+    and anything but a named command get the full parser."""
+    for name, _, add_arguments, handler in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"weldedknots {name}")
+            _add_command(parser, name, add_arguments, handler)
+            args, leftovers = parser.parse_known_args(argv[1:])
+            if not leftovers:
+                return args
+            break
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code; a usage error or help exits from the parser."""
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (DomainError, OSError, UnicodeDecodeError) as e:

@@ -86,15 +86,21 @@ def gauss_diagram_to_wgd(gd: GaussDiagram) -> WeldedGaussDiagram:
     code and quotients away rotation and the ordering of tails inside an
     interval, which makes the two diagram-construction paths comparable.
     """
+    if not isinstance(gd, GaussDiagram):
+        raise DomainError(f"expected a GaussDiagram, got {type(gd).__name__}")
     passage_at: dict = {}
-    for label, arrow in enumerate(gd.arrows, start=1):
-        if not (isinstance(arrow, tuple) and len(arrow) == 3):
-            raise DomainError(f"an arrow is a (tail, head, sign) triple, got {arrow!r}")
-        tail, head, sign = arrow
-        passage_at[tail] = Passage(OVER, label, sign)
-        passage_at[head] = Passage(UNDER, label, sign)
-    if len(passage_at) != 2 * len(gd.arrows):
-        raise DomainError("arrows must be disjoint on endpoints")
-    if not all(pt in passage_at for pt in gd.points):
-        raise DomainError("every point must be an endpoint of an arrow")
-    return gauss_to_wgd(GaussCode(tuple(passage_at[pt] for pt in gd.points)))
+    try:
+        for label, arrow in enumerate(gd.arrows, start=1):
+            if not (isinstance(arrow, tuple) and len(arrow) == 3):
+                raise DomainError(f"an arrow is a (tail, head, sign) triple, got {arrow!r}")
+            tail, head, sign = arrow
+            passage_at[tail] = Passage(OVER, label, sign)
+            passage_at[head] = Passage(UNDER, label, sign)
+        if len(passage_at) != 2 * len(gd.arrows):
+            raise DomainError("arrows must be disjoint on endpoints")
+        if not all(pt in passage_at for pt in gd.points):
+            raise DomainError("every point must be an endpoint of an arrow")
+        passages = tuple(passage_at[pt] for pt in gd.points)
+    except TypeError as e:  # points or arrows that are not iterable, or an unhashable point
+        raise DomainError(f"malformed Gauss diagram: {e}") from e
+    return gauss_to_wgd(GaussCode(passages))

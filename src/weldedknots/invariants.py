@@ -401,7 +401,10 @@ def _fingerprint_terms(primes, groups) -> tuple[tuple[int, ...], tuple[Group, ..
     """The distinct primes, ascending, and the distinct groups, by name, of
     a fingerprint, checked.  Each argument is read once, so iterators serve
     as well as tuples; two different groups with one name are rejected."""
-    primes = tuple(primes)
+    try:
+        primes, groups = tuple(primes), tuple(groups)
+    except TypeError:
+        raise DomainError(f"primes and groups must be iterables, got {primes!r} and {groups!r}") from None
     for p in primes:
         _require_odd_prime(p)
     by_name: dict[str, Group] = {}

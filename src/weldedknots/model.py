@@ -535,6 +535,8 @@ _TOKEN = re.compile(r"^(O|U)([0-9]+)([+-])$")
 
 def encode_gauss_code(code: GaussCode) -> str:
     """Whitespace-separated tokens ``O3+ U1- ...``; empty code -> ''."""
+    if not isinstance(code, GaussCode):
+        raise DomainError(f"expected a GaussCode, got {type(code).__name__}")
     return " ".join(f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in code.passages)
 
 
@@ -573,6 +575,8 @@ def wgd_to_obj(w: WeldedGaussDiagram) -> dict:
 def encode_wgd(w: WeldedGaussDiagram) -> str:
     """JSON object with fields ``order`` and ``map`` (label -> [head, sign]),
     signs written as "+"/"-".  Deterministic."""
+    if not isinstance(w, WeldedGaussDiagram):
+        raise DomainError(f"expected a WeldedGaussDiagram, got {type(w).__name__}")
     return json.dumps(wgd_to_obj(w), separators=(", ", ": "))
 
 

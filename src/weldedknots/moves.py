@@ -153,6 +153,8 @@ _INVERSE_KIND = {
 
 
 def inverse_record(record: MoveRecord) -> MoveRecord:
+    if not isinstance(record, MoveRecord):
+        raise DomainError(f"expected a MoveRecord, got {type(record).__name__}")
     return MoveRecord(
         kind=_INVERSE_KIND[record.kind],
         variant=record.variant,
@@ -169,6 +171,8 @@ def _in_range(idx, stop: int) -> bool:
 
 def apply_record(code: GaussCode, record: MoveRecord) -> GaussCode:
     """Execute a record's edit, validating that the context matches."""
+    if not isinstance(record, MoveRecord):
+        raise DomainError(f"expected a MoveRecord, got {type(record).__name__}")
     passages = list(code.passages)
     if record.removes:
         for idx, expected in record.removes:
@@ -293,7 +297,10 @@ def _wanted_kinds(kinds: Iterable[MoveKind] | None, growth_allowed: bool) -> fro
     if kinds is None:
         wanted = ALL_KINDS
     else:
-        kinds = tuple(kinds)
+        try:
+            kinds = tuple(kinds)
+        except TypeError:
+            raise DomainError(f"kinds must be None or an iterable of MoveKinds, got {kinds!r}") from None
         for kind in kinds:
             if not isinstance(kind, MoveKind):
                 raise DomainError(f"not a MoveKind: {kind!r}")

@@ -196,7 +196,10 @@ def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     the first state's realization.  Each step may prepend over-commute
     records before its Reidemeister record.  Every state is validated and
     compared up to rotation and relabelling."""
-    states = [canonical_wgd(w) for w in states]
+    try:
+        states = [canonical_wgd(w) for w in states]
+    except TypeError as e:
+        raise DomainError(f"expected an iterable of welded Gauss diagrams: {e}") from e
     if not states:
         return []
     code = wgd_to_gauss(states[0])
@@ -455,18 +458,21 @@ def atlas_to_jsonl(records) -> str:
     prints: dict = {}
     layouts: dict = {}  # n -> (the order, per position the fragment of each entry)
     lines = []
-    for r in records:
-        fp = prints.get(r.fingerprint)
-        if fp is None:
-            fp = prints[r.fingerprint] = encode(r.fingerprint.as_dict())
-        e = r.encoding
-        layout = layouts.get(len(e))
-        if layout is None:
-            n = len(e)
-            rows = [[f'"{c}":[{(v >> 1) + 1},"{"+-"[not v & 1]}"]' for v in range(2 * n)] for c in range(1, n + 1)]
-            layout = layouts[n] = encode(list(range(1, n + 1))), rows
-        order, rows = layout
-        # class and orbit ids are ints, written as json writes them
-        lines.append(f'{{"wgd":{{"order":{order},"map":{{{",".join(map(list.__getitem__, rows, e))}}}}},'
-                     f'"fingerprint":{fp},"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}')
+    try:
+        for r in records:
+            fp = prints.get(r.fingerprint)
+            if fp is None:
+                fp = prints[r.fingerprint] = encode(r.fingerprint.as_dict())
+            e = r.encoding
+            layout = layouts.get(len(e))
+            if layout is None:
+                n = len(e)
+                rows = [[f'"{c}":[{(v >> 1) + 1},"{"+-"[not v & 1]}"]' for v in range(2 * n)] for c in range(1, n + 1)]
+                layout = layouts[n] = encode(list(range(1, n + 1))), rows
+            order, rows = layout
+            # class and orbit ids are ints, written as json writes them
+            lines.append(f'{{"wgd":{{"order":{order},"map":{{{",".join(map(list.__getitem__, rows, e))}}}}},'
+                         f'"fingerprint":{fp},"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}')
+    except (TypeError, AttributeError, ValueError) as e:  # a well-formed AtlasRecord raises none
+        raise DomainError(f"expected an iterable of AtlasRecords: {e}") from e
     return "\n".join(lines) + ("\n" if lines else "")

@@ -17,15 +17,25 @@ from weldedknots import (
     SearchBudget,
     WeldedGaussDiagram,
     apply_move,
+    apply_record,
     are_equivalent,
+    atlas_to_jsonl,
+    build_atlas,
     decode_gauss_code,
     decode_wgd,
+    derive_path,
+    encode_gauss_code,
+    encode_wgd,
     enumerate_sites,
+    fingerprint,
     gauss_diagram_to_wgd,
     gauss_to_wgd,
     global_reversal,
+    inverse_record,
+    replay,
     reverse,
     simplify,
+    wgd_neighbors,
 )
 from weldedknots.cli import _site_from_text
 from weldedknots.model import OVER, UNDER, require_valid_code, require_valid_wgd
@@ -167,12 +177,29 @@ MISUSES = {
     "an arrow that is a pair": lambda: gauss_diagram_to_wgd(
         GaussDiagram(((OVER, 1), (UNDER, 1)), frozenset({((OVER, 1), (UNDER, 1))}))
     ),
+    "apply_record, a record that is None": lambda: apply_record(TREFOIL_CODE, None),
+    "replay, a record that is None": lambda: replay(TREFOIL_CODE, [None]),
+    "inverse_record of None": lambda: inverse_record(None),
+    "gauss_diagram_to_wgd of None": lambda: gauss_diagram_to_wgd(None),
+    "a point that is a list": lambda: gauss_diagram_to_wgd(
+        GaussDiagram(([OVER, 1], (UNDER, 1)), frozenset({((OVER, 1), (UNDER, 1), 1)}))
+    ),
+    "enumerate_sites, kinds that are an int": lambda: enumerate_sites(TREFOIL_CODE, kinds=5),
+    "wgd_neighbors, kinds that are an int": lambda: wgd_neighbors(TREFOIL, kinds=5),
+    "fingerprint, primes that are None": lambda: fingerprint(TREFOIL, primes=None),
+    "fingerprint, groups that are None": lambda: fingerprint(TREFOIL, groups=None),
+    "build_atlas, primes that are None": lambda: build_atlas(2, 3, primes=None),
+    "derive_path of None": lambda: derive_path(None),
+    "atlas_to_jsonl of None": lambda: atlas_to_jsonl(None),
+    "atlas_to_jsonl, a record that is None": lambda: atlas_to_jsonl([None]),
+    "encode_wgd of None": lambda: encode_wgd(None),
+    "encode_gauss_code of None": lambda: encode_gauss_code(None),
 }
 
 
 @pytest.mark.parametrize("misuse", MISUSES.values(), ids=MISUSES.keys())
 def test_misuse_ends_in_domain_error(misuse):
-    """Each argument is type-checked where it enters: none of these ends in
+    """Each argument is checked where it enters: none of these ends in
     AttributeError, KeyError, TypeError or ValueError, and bytes are not
     read as text."""
     with pytest.raises(DomainError):

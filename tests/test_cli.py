@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from weldedknots.cli import _COMMANDS, build_parser, main
+from weldedknots.cli import _COMMANDS, build_parser, main, parse_args
 
 from conftest import TREFOIL_TEXT, subprocess_env
 
@@ -355,13 +355,23 @@ def exit_and_output(capsys, parse, argv):
     return exc.value.code, captured.out, captured.err
 
 
+def parse_outcome(capsys, parse, argv):
+    """The namespace ``parse(argv)`` returns, or the exit code and
+    (stdout, stderr) it exits with."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
 class TestParser:
-    """``main`` registers the invoked subcommand only; what it parses,
-    prints and exits with equals the full parser's."""
+    """``main`` parses a named command with that command's parser alone;
+    what it parses, prints and exits with equals the full parser's."""
 
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=[argv[0] for argv in PARSE_CASES])
     def test_namespace_equals_the_full_parser(self, argv):
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
         assert args == build_parser().parse_args(argv)
         assert args.command == argv[0]
 
@@ -371,7 +381,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["--help"], ["atlas", "--help"], ["frobnicate"], [], ["--"], ["-x", "atlas"],
         ["atlas"], ["atlas", "--n-max", "x"], ["equiv", "a"], ["canon", "a", "b"], ["convert", "-h"],
-        # usage errors of a parser that registers the named command only:
+        # usage errors of a named command's own parser:
         # unrecognized arguments reported by the root, missing values by the command
         ["atlas", "--n-max", "1", "--bogus"], ["equiv", "a", "b", "c"],
         ["atlas", "--n-max"], ["simplify", "--max-states"],
@@ -382,13 +392,32 @@ class TestParser:
         assert exit_and_output(capsys, main, argv) == expected
         assert expected[0] in (0, 2)
 
-    @pytest.mark.parametrize("argv, parsers", [
-        *(([name, "-h"], 2) for name, *_ in _COMMANDS),
-        (["--help"], 10), (["frobnicate"], 10), ([], 10),
+    @pytest.mark.parametrize("argv", [
+        # "--" ends the options, whether or not anything follows it
+        ["canon", "--"], ["atlas", "--n-max", "1", "--"], ["equiv", "a", "--", "-b"],
+        # abbreviations: unique, with "=", and ambiguous
+        ["atlas", "--n-m", "1"], ["atlas", "--n-max=1", "--max-c", "2"], ["atlas", "--n-max", "1", "--max"],
+        # help before a leftover; leftovers among positionals and options
+        ["atlas", "--n-max", "1", "-h", "--bogus"], ["moves", "--kinds", "R1+", "x", "y"],
+        ["symmetry", "--bar", "a", "--bogus", "b"], ["equiv", "-", "-x"],
+        # a repeated option, a short option without its value, a missing required option
+        ["convert", "--to", "gd", "--to", "wgd"], ["atlas", "--n-max", "1", "-o"], ["apply", "x.gc"],
     ])
-    def test_parsers_built(self, monkeypatch, argv, parsers):
-        """A time-free cost guard: a named command builds the root parser
-        and its own; help, a typo or no command builds all ten."""
+    def test_parses_like_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert parse_outcome(capsys, parse_args, argv) == expected
+
+    @pytest.mark.parametrize("argv, parsers", [
+        *(([name, "-h"], 1) for name, *_ in _COMMANDS),
+        (["--help"], 10), (["frobnicate"], 10), ([], 10),
+        *((argv, 1) for argv in PARSE_CASES),
+        (["atlas", "--n-max", "1", "--bogus"], 11),
+    ])
+    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
+        """A time-free cost guard: a named command builds its own parser
+        only; help, a typo or no command builds all ten, and leftovers
+        build all ten after the command's own."""
         built = 0
         init = argparse.ArgumentParser.__init__
 
@@ -398,7 +427,7 @@ class TestParser:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        build_parser(argv)
+        parse_outcome(capsys, parse_args, argv)
         assert built == parsers
 
     # the bytes of the argparse of 3.10 and 3.11, which CI runs; 3.13 lays
