@@ -87,13 +87,17 @@ class WeldedGaussDiagram:
 
     ``order`` lists each label exactly once (the cyclic order of lowest
     passages); ``head[c]`` and ``sign[c]`` are the two components of the
-    defining map.  Instances are immutable by convention; all operations
-    return fresh objects.
+    defining map.  ``order`` is a tuple, list or range and ``head`` and
+    ``sign`` are dicts; other types end in :class:`DomainError`.  Instances
+    are immutable by convention; all operations return fresh objects.
     """
 
     __slots__ = ("order", "head", "sign", "_key")
 
     def __init__(self, order, head, sign):
+        if not (isinstance(order, (tuple, list, range)) and isinstance(head, dict) and isinstance(sign, dict)):
+            kinds = ", ".join(type(arg).__name__ for arg in (order, head, sign))
+            raise DomainError(f"a WeldedGaussDiagram takes a tuple, list or range and two dicts, got {kinds}")
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "head", dict(head))
         object.__setattr__(self, "sign", dict(sign))
@@ -489,6 +493,8 @@ def wgd_encoding(w: WeldedGaussDiagram) -> tuple:
     """Hashable encoding of a *canonical* wGD: ((head(1), sign(1)), ...).
     Diagrams with equally many crossings sort by it as by their packed
     encodings, which the package itself keys and sorts by."""
+    if not (isinstance(w, WeldedGaussDiagram) and w.head.keys() == w.sign.keys() == set(range(1, w.n + 1))):
+        raise DomainError(f"expected a WeldedGaussDiagram labelled 1..n, got a {type(w).__name__}")
     return tuple((w.head[i], w.sign[i]) for i in range(1, w.n + 1))
 
 

@@ -35,6 +35,11 @@ one slot (always so on the empty code) its variant carries the run that
 comes first, e.g. ``par+:ou`` or ``anti-:uo``, so that every R2 delete
 pattern is the image of an insert site.
 
+One table, ``_RULES``, states this grammar once per kind: the number of
+positions, the candidate positions on a code and the variants a site may
+take.  :func:`enumerate_sites` lists its sites, :func:`apply` accepts
+exactly those, and :func:`_edge_records` reads a kind's sites from it.
+
 Welded neighbors are generated on the diagram itself, not on codes.  A
 welded Gauss diagram is a code modulo over-commutation: the code is
 ``U_u G_u`` for each under ``u`` in cyclic order, and the over passages
@@ -53,9 +58,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import NamedTuple
 
 from .convert import gauss_to_wgd
 from .model import (
@@ -78,7 +84,8 @@ from .model import (
 
 
 class StaleSiteError(DomainError):
-    """The site's pattern is not present in the code."""
+    """The site or record does not fit the code: :func:`enumerate_sites`
+    does not list the site, or the record's passages are not there."""
 
 
 class MoveKind(Enum):
@@ -92,8 +99,6 @@ class MoveKind(Enum):
 
 ALL_KINDS = frozenset(MoveKind)
 GROWTH_KINDS = frozenset({MoveKind.R1_INSERT, MoveKind.R2_INSERT})
-# sites sort by kind in declaration order
-_KIND_RANK = {kind: rank for rank, kind in enumerate(MoveKind)}
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,6 @@ class MoveRecord:
     site: MoveSite | None = field(default=None, compare=False)
 
 
-_ARITY = {
-    MoveKind.R1_INSERT: 1,
-    MoveKind.R1_DELETE: 2,
-    MoveKind.R2_INSERT: 2,
-    MoveKind.R2_DELETE: 2,
-    MoveKind.R3: 3,
-    MoveKind.OC: 2,
-}
 _CROSSING_DELTA = {
     MoveKind.R1_INSERT: 1,
     MoveKind.R2_INSERT: 2,
@@ -134,14 +131,6 @@ _CROSSING_DELTA = {
     MoveKind.R3: 0,
     MoveKind.OC: 0,
 }
-_R2_SHAPES = ("par+", "par-", "anti+", "anti-")
-# both runs in one slot: the suffix says which run comes first
-_R2_SHARED_SLOT = tuple(f"{shape}:{first}" for first in ("ou", "uo") for shape in _R2_SHAPES)
-_INSERT_VARIANTS = {
-    MoveKind.R1_INSERT: ("ou+", "ou-", "uo+", "uo-"),
-    MoveKind.R2_INSERT: _R2_SHAPES + _R2_SHARED_SLOT,
-}
-
 _INVERSE_KIND = {
     MoveKind.R1_INSERT: MoveKind.R1_DELETE,
     MoveKind.R1_DELETE: MoveKind.R1_INSERT,
@@ -171,6 +160,8 @@ def _in_range(idx, stop: int) -> bool:
 
 def apply_record(code: GaussCode, record: MoveRecord) -> GaussCode:
     """Execute a record's edit, validating that the context matches."""
+    if not isinstance(code, GaussCode):
+        raise DomainError(f"expected a GaussCode, got {type(code).__name__}")
     if not isinstance(record, MoveRecord):
         raise DomainError(f"expected a MoveRecord, got {type(record).__name__}")
     passages = list(code.passages)
@@ -199,6 +190,9 @@ def apply_record(code: GaussCode, record: MoveRecord) -> GaussCode:
 
 
 def replay(code: GaussCode, records: Iterable[MoveRecord]) -> GaussCode:
+    if not (isinstance(code, GaussCode) and isinstance(records, Iterable)):
+        args = f"{type(code).__name__} and {type(records).__name__}"
+        raise DomainError(f"replay takes a GaussCode and an iterable of MoveRecords, got {args}")
     for record in records:
         code = apply_record(code, record)
     return code
@@ -287,7 +281,76 @@ def _match_r3(code: GaussCode, t: int, m: int, b: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# site enumeration
+# the site grammar
+
+# variants in increasing order, the order sites list them in
+_KINKS = ("ou+", "ou-", "uo+", "uo-")
+_R2_SHAPES = ("anti+", "anti-", "par+", "par-")
+# both runs in one slot: the suffix says which run comes first
+_R2_SHARED_SLOT = tuple(f"{shape}:{first}" for shape in _R2_SHAPES for first in ("ou", "uo"))
+
+
+def _slots(code: GaussCode) -> range:
+    return range(len(code) or 1)  # the empty code has one slot
+
+
+def _adjacent_pairs(code: GaussCode) -> list[tuple[int, int]]:
+    L = len(code)
+    return [(i, (i + 1) % L) for i in range(L)]
+
+
+def _pair_starts(code: GaussCode, *overs: int) -> Iterator[tuple[int, ...]]:
+    """In increasing order, the tuples whose k-th entry starts a cyclically
+    adjacent pair holding ``overs[k]`` over passages."""
+    L = len(code)
+    count = [(code[i].role == OVER) + (code[(i + 1) % L].role == OVER) for i in range(L)]
+    return itertools.product(*([i for i in range(L) if count[i] == k] for k in overs))
+
+
+def _matched(match):
+    """The variants that ``match`` reads at a site's positions: one or none."""
+    def variants(code: GaussCode, positions: tuple[int, ...]) -> tuple[str, ...]:
+        variant = match(code, *positions)
+        return () if variant is None else (variant,)
+    return variants
+
+
+def _adjacent(match):
+    """``match`` read at i, on positions (i, succ(i)) only."""
+    return lambda code, i, j: match(code, i) if j == (i + 1) % len(code) else None
+
+
+class _Rule(NamedTuple):
+    """A kind's sites: ``arity`` positions, ``positions(code)`` the candidates
+    in increasing order, and ``variants(code, positions)`` those of a site
+    at in-range positions in increasing order, none off the candidates."""
+
+    arity: int
+    positions: Callable[[GaussCode], Iterable[tuple[int, ...]]]
+    variants: Callable[[GaussCode, tuple[int, ...]], tuple[str, ...]]
+
+
+# every kind's site grammar, in declaration order
+_RULES = {
+    MoveKind.R1_INSERT: _Rule(1, lambda code: itertools.product(_slots(code)), lambda code, slot: _KINKS),
+    MoveKind.R1_DELETE: _Rule(2, _adjacent_pairs, _matched(_adjacent(_match_r1_delete))),
+    MoveKind.R2_INSERT: _Rule(
+        2, lambda code: itertools.product(_slots(code), repeat=2),
+        lambda code, slots: _R2_SHARED_SLOT if slots[0] == slots[1] else _R2_SHAPES,
+    ),
+    MoveKind.R2_DELETE: _Rule(2, lambda code: _pair_starts(code, 2, 0), _matched(_match_r2_delete)),
+    MoveKind.R3: _Rule(3, lambda code: _pair_starts(code, 2, 1, 0), _matched(_match_r3)),
+    MoveKind.OC: _Rule(2, _adjacent_pairs, _matched(_adjacent(_match_oc))),
+}
+
+
+def _sites(code: GaussCode, kind: MoveKind) -> Iterator[MoveSite]:
+    """The sites of one kind on ``code``, by its rule; ``code`` is not validated."""
+    rule = _RULES[kind]
+    for positions in rule.positions(code):
+        for variant in rule.variants(code, positions):
+            yield MoveSite(kind, positions, variant)
+
 
 def _wanted_kinds(kinds: Iterable[MoveKind] | None, growth_allowed: bool) -> frozenset[MoveKind]:
     """The kinds to generate: ``kinds`` (all when None), without the insert
@@ -313,69 +376,12 @@ def enumerate_sites(
     kinds: Iterable[MoveKind] | None = None,
     growth_allowed: bool = True,
 ) -> list[MoveSite]:
-    """Complete list of applicable sites, deterministically ordered.
-
-    With growth_allowed False the insert kinds are skipped.  OC sites are
-    exactly the cyclically adjacent over-over pairs.
-    """
+    """Every site of the wanted kinds on ``code``, ordered by kind (in
+    declaration order), then positions, then variant.  With growth_allowed
+    False the insert kinds are skipped."""
     require_valid_code(code)
     wanted = _wanted_kinds(kinds, growth_allowed)
-    L = len(code)
-    sites: list[MoveSite] = []
-
-    slots = range(L) if L else range(1)  # the empty code has one slot
-    if MoveKind.R1_INSERT in wanted:
-        for s in slots:
-            for variant in _INSERT_VARIANTS[MoveKind.R1_INSERT]:
-                sites.append(MoveSite(MoveKind.R1_INSERT, (s,), variant))
-
-    if MoveKind.R2_INSERT in wanted:
-        for so in slots:
-            for su in slots:
-                for variant in _R2_SHARED_SLOT if so == su else _R2_SHAPES:
-                    sites.append(MoveSite(MoveKind.R2_INSERT, (so, su), variant))
-
-    if MoveKind.R1_DELETE in wanted:
-        for i in range(L):
-            variant = _match_r1_delete(code, i)
-            if variant is not None:
-                sites.append(MoveSite(MoveKind.R1_DELETE, (i, (i + 1) % L), variant))
-
-    if MoveKind.R2_DELETE in wanted or MoveKind.R3 in wanted:
-        over_pairs = []
-        mixed_pairs = []
-        under_pairs = []
-        for i in range(L):
-            a, b = code[i], code[(i + 1) % L]
-            if a.role == OVER and b.role == OVER:
-                over_pairs.append(i)
-            elif a.role == UNDER and b.role == UNDER:
-                under_pairs.append(i)
-            elif L > 2:
-                mixed_pairs.append(i)
-
-        if MoveKind.R2_DELETE in wanted:
-            for p in over_pairs:
-                for q in under_pairs:
-                    variant = _match_r2_delete(code, p, q)
-                    if variant is not None:
-                        sites.append(MoveSite(MoveKind.R2_DELETE, (p, q), variant))
-
-        if MoveKind.R3 in wanted:
-            for t in over_pairs:
-                for m in mixed_pairs:
-                    for b in under_pairs:
-                        variant = _match_r3(code, t, m, b)
-                        if variant is not None:
-                            sites.append(MoveSite(MoveKind.R3, (t, m, b), variant))
-
-    if MoveKind.OC in wanted:
-        for i in range(L):
-            if _match_oc(code, i):
-                sites.append(MoveSite(MoveKind.OC, (i, (i + 1) % L), "oc"))
-
-    sites.sort(key=lambda s: (_KIND_RANK[s.kind], s.positions, s.variant))
-    return sites
+    return [site for kind in MoveKind if kind in wanted for site in _sites(code, kind)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,41 +395,21 @@ def _fresh_labels(code: GaussCode, count: int) -> list[int]:
 def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
     """Apply a move at the given site; reject a malformed or stale site.
 
-    This is the one place a site is checked: a site is accepted exactly
-    when :func:`enumerate_sites` lists it.  Code that applies the sites it
-    has just enumerated or built calls :func:`_apply_unchecked`.  Returns
-    the rewritten code and a record that replays or inverts the rewrite
-    bit-exactly.
+    This is the one place a site is checked, against its kind's rule: a
+    site is accepted exactly when :func:`enumerate_sites` lists it, and any
+    other site raises :class:`StaleSiteError`.  Code that applies the
+    sites it has just enumerated or built calls :func:`_apply_unchecked`.
+    Returns the rewritten code and a record that replays or inverts the
+    rewrite bit-exactly.
     """
     require_valid_code(code)
     if not (isinstance(site, MoveSite) and isinstance(site.kind, MoveKind) and isinstance(site.positions, tuple)):
         raise DomainError(f"expected a MoveSite with a MoveKind and a tuple of positions, got {site!r}")
-    kind, positions, L = site.kind, site.positions, len(code)
-    if len(positions) != _ARITY[kind]:
-        raise DomainError(f"{kind.value} site needs {_ARITY[kind]} positions, got {len(positions)}")
-    last = L - 1
-    if kind in _INSERT_VARIANTS:
-        if site.variant not in _INSERT_VARIANTS[kind]:
-            raise DomainError(f"unknown {kind.value} variant {site.variant!r}")
-        if kind == MoveKind.R2_INSERT and (positions[0] == positions[1]) != (site.variant in _R2_SHARED_SLOT):
-            raise DomainError(f"R2_insert variant {site.variant!r} does not fit slots {positions}")
-        last = max(last, 0)  # the empty code has one slot
-    if not all(_in_range(i, last + 1) for i in positions):
-        raise StaleSiteError(f"{kind.value} positions {positions} out of range for length {L}")
-    if kind in (MoveKind.R1_DELETE, MoveKind.OC) and positions[1] != (positions[0] + 1) % L:
-        raise DomainError(f"{kind.value} positions {positions} are not adjacent")
-    if kind == MoveKind.R1_DELETE:
-        matched = _match_r1_delete(code, positions[0])
-    elif kind == MoveKind.R2_DELETE:
-        matched = _match_r2_delete(code, *positions)
-    elif kind == MoveKind.R3:
-        matched = _match_r3(code, *positions)
-    elif kind == MoveKind.OC:
-        matched = _match_oc(code, positions[0])
-    else:  # an insert matches no pattern
-        matched = site.variant
-    if matched != site.variant:
-        raise StaleSiteError(f"no {kind.value} pattern {site.variant!r} at positions {positions}")
+    kind, positions, rule = site.kind, site.positions, _RULES[site.kind]
+    stop = len(_slots(code)) if kind in GROWTH_KINDS else len(code)
+    fits = len(positions) == rule.arity and all(_in_range(i, stop) for i in positions)
+    if not (fits and site.variant in rule.variants(code, positions)):
+        raise StaleSiteError(f"no {kind.value} site {site.variant!r} at positions {positions} on {len(code)} passages")
     return _apply_unchecked(code, site)
 
 
@@ -556,7 +542,7 @@ def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> tuple[list[Mov
     kind = _KIND_BY_DELTA.get(target.n - code.n)
     if kind is not None:
         for variant in oc_class(code):
-            for site in enumerate_sites(variant, kinds=(kind,)):
+            for site in _sites(variant, kind):
                 new_code, rec = _apply_unchecked(variant, site)
                 if gauss_to_wgd(new_code) == target:
                     return _block_permutation_records(code, variant) + [rec], new_code

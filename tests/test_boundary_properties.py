@@ -35,6 +35,7 @@ from weldedknots import (
     replay,
     reverse,
     simplify,
+    wgd_encoding,
     wgd_neighbors,
 )
 from weldedknots.cli import _site_from_text
@@ -89,9 +90,17 @@ DIGITS = st.integers(-3, 12).map(str)
 @PROPERTY
 @example((decode_gauss_code("O1+ O2+ U1+ U2+"), MoveSite(MoveKind.OC, (0, 1), "")))
 @example((decode_gauss_code("O1+ O2+ U1+ U2+"), MoveSite(MoveKind.OC, (0, 1), "x")))
+@example((GaussCode(), MoveSite(MoveKind.R1_INSERT, (0,), "uo-")))  # the empty code's one slot
+@example((decode_gauss_code("O1+ U1+"), MoveSite(MoveKind.R2_INSERT, (1, 1), "par+")))  # shared slot, no run order
+@example((decode_gauss_code("O1+ U1+"), MoveSite(MoveKind.R2_INSERT, (0, 1), "par+:ou")))  # a run order, two slots
+@example((decode_gauss_code("O1+ O2- U2- U1+"), MoveSite(MoveKind.R1_DELETE, (3, 0), "uo+")))  # across the basepoint
+@example((decode_gauss_code("O1+ O2+ U1+ U2+"), MoveSite(MoveKind.OC, (0, 3), "oc")))  # not adjacent
+@example((decode_gauss_code("O1+ O2+ U1+ U2+"), MoveSite(MoveKind.OC, (False, True), "oc")))
+@example((decode_gauss_code("O1+ U1+"), MoveSite(MoveKind.R1_INSERT, (0, 1), "ou+")))  # two positions for one
 def test_apply_accepts_exactly_the_listed_sites(case):
     code, site = case
-    listed = site in enumerate_sites(code)
+    # positions (False, True) equal (0, 1), but bools are not positions
+    listed = site in enumerate_sites(code) and all(type(i) is int for i in site.positions)
     try:
         apply_move(code, site)
     except DomainError:
@@ -155,6 +164,7 @@ def test_site_parser_raises_only_domain_error(text):
 TREFOIL_CODE = decode_gauss_code(TREFOIL_TEXT)
 TREFOIL = gauss_to_wgd(TREFOIL_CODE)
 R3_SITE = enumerate_sites(decode_gauss_code("O2+ O1+ O3+ U1+ U3+ U2+"), kinds=(MoveKind.R3,))[0]
+_, RECORD = apply_move(TREFOIL_CODE, enumerate_sites(TREFOIL_CODE)[0])
 MISUSES = {
     "apply_move, a site that is None": lambda: apply_move(TREFOIL_CODE, None),
     "apply_move, a kind that is its value": lambda: apply_move(TREFOIL_CODE, MoveSite("R3", (0, 1, 2))),
@@ -169,6 +179,10 @@ MISUSES = {
     "passages that are None": lambda: require_valid_code(GaussCode(None)),
     "an unhashable head": lambda: require_valid_wgd(WeldedGaussDiagram([1], {1: [1]}, {1: 1})),
     "an unhashable label": lambda: require_valid_wgd(WeldedGaussDiagram([[1]], {}, {})),
+    "an order that is None": lambda: WeldedGaussDiagram(None, {}, {}),
+    "a head map that is None": lambda: WeldedGaussDiagram((1,), None, {1: 1}),
+    "wgd_encoding of None": lambda: wgd_encoding(None),
+    "wgd_encoding, labels that are not 1..n": lambda: wgd_encoding(WeldedGaussDiagram((2,), {2: 2}, {2: 1})),
     "are_equivalent without a budget": lambda: are_equivalent(TREFOIL, TREFOIL, None),
     "simplify without a budget": lambda: simplify(TREFOIL, None),
     "decode_gauss_code of None": lambda: decode_gauss_code(None),
@@ -178,7 +192,11 @@ MISUSES = {
         GaussDiagram(((OVER, 1), (UNDER, 1)), frozenset({((OVER, 1), (UNDER, 1))}))
     ),
     "apply_record, a record that is None": lambda: apply_record(TREFOIL_CODE, None),
+    "apply_record, a code that is None": lambda: apply_record(None, RECORD),
+    "apply_record, a code that is text": lambda: apply_record("x", RECORD),
     "replay, a record that is None": lambda: replay(TREFOIL_CODE, [None]),
+    "replay, records that are None": lambda: replay(TREFOIL_CODE, None),
+    "replay of text, no records": lambda: replay(TREFOIL_TEXT, ()),
     "inverse_record of None": lambda: inverse_record(None),
     "gauss_diagram_to_wgd of None": lambda: gauss_diagram_to_wgd(None),
     "a point that is a list": lambda: gauss_diagram_to_wgd(

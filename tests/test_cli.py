@@ -1,13 +1,19 @@
 import argparse
+import hashlib
+import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from weldedknots import GaussCode, Passage, encode_gauss_code
 from weldedknots.cli import _COMMANDS, build_parser, main, parse_args
+from weldedknots.model import OVER, UNDER
 
-from conftest import TREFOIL_TEXT, subprocess_env
+from conftest import TREFOIL_TEXT, random_code, subprocess_env
 
 
 def run(capsys, *argv):
@@ -119,6 +125,29 @@ class TestMovesAndApply:
         code, out, _ = run(capsys, "moves", str(path), "--no-growth", "--json")
         kinds = {s["kind"] for s in json.loads(out)}
         assert "R1_insert" not in kinds and "R2_insert" not in kinds
+
+    def test_site_lists_digest(self, capsys, monkeypatch):
+        """One digest pins the ``moves`` text of every code with at most two
+        crossings and of 30 seeded codes for each n = 3..6: which sites are
+        listed, their order and the text format.  The ``equiv`` benchmark
+        draws its input through the same site lists."""
+        every_small_code = (
+            GaussCode(passages)
+            for n in range(3)
+            for signs in itertools.product((1, -1), repeat=n)
+            for passages in itertools.permutations(
+                [Passage(role, c, s) for c, s in enumerate(signs, 1) for role in (OVER, UNDER)]
+            )
+        )
+        rng = random.Random(24)
+        seeded = (random_code(rng, n) for n in range(3, 7) for _ in range(30))
+        digest = hashlib.sha256()
+        for code in itertools.chain(every_small_code, seeded):
+            monkeypatch.setattr("sys.stdin", io.StringIO(encode_gauss_code(code)))
+            status, out, _ = run(capsys, "moves", "-")
+            assert status == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == "90a9a38fdde4f21bf90ec6a87cee8f83bcd9d8646cc5666bfdd2dc69c05efa56"
 
 
 class TestEquivSimplifyInvariantsAtlas:
