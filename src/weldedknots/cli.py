@@ -92,11 +92,8 @@ def _site_from_text(text: str) -> MoveSite:
         positions, variant = obj["positions"], obj.get("variant", "")
     except (KeyError, ValueError, TypeError, RecursionError) as e:
         raise DomainError(f"bad site descriptor: {e}") from e
-    # JSON true and false decode to bools, which are ints too
-    if not isinstance(positions, list) or any(type(i) is not int for i in positions):
+    if not isinstance(positions, list):
         raise DomainError("bad site descriptor: 'positions' must be an array of integers")
-    if not isinstance(variant, str):
-        raise DomainError("bad site descriptor: 'variant' must be a string")
     return MoveSite(kind, tuple(positions), variant)
 
 
@@ -121,8 +118,8 @@ def _budget_from_args(args, default_crossings: int) -> search_mod.SearchBudget:
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-crossings", type=int, default=None,
                    help="crossing cap during search (default: input size + 2)")
-    p.add_argument("--max-states", type=int, default=5000)
-    p.add_argument("--max-depth", type=int, default=16)
+    p.add_argument("--max-states", type=int, default=search_mod.SearchBudget.max_states)
+    p.add_argument("--max-depth", type=int, default=search_mod.SearchBudget.max_depth)
 
 
 def _parse_groups(spec: str):

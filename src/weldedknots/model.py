@@ -572,6 +572,8 @@ def decode_gauss_code(text: str) -> GaussCode:
 
 def wgd_to_obj(w: WeldedGaussDiagram) -> dict:
     """Plain-data form: {"order": [...], "map": {label: [head, "+"|"-"]}}."""
+    if not isinstance(w, WeldedGaussDiagram):
+        raise DomainError(f"expected a WeldedGaussDiagram, got {type(w).__name__}")
     return {
         "order": list(w.order),
         "map": {str(c): [w.head[c], "+" if w.sign[c] > 0 else "-"] for c in w.order},
@@ -581,8 +583,6 @@ def wgd_to_obj(w: WeldedGaussDiagram) -> dict:
 def encode_wgd(w: WeldedGaussDiagram) -> str:
     """JSON object with fields ``order`` and ``map`` (label -> [head, sign]),
     signs written as "+"/"-".  Deterministic."""
-    if not isinstance(w, WeldedGaussDiagram):
-        raise DomainError(f"expected a WeldedGaussDiagram, got {type(w).__name__}")
     return json.dumps(wgd_to_obj(w), separators=(", ", ": "))
 
 

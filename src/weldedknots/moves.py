@@ -35,6 +35,11 @@ one slot (always so on the empty code) its variant carries the run that
 comes first, e.g. ``par+:ou`` or ``anti-:uo``, so that every R2 delete
 pattern is the image of an insert site.
 
+``_CROSSING_DELTA`` states each kind's change in the crossing count, and
+the kind facts derive from it: the growth kinds, each kind's inverse (R3
+and OC undo themselves), the edges within a cap, and whether a pair edit
+removes its passages or swaps each pair.
+
 One table, ``_RULES``, states this grammar once per kind: the number of
 positions, the candidate positions on a code and the variants a site may
 take.  :func:`enumerate_sites` lists its sites, :func:`apply` accepts
@@ -80,6 +85,7 @@ from .model import (
     _wgd_from_encoding,
     require_valid_code,
     require_valid_wgd,
+    validate_code,
 )
 
 
@@ -97,8 +103,21 @@ class MoveKind(Enum):
     OC = "OC"
 
 
+# each kind's change in the crossing count; the kind facts below derive from it
+_CROSSING_DELTA = {
+    MoveKind.R1_INSERT: 1,
+    MoveKind.R2_INSERT: 2,
+    MoveKind.R1_DELETE: -1,
+    MoveKind.R2_DELETE: -2,
+    MoveKind.R3: 0,
+    MoveKind.OC: 0,
+}
 ALL_KINDS = frozenset(MoveKind)
-GROWTH_KINDS = frozenset({MoveKind.R1_INSERT, MoveKind.R2_INSERT})
+GROWTH_KINDS = frozenset(kind for kind, delta in _CROSSING_DELTA.items() if delta > 0)
+# the one Reidemeister kind that changes the crossing count by each amount
+_KIND_BY_DELTA = {delta: kind for kind, delta in _CROSSING_DELTA.items() if kind != MoveKind.OC}
+# the kind with the opposite change undoes a kind; R3 and OC undo themselves
+_INVERSE_KIND = {kind: _KIND_BY_DELTA[-delta] if delta else kind for kind, delta in _CROSSING_DELTA.items()}
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,12 @@ class MoveSite:
     kind: MoveKind
     positions: tuple[int, ...]
     variant: str = ""
+
+    def __post_init__(self):
+        # True and False equal 1 and 0 but are not positions
+        ints = isinstance(self.positions, tuple) and all(type(i) is int for i in self.positions)
+        if not (ints and isinstance(self.kind, MoveKind) and isinstance(self.variant, str)):
+            raise DomainError(f"a MoveSite takes a MoveKind, a tuple of ints and a str, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -123,27 +148,16 @@ class MoveRecord:
     site: MoveSite | None = field(default=None, compare=False)
 
 
-_CROSSING_DELTA = {
-    MoveKind.R1_INSERT: 1,
-    MoveKind.R2_INSERT: 2,
-    MoveKind.R1_DELETE: -1,
-    MoveKind.R2_DELETE: -2,
-    MoveKind.R3: 0,
-    MoveKind.OC: 0,
-}
-_INVERSE_KIND = {
-    MoveKind.R1_INSERT: MoveKind.R1_DELETE,
-    MoveKind.R1_DELETE: MoveKind.R1_INSERT,
-    MoveKind.R2_INSERT: MoveKind.R2_DELETE,
-    MoveKind.R2_DELETE: MoveKind.R2_INSERT,
-    MoveKind.R3: MoveKind.R3,
-    MoveKind.OC: MoveKind.OC,
-}
+def _require_record(record: MoveRecord) -> None:
+    if not (isinstance(record, MoveRecord) and isinstance(record.kind, MoveKind) and all(
+        isinstance(entries, tuple) and all(isinstance(e, tuple) and len(e) == 2 for e in entries)
+        for entries in (record.removes, record.inserts, record.swaps)
+    )):
+        raise DomainError(f"expected a MoveRecord of a MoveKind whose edits are tuples of pairs, got {record!r}")
 
 
 def inverse_record(record: MoveRecord) -> MoveRecord:
-    if not isinstance(record, MoveRecord):
-        raise DomainError(f"expected a MoveRecord, got {type(record).__name__}")
+    _require_record(record)
     return MoveRecord(
         kind=_INVERSE_KIND[record.kind],
         variant=record.variant,
@@ -158,35 +172,43 @@ def _in_range(idx, stop: int) -> bool:
     return type(idx) is int and 0 <= idx < stop
 
 
-def apply_record(code: GaussCode, record: MoveRecord) -> GaussCode:
-    """Execute a record's edit, validating that the context matches."""
-    if not isinstance(code, GaussCode):
-        raise DomainError(f"expected a GaussCode, got {type(code).__name__}")
-    if not isinstance(record, MoveRecord):
-        raise DomainError(f"expected a MoveRecord, got {type(record).__name__}")
+def _edit(code: GaussCode, record: MoveRecord) -> GaussCode:
+    """The record's edit of ``code``, unchecked: drop the removed positions,
+    insert at increasing positions, then swap."""
     passages = list(code.passages)
     if record.removes:
-        for idx, expected in record.removes:
-            if not _in_range(idx, len(passages)) or passages[idx] != expected:
-                raise StaleSiteError(f"expected {expected} at position {idx}")
         drop = {idx for idx, _ in record.removes}
         passages = [p for i, p in enumerate(passages) if i not in drop]
-    if record.inserts:
-        existing = {p.crossing for p in passages}
-        for idx, p in record.inserts:
-            if type(idx) is not int:
-                raise StaleSiteError(f"insert position {idx!r} is not an int")
-            if p.crossing in existing:
-                raise StaleSiteError(f"label {p.crossing} already present")
-        for idx, p in sorted(record.inserts):
-            if not _in_range(idx, len(passages) + 1):
-                raise StaleSiteError(f"insert position {idx} out of range")
-            passages.insert(idx, p)
+    for idx, p in sorted(record.inserts):
+        passages.insert(idx, p)
     for i, j in record.swaps:
-        if not (_in_range(i, len(passages)) and _in_range(j, len(passages))):
-            raise StaleSiteError(f"swap position {(i, j)} out of range")
         passages[i], passages[j] = passages[j], passages[i]
     return GaussCode(tuple(passages))
+
+
+def apply_record(code: GaussCode, record: MoveRecord) -> GaussCode:
+    """Execute a record's edit, validating that the context matches and
+    that the result is a valid code."""
+    require_valid_code(code)
+    _require_record(record)
+    for idx, expected in record.removes:
+        if not _in_range(idx, len(code)) or code[idx] != expected:
+            raise StaleSiteError(f"expected {expected} at position {idx}")
+    # the inserts are sorted, which compares the passages of equal positions
+    if not all(type(idx) is int and isinstance(p, Passage) for idx, p in record.inserts):
+        raise StaleSiteError(f"inserts {record.inserts} are not pairs of an int position and a Passage")
+    size = len(code) - len({idx for idx, _ in record.removes})
+    for idx, _ in sorted(record.inserts):
+        if not _in_range(idx, size + 1):
+            raise StaleSiteError(f"insert position {idx} out of range")
+        size += 1
+    if not all(_in_range(i, size) for pair in record.swaps for i in pair):
+        raise StaleSiteError(f"swap positions {record.swaps} out of range")
+    new_code = _edit(code, record)
+    problem = validate_code(new_code)
+    if problem is not None:
+        raise StaleSiteError(f"the edit gives no valid code: {problem}")
+    return new_code
 
 
 def replay(code: GaussCode, records: Iterable[MoveRecord]) -> GaussCode:
@@ -403,8 +425,8 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
     rewrite bit-exactly.
     """
     require_valid_code(code)
-    if not (isinstance(site, MoveSite) and isinstance(site.kind, MoveKind) and isinstance(site.positions, tuple)):
-        raise DomainError(f"expected a MoveSite with a MoveKind and a tuple of positions, got {site!r}")
+    if not isinstance(site, MoveSite):
+        raise DomainError(f"expected a MoveSite, got {type(site).__name__}")
     kind, positions, rule = site.kind, site.positions, _RULES[site.kind]
     stop = len(_slots(code)) if kind in GROWTH_KINDS else len(code)
     fits = len(positions) == rule.arity and all(_in_range(i, stop) for i in positions)
@@ -415,7 +437,7 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
 
 def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
     """:func:`apply` for a site known to fit ``code``, such as one that
-    :func:`enumerate_sites` has just listed, with the site unchecked."""
+    :func:`enumerate_sites` has just listed: its record's edit runs bare."""
     L = len(code)
     kind = site.kind
 
@@ -426,12 +448,6 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
         roles = (OVER, UNDER) if site.variant.startswith("ou") else (UNDER, OVER)
         inserts = ((slot, Passage(roles[0], label, s)), (slot + 1, Passage(roles[1], label, s)))
         record = MoveRecord(kind, site.variant, inserts=inserts, site=site)
-
-    elif kind == MoveKind.R1_DELETE:
-        i = site.positions[0]
-        j = (i + 1) % L
-        removes = tuple(sorted([(i, code[i]), (j, code[j])]))
-        record = MoveRecord(kind, site.variant, removes=removes, site=site)
 
     elif kind == MoveKind.R2_INSERT:
         so, su = site.positions
@@ -453,22 +469,18 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
         )
         record = MoveRecord(kind, site.variant, inserts=inserts, site=site)
 
-    elif kind == MoveKind.R2_DELETE:
-        p, q = site.positions
-        idxs = sorted({p, (p + 1) % L, q, (q + 1) % L})
-        removes = tuple((i, code[i]) for i in idxs)
-        record = MoveRecord(kind, site.variant, removes=removes, site=site)
+    else:
+        # adjacent pairs: R1 delete and OC name both ends of their one pair,
+        # R2 delete and R3 the first end of each pair
+        one_pair = kind in (MoveKind.R1_DELETE, MoveKind.OC)
+        pairs = (site.positions,) if one_pair else tuple((i, (i + 1) % L) for i in site.positions)
+        if _CROSSING_DELTA[kind] < 0:
+            removes = tuple((i, code[i]) for i in sorted(itertools.chain(*pairs)))
+            record = MoveRecord(kind, site.variant, removes=removes, site=site)
+        else:  # R3 and OC swap each pair
+            record = MoveRecord(kind, site.variant, swaps=pairs, site=site)
 
-    elif kind == MoveKind.R3:
-        t, m, b = site.positions
-        swaps = ((t, (t + 1) % L), (m, (m + 1) % L), (b, (b + 1) % L))
-        record = MoveRecord(kind, site.variant, swaps=swaps, site=site)
-
-    else:  # OC
-        i = site.positions[0]
-        record = MoveRecord(kind, "oc", swaps=((i, (i + 1) % L),), site=site)
-
-    return apply_record(code, record), record
+    return _edit(code, record), record
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +512,6 @@ def oc_class(code: GaussCode) -> Iterator[GaussCode]:
     first; enumeration order is deterministic.
     """
     require_valid_code(code)
-    if code.n == 0:
-        yield code
-        return
     blocks = _over_blocks(code)
     contents = [tuple(code[i] for i in block) for block in blocks]
     for choice in itertools.product(*(itertools.permutations(c) for c in contents)):
@@ -527,10 +536,6 @@ def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[Move
                 records.append(rec)
                 j -= 1
     return records
-
-
-# the one Reidemeister kind that changes the crossing count by each amount
-_KIND_BY_DELTA = {delta: kind for kind, delta in _CROSSING_DELTA.items() if kind != MoveKind.OC}
 
 
 def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> tuple[list[MoveRecord], GaussCode]:
@@ -772,24 +777,21 @@ def _raw_neighbor_encodings(e, wanted) -> Iterator:
             yield from generate(e, gaps)
 
 
-# per room = max_crossings - n, from -3 (no kind fits) to 2 (every kind
-# fits), the generators of the edges, every kind but OC, whose result fits
-_ROOMS = range(min(_CROSSING_DELTA.values()) - 1, max(_CROSSING_DELTA.values()) + 1)
-_EDGES_BY_ROOM = tuple(
-    tuple(generate for kind, generate in _GENERATORS if kind != MoveKind.OC and _CROSSING_DELTA[kind] <= room)
-    for room in _ROOMS
-)
+# the generators of the edges, every kind but OC, each with its kind's
+# change in the crossing count, in the order of _GENERATORS
+_EDGE_GENERATORS = tuple((_CROSSING_DELTA[kind], generate) for kind, generate in _GENERATORS if kind != MoveKind.OC)
 
 
 def _edges(e, max_crossings: int) -> Iterator:
     """The raw neighbours of the diagram with packed encoding ``e`` along
     the move-graph edges whose result has at most ``max_crossings``
     crossings: :func:`_raw_neighbor_encodings` of those kinds, in its
-    order, from generators chosen at import."""
-    room = min(max(max_crossings - len(e), _ROOMS[0]), _ROOMS[-1])
+    order."""
+    room = max_crossings - len(e)
     gaps = _gaps(e)
-    for generate in _EDGES_BY_ROOM[room - _ROOMS[0]]:
-        yield from generate(e, gaps)
+    for delta, generate in _EDGE_GENERATORS:
+        if delta <= room:
+            yield from generate(e, gaps)
 
 
 def wgd_neighbors(

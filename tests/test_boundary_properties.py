@@ -12,6 +12,7 @@ from weldedknots import (
     GaussCode,
     GaussDiagram,
     MoveKind,
+    MoveRecord,
     MoveSite,
     Passage,
     SearchBudget,
@@ -39,7 +40,7 @@ from weldedknots import (
     wgd_neighbors,
 )
 from weldedknots.cli import _site_from_text
-from weldedknots.model import OVER, UNDER, require_valid_code, require_valid_wgd
+from weldedknots.model import OVER, UNDER, require_valid_code, require_valid_wgd, wgd_to_obj
 
 from conftest import TREFOIL_TEXT
 
@@ -95,12 +96,10 @@ DIGITS = st.integers(-3, 12).map(str)
 @example((decode_gauss_code("O1+ U1+"), MoveSite(MoveKind.R2_INSERT, (0, 1), "par+:ou")))  # a run order, two slots
 @example((decode_gauss_code("O1+ O2- U2- U1+"), MoveSite(MoveKind.R1_DELETE, (3, 0), "uo+")))  # across the basepoint
 @example((decode_gauss_code("O1+ O2+ U1+ U2+"), MoveSite(MoveKind.OC, (0, 3), "oc")))  # not adjacent
-@example((decode_gauss_code("O1+ O2+ U1+ U2+"), MoveSite(MoveKind.OC, (False, True), "oc")))
 @example((decode_gauss_code("O1+ U1+"), MoveSite(MoveKind.R1_INSERT, (0, 1), "ou+")))  # two positions for one
 def test_apply_accepts_exactly_the_listed_sites(case):
     code, site = case
-    # positions (False, True) equal (0, 1), but bools are not positions
-    listed = site in enumerate_sites(code) and all(type(i) is int for i in site.positions)
+    listed = site in enumerate_sites(code)
     try:
         apply_move(code, site)
     except DomainError:
@@ -172,6 +171,8 @@ MISUSES = {
     "apply_move, positions that are a list": lambda: apply_move(
         decode_gauss_code("O2+ O1+ O3+ U1+ U3+ U2+"), MoveSite(MoveKind.R3, list(R3_SITE.positions), R3_SITE.variant)
     ),
+    "a site whose positions are bools": lambda: MoveSite(MoveKind.OC, (False, True), "oc"),
+    "a site whose variant is None": lambda: MoveSite(MoveKind.OC, (0, 1), None),
     "reverse of None": lambda: reverse(None),
     "reverse of text": lambda: reverse(TREFOIL_TEXT),
     "global_reversal of an int": lambda: global_reversal(5),
@@ -198,6 +199,14 @@ MISUSES = {
     "replay, records that are None": lambda: replay(TREFOIL_CODE, None),
     "replay of text, no records": lambda: replay(TREFOIL_TEXT, ()),
     "inverse_record of None": lambda: inverse_record(None),
+    "inverse_record, a kind that is None": lambda: inverse_record(MoveRecord(None)),
+    "replay, swaps that are None": lambda: replay(TREFOIL_CODE, [MoveRecord(MoveKind.OC, swaps=None)]),
+    "apply_record, a swap that is no pair": lambda: apply_record(TREFOIL_CODE, MoveRecord(MoveKind.OC, swaps=((0,),))),
+    "apply_record, a remove that is an int": lambda: apply_record(TREFOIL_CODE, MoveRecord(MoveKind.R1_DELETE, removes=(5,))),
+    "replay to a code that is not valid": lambda: replay(
+        decode_gauss_code("O1+ U1+"), [MoveRecord(MoveKind.R1_DELETE, removes=((0, Passage(OVER, 1, 1)),))]
+    ),
+    "wgd_to_obj of None": lambda: wgd_to_obj(None),
     "gauss_diagram_to_wgd of None": lambda: gauss_diagram_to_wgd(None),
     "a point that is a list": lambda: gauss_diagram_to_wgd(
         GaussDiagram(([OVER, 1], (UNDER, 1)), frozenset({((OVER, 1), (UNDER, 1), 1)}))

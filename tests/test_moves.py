@@ -69,6 +69,7 @@ class TestEnumerate:
         assert encode_gauss_code(shared) == "O1+ U3+ U2- O2- O3+ U1+"
 
     def test_growth_excluded(self):
+        assert GROWTH_KINDS == {MoveKind.R1_INSERT, MoveKind.R2_INSERT}
         sites = enumerate_sites(decode_gauss_code(TREFOIL_TEXT), growth_allowed=False)
         assert all(s.kind not in GROWTH_KINDS for s in sites)
 
@@ -121,12 +122,21 @@ class TestApply:
                 assert new_code.n - code.n == deltas[site.kind]
 
     def test_inverse_restores_bit_exactly(self, rng):
+        inverse_kind = {
+            MoveKind.R1_INSERT: MoveKind.R1_DELETE,
+            MoveKind.R1_DELETE: MoveKind.R1_INSERT,
+            MoveKind.R2_INSERT: MoveKind.R2_DELETE,
+            MoveKind.R2_DELETE: MoveKind.R2_INSERT,
+            MoveKind.R3: MoveKind.R3,
+            MoveKind.OC: MoveKind.OC,
+        }
         count = 0
         while count < 1000:
             code = random_code(rng, rng.randint(0, 5))
             sites = enumerate_sites(code)
             site = sites[rng.randrange(len(sites))]
             new_code, record = apply_move(code, site)
+            assert inverse_record(record).kind == inverse_kind[record.kind]
             assert apply_record(new_code, inverse_record(record)) == code
             count += 1
 
@@ -165,7 +175,6 @@ class TestApply:
         MoveSite(MoveKind.R3, (0, 1, 7), "r3:000+"),
         MoveSite(MoveKind.R2_INSERT, (1, 1), "par+"),
         MoveSite(MoveKind.R2_INSERT, (0, 1), "par+:ou"),
-        MoveSite(MoveKind.OC, (False, True), "oc"),  # bools equal 0 and 1 but are not positions
     ])
     def test_positions_must_fit_the_code(self, site):
         code = decode_gauss_code("O1+ O2+ U1+ U2+")
@@ -181,9 +190,14 @@ class TestApply:
         MoveRecord(MoveKind.R1_DELETE, "ou+", removes=((True, Passage(UNDER, 1, 1)),)),
         MoveRecord(MoveKind.R1_INSERT, "ou+", inserts=((0, Passage(OVER, 3, 1)), (1.0, Passage(UNDER, 3, 1)))),
         MoveRecord(MoveKind.R1_INSERT, "ou+", inserts=((5, Passage(OVER, 3, 1)), (6, Passage(UNDER, 3, 1)))),
+        MoveRecord(MoveKind.R1_INSERT, "ou+", inserts=((0, 5),)),
+        MoveRecord(MoveKind.R1_INSERT, "ou+", inserts=((0, Passage(OVER, 9, 1)),)),  # no U9
+        MoveRecord(MoveKind.R1_DELETE, "ou+", removes=((0, Passage(OVER, 1, 1)),)),  # U1 left alone
+        MoveRecord(MoveKind.R1_INSERT, "ou+", inserts=((0, Passage(OVER, 1, 1)), (1, Passage(UNDER, 1, 1)))),
     ])
     def test_record_indices_must_be_ints_in_range(self, record):
-        """Every remove, insert and swap index is an int (not a bool) in range."""
+        """Every remove, insert and swap index is an int (not a bool) in range,
+        every insert a Passage, and the edit must give a valid code."""
         with pytest.raises(StaleSiteError):
             apply_record(decode_gauss_code("O1+ U1+ O2- U2-"), record)
 
