@@ -79,7 +79,11 @@ class GaussCode:
         return {p.crossing for p in self.passages}
 
     def __repr__(self) -> str:
-        return f"GaussCode({encode_gauss_code(self)!r})"
+        # error messages format codes, so an invalid one shows its passages
+        try:
+            return f"GaussCode({encode_gauss_code(self)!r})"
+        except DomainError:
+            return f"GaussCode(passages={self.passages!r})"
 
 
 class WeldedGaussDiagram:
@@ -131,7 +135,11 @@ class WeldedGaussDiagram:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        return f"WeldedGaussDiagram({encode_wgd(self)})"
+        # error messages format diagrams, so an invalid one shows its fields
+        try:
+            return f"WeldedGaussDiagram({encode_wgd(self)})"
+        except DomainError:
+            return f"WeldedGaussDiagram(order={self.order!r}, head={self.head!r}, sign={self.sign!r})"
 
 
 PointLabel = tuple[str, int]  # (OVER|UNDER, crossing)
@@ -541,8 +549,7 @@ _TOKEN = re.compile(r"^(O|U)([0-9]+)([+-])$")
 
 def encode_gauss_code(code: GaussCode) -> str:
     """Whitespace-separated tokens ``O3+ U1- ...``; empty code -> ''."""
-    if not isinstance(code, GaussCode):
-        raise DomainError(f"expected a GaussCode, got {type(code).__name__}")
+    require_valid_code(code)
     return " ".join(f"{p.role}{p.crossing}{'+' if p.sign > 0 else '-'}" for p in code.passages)
 
 
@@ -572,8 +579,7 @@ def decode_gauss_code(text: str) -> GaussCode:
 
 def wgd_to_obj(w: WeldedGaussDiagram) -> dict:
     """Plain-data form: {"order": [...], "map": {label: [head, "+"|"-"]}}."""
-    if not isinstance(w, WeldedGaussDiagram):
-        raise DomainError(f"expected a WeldedGaussDiagram, got {type(w).__name__}")
+    require_valid_wgd(w)
     return {
         "order": list(w.order),
         "map": {str(c): [w.head[c], "+" if w.sign[c] > 0 else "-"] for c in w.order},

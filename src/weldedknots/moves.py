@@ -68,7 +68,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .convert import gauss_to_wgd
 from .model import (
     OVER,
     UNDER,
@@ -78,6 +77,7 @@ from .model import (
     WeldedGaussDiagram,
     _canonical_encoding,
     _canonical_wgd_encoding,
+    _code_packed,
     _gaps,
     _pack,
     _relabelled,
@@ -543,13 +543,19 @@ def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> tuple[list[Mov
     diagram to the canonical diagram ``target``, and the code they reach:
     over-commute records reordering ``code`` into the first code of its
     over-commute class with a site reaching ``target``, then that move's
-    record."""
+    record.
+
+    Each trial is compared as a canonical packed encoding with the
+    target's, taken once per edge; no trial builds a diagram.  A trial
+    code comes from a site just listed on a valid code, so it is not
+    validated: ``code`` is, by :func:`oc_class`."""
     kind = _KIND_BY_DELTA.get(target.n - code.n)
     if kind is not None:
+        want = _canonical_wgd_encoding(target)
         for variant in oc_class(code):
             for site in _sites(variant, kind):
                 new_code, rec = _apply_unchecked(variant, site)
-                if gauss_to_wgd(new_code) == target:
+                if _canonical_encoding(_code_packed(new_code)) == want:
                     return _block_permutation_records(code, variant) + [rec], new_code
     raise DomainError("states are not one move apart")
 

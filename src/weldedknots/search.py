@@ -27,7 +27,10 @@ whichever frontier is smaller.  Path extraction re-derives each edge of
 the discovered state sequence on the concrete code
 (:func:`moves._edge_records`), inserting explicit over-commute records
 where the realization has to be reordered first, so the returned record
-list replays start to finish with no hidden normalization.
+list replays start to finish with no hidden normalization.  The states
+are validated once, where :func:`derive_path` takes them; each trial
+move is compared with the next state as a canonical packed encoding,
+with no diagram built per trial.
 """
 
 from __future__ import annotations
@@ -194,8 +197,10 @@ def _walk(parents: dict, state) -> list:
 def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     """Record path realizing a sequence of adjacent states, starting from
     the first state's realization.  Each step may prepend over-commute
-    records before its Reidemeister record.  Every state is validated and
-    compared up to rotation and relabelling."""
+    records before its Reidemeister record.  Every state is validated
+    once, here, and compared up to rotation and relabelling: each step's
+    trials are compared with the next state as canonical packed encodings
+    (:func:`moves._edge_records`), and the last code reached is dropped."""
     try:
         states = [canonical_wgd(w) for w in states]
     except TypeError as e:

@@ -2,11 +2,13 @@
 ``enumerate_sites`` lists it, and malformed text, JSON or arguments end in
 ``DomainError``, never in another exception."""
 
+import inspect
 import json
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import weldedknots
 from weldedknots import (
     DomainError,
     GaussCode,
@@ -22,6 +24,7 @@ from weldedknots import (
     are_equivalent,
     atlas_to_jsonl,
     build_atlas,
+    canonical_wgd,
     decode_gauss_code,
     decode_wgd,
     derive_path,
@@ -29,6 +32,7 @@ from weldedknots import (
     encode_wgd,
     enumerate_sites,
     fingerprint,
+    gauss_code_to_gauss_diagram,
     gauss_diagram_to_wgd,
     gauss_to_wgd,
     global_reversal,
@@ -36,6 +40,7 @@ from weldedknots import (
     replay,
     reverse,
     simplify,
+    symmetric_group_3,
     wgd_encoding,
     wgd_neighbors,
 )
@@ -207,6 +212,8 @@ MISUSES = {
         decode_gauss_code("O1+ U1+"), [MoveRecord(MoveKind.R1_DELETE, removes=((0, Passage(OVER, 1, 1)),))]
     ),
     "wgd_to_obj of None": lambda: wgd_to_obj(None),
+    "wgd_to_obj, a head map that is not total": lambda: wgd_to_obj(WeldedGaussDiagram((1,), {}, {})),
+    "encode_wgd, a head map that is not total": lambda: encode_wgd(WeldedGaussDiagram((1,), {}, {})),
     "gauss_diagram_to_wgd of None": lambda: gauss_diagram_to_wgd(None),
     "a point that is a list": lambda: gauss_diagram_to_wgd(
         GaussDiagram(([OVER, 1], (UNDER, 1)), frozenset({((OVER, 1), (UNDER, 1), 1)}))
@@ -231,3 +238,116 @@ def test_misuse_ends_in_domain_error(misuse):
     read as text."""
     with pytest.raises(DomainError):
         misuse()
+
+
+def test_repr_of_an_invalid_value_shows_its_fields():
+    """Error messages format diagrams and codes, so ``repr`` never raises:
+    an invalid one shows its raw fields."""
+    text = repr(WeldedGaussDiagram((1,), {}, {}))
+    assert isinstance(text, str) and text == "WeldedGaussDiagram(order=(1,), head={}, sign={})"
+    assert repr(GaussCode(None)) == "GaussCode(passages=None)"
+
+
+# the generated sweep: every public function, each parameter in turn
+# replaced by each wrong value while the others hold valid ones
+
+KINK = canonical_wgd(WeldedGaussDiagram((1,), {1: 1}, {1: 1}))
+# a code with R1, R2 and R3 sites, an over block of three and one of two
+SWEEP_CODE = decode_gauss_code("U2- O1- U1- U4+ U5- O3- O4+ O5- U3- O2-")
+SWEEP_WGD = gauss_to_wgd(SWEEP_CODE)
+SWEEP_SITE = enumerate_sites(SWEEP_CODE)[0]
+_, SWEEP_RECORD = apply_move(SWEEP_CODE, SWEEP_SITE)
+# a valid value per parameter name, and per (function, name) where one
+# name means something else; a parameter with neither takes its default
+VALID = {
+    "code": SWEEP_CODE,
+    "w": SWEEP_WGD,
+    "w1": SWEEP_WGD,
+    "w2": KINK,
+    "x": SWEEP_WGD,
+    "obj": SWEEP_WGD,
+    "gd": gauss_code_to_gauss_diagram(SWEEP_CODE),
+    "site": SWEEP_SITE,
+    "record": SWEEP_RECORD,
+    "records": [SWEEP_RECORD],
+    "budget": SearchBudget(6, max_states=50, max_depth=3),
+    "states": [WeldedGaussDiagram((), {}, {}), KINK],
+    "n_max": 1,
+    "max_crossings": 2,
+    "p": 3,
+    "m": 4,
+    "group": symmetric_group_3(),
+    "name": "S3",
+}
+VALID_IN = {
+    ("decode_gauss_code", "text"): TREFOIL_TEXT,
+    ("decode_wgd", "text"): encode_wgd(TREFOIL),
+    ("atlas_to_jsonl", "records"): build_atlas(1, 2),
+    ("wgd_neighbors", "max_crossings"): 6,
+    ("wgd_neighbors_iter", "max_crossings"): 6,
+}
+WRONG = (None, 3, -1, True, 2.5, "x", b"x", [1], {1: 1}, object())
+MALFORMED_WGDS = (
+    WeldedGaussDiagram((1,), {}, {}),
+    WeldedGaussDiagram((1,), {1: 2}, {1: 1}),
+    WeldedGaussDiagram((1, 1), {1: 1}, {1: 1}),
+    WeldedGaussDiagram((1,), {1: 1}, {1: 0}),
+    WeldedGaussDiagram((0,), {0: 0}, {0: 1}),
+)
+MALFORMED_CODES = (
+    GaussCode(None),
+    GaussCode((Passage(OVER, 1, 1),)),
+    GaussCode(((OVER, 1, 1), (UNDER, 1, 1))),
+    GaussCode((Passage(OVER, 1, 1), Passage(UNDER, 1, -1))),
+    GaussCode((Passage(OVER, 1, 1), Passage(OVER, 1, 1))),
+)
+MALFORMED = {
+    "w": MALFORMED_WGDS,
+    "w1": MALFORMED_WGDS,
+    "w2": MALFORMED_WGDS,
+    "states": tuple([w] for w in MALFORMED_WGDS),
+    "code": MALFORMED_CODES,
+    "x": MALFORMED_WGDS + MALFORMED_CODES,
+    "obj": MALFORMED_WGDS + MALFORMED_CODES,
+}
+PUBLIC_FUNCTIONS = sorted(name for name in weldedknots.__all__ if inspect.isfunction(getattr(weldedknots, name)))
+
+
+def _valid_arguments(name: str) -> dict:
+    """A valid value for each parameter of the public function ``name``."""
+    arguments = {}
+    for param in inspect.signature(getattr(weldedknots, name)).parameters.values():
+        if (name, param.name) in VALID_IN:
+            arguments[param.name] = VALID_IN[name, param.name]
+        elif param.name in VALID:
+            arguments[param.name] = VALID[param.name]
+        elif param.default is not inspect.Parameter.empty:
+            arguments[param.name] = param.default
+        else:
+            pytest.fail(f"{name}: no valid value listed for parameter {param.name!r}")
+    return arguments
+
+
+def _call(name: str, arguments: dict):
+    """Call the public function ``name``, draining a generator it returns."""
+    result = getattr(weldedknots, name)(**arguments)
+    return list(result) if inspect.isgenerator(result) else result
+
+
+@pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+def test_every_argument_is_checked_where_it_enters(name):
+    """Each public function returns with valid arguments, and with any one
+    argument replaced by a wrong value it returns or raises DomainError,
+    never another exception."""
+    arguments = _valid_arguments(name)
+    _call(name, arguments)
+    leaks = []
+    for param in arguments:
+        for wrong in WRONG + MALFORMED.get(param, ()):
+            try:
+                _call(name, {**arguments, param: wrong})
+            except DomainError:
+                pass
+            except Exception as e:
+                leaks.append(f"{param}={wrong!r}: {type(e).__name__}: {e}")
+    assert not leaks

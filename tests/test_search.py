@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -62,6 +63,18 @@ from conftest import (
 EMPTY = WeldedGaussDiagram((), {}, {})
 KINK = canonical_wgd(WeldedGaussDiagram((1,), {1: 1}, {1: 1}))
 TREFOIL = gauss_to_wgd(decode_gauss_code(TREFOIL_TEXT))
+
+
+def _count_calls(monkeypatch, counts: collections.Counter, module, name: str, key=None) -> None:
+    """Count each call of ``module.name`` in ``counts``, under ``name`` or
+    under ``key`` of the call's arguments."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[name if key is None else key(*args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def scramble(rng: random.Random, moves: int) -> WeldedGaussDiagram:
@@ -183,6 +196,27 @@ class TestDerivePath:
     def test_states_must_be_one_move_apart(self):
         with pytest.raises(DomainError, match="not one move apart"):
             derive_path([TREFOIL, EMPTY])
+
+    @pytest.mark.parametrize(
+        "n, cap, edges, applies",
+        [(5, 5, 8, 77), (6, 6, 11, 523), (4, 5, 81, 12_561)],
+    )
+    def test_cliff_cost(self, n, cap, edges, applies, monkeypatch):
+        """A time-free pin of the steepest path realisation known: the
+        diagram with every head at crossing 1 and alternating signs, each
+        edge within the cap realised alone.  Every code of the over-commute
+        class is tried in turn, so the applies grow with the factorial of
+        the largest gap; witness-carrying edges would cut them."""
+        import weldedknots.moves
+
+        order = tuple(range(1, n + 1))
+        w = canonical_wgd(WeldedGaussDiagram(order, {c: 1 for c in order}, {c: (-1) ** c for c in order}))
+        neighbours = sorted(wgd_neighbors(w, max_crossings=cap) - {w}, key=lambda x: (x.n, wgd_encoding(x)))
+        counts = collections.Counter()
+        _count_calls(monkeypatch, counts, weldedknots.moves, "_apply_unchecked")
+        for nb in neighbours:
+            derive_path([w, nb])
+        assert (len(neighbours), counts["_apply_unchecked"]) == (edges, applies)
 
 
 class TestSimplify:
@@ -811,25 +845,38 @@ class TestSearchGolden:
     def test_walk_cost(self, monkeypatch):
         """A time-free cost guard on the walk the searches share: the golden
         queries, inputs built beforehand, canonicalise 3,795 encodings in
-        ``are_equivalent`` and 5,596 in ``simplify`` (4,437 and 6,054 when
-        each search canonicalised every raw neighbour of every expansion)."""
+        ``are_equivalent``'s walk and 5,596 in ``simplify`` (4,437 and 6,054
+        when each search canonicalised every raw neighbour of every
+        expansion).  Path realisation is pinned apart, by
+        ``test_path_realisation_cost``."""
+        import weldedknots.search
+
+        pairs, inputs = _golden_pairs(), _golden_simplify_inputs()
+        counts = collections.Counter()
+        _count_calls(monkeypatch, counts, weldedknots.search, "_canonical_encoding")
+        for a, b, budget in pairs:
+            are_equivalent(a, b, budget)
+        equiv_calls = counts.pop("_canonical_encoding")
+        for w, budget in inputs:
+            simplify(w, budget)
+        assert (equiv_calls, counts["_canonical_encoding"]) == (3_795, 5_596)
+
+    def test_path_realisation_cost(self, monkeypatch):
+        """A time-free cost guard on path realisation: the golden queries
+        realise 40 edges with 320 trial moves, each compared once with its
+        edge's target as a canonical encoding, and 5 over-commute records
+        that reorder a code before its move."""
         import weldedknots.moves
         import weldedknots.search
 
-        calls = 0
-        canonical = weldedknots.search._canonical_encoding
-
-        def counted(e):
-            nonlocal calls
-            calls += 1
-            return canonical(e)
-
-        pairs, inputs = _golden_pairs(), _golden_simplify_inputs()
-        monkeypatch.setattr(weldedknots.search, "_canonical_encoding", counted)
-        monkeypatch.setattr(weldedknots.moves, "_canonical_encoding", counted)
+        pairs = _golden_pairs()
+        counts = collections.Counter()
+        _count_calls(monkeypatch, counts, weldedknots.search, "_edge_records")
+        _count_calls(monkeypatch, counts, weldedknots.moves, "_canonical_encoding")
+        _count_calls(
+            monkeypatch, counts, weldedknots.moves, "_apply_unchecked",
+            lambda code, site: "reorder" if site.kind == MoveKind.OC else "trial",
+        )
         for a, b, budget in pairs:
             are_equivalent(a, b, budget)
-        equiv_calls, calls = calls, 0
-        for w, budget in inputs:
-            simplify(w, budget)
-        assert (equiv_calls, calls) == (3_795, 5_596)
+        assert counts == {"_edge_records": 40, "trial": 320, "_canonical_encoding": 320, "reorder": 5}
