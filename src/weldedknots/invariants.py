@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    UNDER,
     DomainError,
     GaussCode,
     WeldedGaussDiagram,
@@ -45,32 +44,6 @@ from .model import (
     _code_packed,
     _wgd_packed,
 )
-
-
-@dataclass(frozen=True)
-class CrossingArcs:
-    crossing: int
-    over_arc: int
-    in_arc: int
-    out_arc: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class ArcStructure:
-    arc_count: int
-    crossings: tuple[CrossingArcs, ...]
-
-
-def arcs(code: GaussCode) -> ArcStructure:
-    """Arc decomposition of a code; the trivial diagram has one arc."""
-    e = _code_arc_encoding(code)
-    n = len(e)
-    unders = [p for p in code.passages if p.role == UNDER]
-    return ArcStructure(max(n, 1), tuple(
-        CrossingArcs(crossing=p.crossing, over_arc=v >> 1, in_arc=(j - 1) % n, out_arc=j, sign=p.sign)
-        for j, (p, v) in enumerate(zip(unders, e))
-    ))
 
 
 def _code_arc_encoding(code: GaussCode) -> bytes | tuple:
@@ -188,10 +161,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    @property
-    def identity(self) -> int:
-        return self._identity
-
     def inv(self, a: int) -> int:
         return self._inverses[a]
 
@@ -232,7 +201,6 @@ class Group:
                 for c in range(k):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         raise DomainError("table is not associative")
-        object.__setattr__(self, "_identity", identity)
         object.__setattr__(self, "_inverses", tuple(inverses))
 
 

@@ -115,14 +115,18 @@ class WeldedGaussDiagram:
         return len(self.order)
 
     def key(self) -> tuple:
-        """Hashable structural key (basepointed, label-sensitive)."""
+        """Hashable structural key (basepointed, label-sensitive); a label
+        with no head or sign ends in :class:`DomainError`."""
         key = self._key
         if key is None:
-            key = (
-                self.order,
-                tuple(self.head[c] for c in self.order),
-                tuple(self.sign[c] for c in self.order),
-            )
+            try:
+                key = (
+                    self.order,
+                    tuple(self.head[c] for c in self.order),
+                    tuple(self.sign[c] for c in self.order),
+                )
+            except (KeyError, TypeError):
+                raise DomainError(f"{self!r}: a label is unhashable or has no head or sign") from None
             object.__setattr__(self, "_key", key)
         return key
 
@@ -132,7 +136,10 @@ class WeldedGaussDiagram:
         return self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        try:
+            return hash(self.key())
+        except TypeError:
+            raise DomainError(f"{self!r} has an unhashable head or sign") from None
 
     def __repr__(self) -> str:
         # error messages format diagrams, so an invalid one shows its fields
@@ -504,41 +511,6 @@ def wgd_encoding(w: WeldedGaussDiagram) -> tuple:
     if not (isinstance(w, WeldedGaussDiagram) and w.head.keys() == w.sign.keys() == set(range(1, w.n + 1))):
         raise DomainError(f"expected a WeldedGaussDiagram labelled 1..n, got a {type(w).__name__}")
     return tuple((w.head[i], w.sign[i]) for i in range(1, w.n + 1))
-
-
-def normalize_code_labels(code: GaussCode) -> GaussCode:
-    """Rename crossing labels to 1..n by order of first under passage."""
-    require_valid_code(code)
-    rename: dict[int, int] = {}
-    for p in code.passages:
-        if p.role == UNDER and p.crossing not in rename:
-            rename[p.crossing] = len(rename) + 1
-    return GaussCode(tuple(Passage(p.role, rename[p.crossing], p.sign) for p in code.passages))
-
-
-def rotated_code(code: GaussCode, k: int) -> GaussCode:
-    """The same cyclic word with the basepoint moved forward by k."""
-    L = len(code.passages)
-    if L == 0:
-        return code
-    k %= L
-    return GaussCode(code.passages[k:] + code.passages[:k])
-
-
-def canonical_code(code: GaussCode) -> GaussCode:
-    """Minimal representative of the code up to rotation and relabeling;
-    realizes cyclic-equality checks for Gauss codes."""
-    require_valid_code(code)
-    L = len(code.passages)
-    if L == 0:
-        return code
-    best = None
-    for k in range(L):
-        cand = normalize_code_labels(rotated_code(code, k))
-        key = tuple(cand.passages)
-        if best is None or key < best:
-            best = key
-    return GaussCode(best)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import itertools
 import os
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from weldedknots import (
     ALL_KINDS,
     GaussCode,
+    Group,
     MoveKind,
     Passage,
     WeldedGaussDiagram,
@@ -18,7 +20,6 @@ from weldedknots import (
     oc_class,
     wgd_to_gauss,
 )
-from weldedknots.invariants import ArcStructure, CrossingArcs
 from weldedknots.model import OVER, UNDER, _canonical_encoding, _canonical_encodings, _pack
 from weldedknots.moves import _apply_unchecked, _gaps, _match_oc, _r1_deletes, _r2_deletes
 
@@ -58,6 +59,11 @@ def reference_wgd() -> WeldedGaussDiagram:
 
 
 TREFOIL_TEXT = "O1+ U2+ O3+ U1+ O2+ U3+"
+
+# the alternating group A4, no built-in group and no dihedral one: the even
+# permutations of 0..3, those with an even number of inversions
+_EVEN = [p for p in itertools.permutations(range(4)) if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+A4 = Group("A4", tuple(tuple(_EVEN.index(tuple(a[b[x]] for x in range(4))) for b in _EVEN) for a in _EVEN))
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -235,10 +241,23 @@ def scan_back_head(code: GaussCode, i: int) -> int:
     return code[j].crossing
 
 
+class CrossingArcs(NamedTuple):
+    crossing: int
+    over_arc: int
+    in_arc: int
+    out_arc: int
+    sign: int
+
+
+class ArcStructure(NamedTuple):
+    arc_count: int
+    crossings: tuple[CrossingArcs, ...]
+
+
 def oracle_arcs(code: GaussCode) -> ArcStructure:
-    """Oracle for ``arcs``, read through :func:`scan_back_head`: arc j
-    starts after the j-th under passage, and an over passage runs on the
-    arc that starts after the under passage found scanning back from it."""
+    """Oracle for the arcs the counts read, through :func:`scan_back_head`:
+    arc j starts after the j-th under passage, and an over passage runs on
+    the arc that starts after the under passage found scanning back from it."""
     unders = [p for p in code.passages if p.role == UNDER]
     if not unders:
         return ArcStructure(1, ())

@@ -20,7 +20,6 @@ from weldedknots import (
     bar,
     bar_code,
     build_atlas,
-    canonical_code,
     canonical_wgd,
     coloring_count,
     decode_gauss_code,
@@ -178,6 +177,20 @@ def test_criterion_6_global_reversal_move_equivariance():
     )
 
 
+def _canonical_code(code: GaussCode) -> GaussCode:
+    """The least rotation of ``code`` with its labels renamed 1..n by first
+    under passage: one representative per rotation/relabeling orbit."""
+    candidates = []
+    for k in range(len(code)):
+        rotated = code.passages[k:] + code.passages[:k]
+        rename = {}
+        for p in rotated:
+            if p.role == UNDER:
+                rename.setdefault(p.crossing, len(rename) + 1)
+        candidates.append(tuple(Passage(p.role, rename[p.crossing], p.sign) for p in rotated))
+    return GaussCode(min(candidates, default=code.passages))
+
+
 def _all_codes_up_to_symmetry(n: int):
     """Every Gauss code with n crossings, one representative per
     rotation/relabeling orbit."""
@@ -204,7 +217,7 @@ def _all_codes_up_to_symmetry(n: int):
                     first_role, second_role = (OVER, UNDER) if role_bit else (UNDER, OVER)
                     passages[a] = Passage(first_role, label, s)
                     passages[b] = Passage(second_role, label, s)
-                code = canonical_code(GaussCode(tuple(passages)))
+                code = _canonical_code(GaussCode(tuple(passages)))
                 if code.passages not in seen:
                     seen.add(code.passages)
                     yield code
@@ -218,6 +231,7 @@ def test_criterion_7_coloring_oracle_agreement():
             for p in (3, 5, 7):
                 assert coloring_count(code, p) == coloring_count_bruteforce(code, p)
             total += 1
+    assert total == 3569
     assert coloring_count(TREFOIL, 3) == 9
     assert coloring_count(TREFOIL, 5) == 5
     assert coloring_count(GaussCode(), 3) == 3

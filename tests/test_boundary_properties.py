@@ -228,6 +228,9 @@ MISUSES = {
     "atlas_to_jsonl, a record that is None": lambda: atlas_to_jsonl([None]),
     "encode_wgd of None": lambda: encode_wgd(None),
     "encode_gauss_code of None": lambda: encode_gauss_code(None),
+    "a diagram whose head map is not total, in a set": lambda: WeldedGaussDiagram((1,), {}, {}) in {TREFOIL},
+    "a diagram whose head map is not total, equal to itself": lambda: (lambda w: w == w)(WeldedGaussDiagram((1,), {}, {})),
+    "hash of a diagram with an unhashable head": lambda: hash(WeldedGaussDiagram((1,), {1: [1]}, {1: 1})),
 }
 
 

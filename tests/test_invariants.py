@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -13,7 +14,6 @@ from weldedknots import (
     Group,
     Passage,
     WeldedGaussDiagram,
-    arcs,
     builtin_group,
     coloring_count,
     decode_gauss_code,
@@ -24,10 +24,21 @@ from weldedknots import (
     symmetric_group_3,
     wgd_to_gauss,
 )
-from weldedknots.invariants import ArcStructure, CrossingArcs, _is_odd_prime, _wgd_arc_encoding
+from weldedknots.invariants import _code_arc_encoding, _is_odd_prime, _wgd_arc_encoding
+from weldedknots.model import UNDER
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
-from conftest import TREFOIL_TEXT, coloring_count_bruteforce, long_wgd, oracle_arcs, random_code, subprocess_env
+from conftest import (
+    A4,
+    TREFOIL_TEXT,
+    ArcStructure,
+    CrossingArcs,
+    coloring_count_bruteforce,
+    long_wgd,
+    oracle_arcs,
+    random_code,
+    subprocess_env,
+)
 
 TREFOIL = decode_gauss_code(TREFOIL_TEXT)
 
@@ -49,20 +60,40 @@ def brute_hom_count(code, group):
     return total
 
 
+def _read_arcs(e, crossings) -> ArcStructure:
+    """The arcs that the counts read off the packed encoding ``e`` whose
+    j-th crossing is ``crossings[j]``: in arc j - 1, out arc j, over arc
+    ``e[j] >> 1`` and sign + exactly when ``e[j] & 1``."""
+    n = len(e)
+    assert n == len(crossings)
+    return ArcStructure(max(n, 1), tuple(
+        CrossingArcs(crossing=c, over_arc=v >> 1, in_arc=(j - 1) % n, out_arc=j, sign=1 if v & 1 else -1)
+        for j, (c, v) in enumerate(zip(crossings, e))
+    ))
+
+
+def code_arcs(code: GaussCode) -> ArcStructure:
+    return _read_arcs(_code_arc_encoding(code), [p.crossing for p in code.passages if p.role == UNDER])
+
+
+def wgd_arcs(w: WeldedGaussDiagram) -> ArcStructure:
+    return _read_arcs(_wgd_arc_encoding(w), w.order)
+
+
 class TestArcs:
     def test_empty(self):
-        st = arcs(GaussCode())
+        st = code_arcs(GaussCode())
         assert st.arc_count == 1
         assert st.crossings == ()
 
     def test_single_kink(self):
-        st = arcs(decode_gauss_code("O1+ U1+"))
+        st = code_arcs(decode_gauss_code("O1+ U1+"))
         assert st.arc_count == 1
         c = st.crossings[0]
         assert c.over_arc == c.in_arc == c.out_arc
 
     def test_trefoil(self):
-        st = arcs(TREFOIL)
+        st = code_arcs(TREFOIL)
         assert st.arc_count == 3
         for c in st.crossings:
             assert c.over_arc not in (c.in_arc, c.out_arc)
@@ -70,7 +101,7 @@ class TestArcs:
     def test_arc_count_equals_crossings(self, rng):
         for _ in range(200):
             code = random_code(rng, rng.randint(1, 8))
-            assert arcs(code).arc_count == code.n
+            assert code_arcs(code).arc_count == code.n
 
     def test_any_labels_and_basepoint_against_scan_oracle(self):
         rng = random.Random("code-arcs")
@@ -80,14 +111,14 @@ class TestArcs:
             k = rng.randrange(len(code)) if code.n else 0
             passages = [Passage(p.role, labels[p.crossing], p.sign) for p in code.passages]
             code = GaussCode(tuple(passages[k:] + passages[:k]))
-            assert arcs(code) == oracle_arcs(code)
+            assert code_arcs(code) == oracle_arcs(code)
 
     def test_oc_swap_leaves_table_alone(self, rng):
         for _ in range(100):
             code = random_code(rng, rng.randint(2, 6))
             for site in enumerate_sites(code, kinds={MoveKind.OC}):
                 swapped, _ = apply_move(code, site)
-                assert arcs(swapped).crossings == arcs(code).crossings
+                assert code_arcs(swapped).crossings == code_arcs(code).crossings
 
 
 class TestColorings:
@@ -230,6 +261,17 @@ class TestHomCounts:
             code = random_code(rng, rng.randint(0, 3))
             assert hom_count(code, g) == brute_hom_count(code, g)
 
+    def test_a4_counts_up_to_four_crossings(self):
+        """A4 is no built-in group and no dihedral one: of the 1,133
+        canonical diagrams with at most four crossings, 29 have 36
+        homomorphisms into it and the rest 12, and the 29 match brute force."""
+        codes = [wgd_to_gauss(w) for w in enumerate_canonical_wgds(4)]
+        counts = [hom_count(code, A4) for code in codes]
+        assert collections.Counter(counts) == {36: 29, 12: 1104}
+        for code, count in zip(codes, counts):
+            if count == 36:
+                assert brute_hom_count(code, A4) == 36, code
+
 
 class TestFingerprint:
     def test_empty(self):
@@ -323,21 +365,6 @@ def _relabelled_wgd(rng: random.Random, n: int) -> WeldedGaussDiagram:
     )
 
 
-def _read_arcs(w: WeldedGaussDiagram) -> ArcStructure:
-    """The arcs that the counts read off ``_wgd_arc_encoding(w)``: the
-    crossing at position j has in arc j - 1, out arc j, over arc
-    ``e[j] >> 1`` and sign + exactly when ``e[j] & 1``."""
-    e = _wgd_arc_encoding(w)
-    n = len(e)
-    assert n == w.n
-    if n == 0:
-        return ArcStructure(1, ())
-    return ArcStructure(n, tuple(
-        CrossingArcs(crossing=c, over_arc=v >> 1, in_arc=(j - 1) % n, out_arc=j, sign=1 if v & 1 else -1)
-        for j, (c, v) in enumerate(zip(w.order, e))
-    ))
-
-
 class TestWgdArcs:
     """Arcs read off a diagram's encoding equal the arcs of its realizing code."""
 
@@ -345,7 +372,7 @@ class TestWgdArcs:
         diagrams = enumerate_canonical_wgds(4)
         assert len(diagrams) == 1133
         for w in diagrams:
-            assert _read_arcs(w) == arcs(wgd_to_gauss(w))
+            assert wgd_arcs(w) == oracle_arcs(wgd_to_gauss(w))
 
     def test_any_labels_and_basepoint(self):
         rng = random.Random("wgd-arcs")
@@ -353,7 +380,7 @@ class TestWgdArcs:
         for _ in range(300):
             w = _relabelled_wgd(rng, rng.randint(0, 6))
             code = wgd_to_gauss(w)
-            assert _read_arcs(w) == arcs(code)
+            assert wgd_arcs(w) == oracle_arcs(code)
             assert fingerprint(w, primes=(3, 5), groups=groups) == fingerprint(code, primes=(3, 5), groups=groups)
 
     @pytest.mark.parametrize("w", [

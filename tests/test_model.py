@@ -9,13 +9,11 @@ from weldedknots import (
     GaussCode,
     Passage,
     WeldedGaussDiagram,
-    canonical_code,
     canonical_wgd,
     decode_gauss_code,
     decode_wgd,
     encode_gauss_code,
     encode_wgd,
-    normalize_code_labels,
     validate_code,
     validate_wgd,
     wgd_encoding,
@@ -192,19 +190,3 @@ class TestCodecs:
             assert "sign" in validate_wgd(w)
             with pytest.raises(DomainError):
                 canonical_wgd(w)
-
-
-class TestNormalization:
-    def test_labels_renamed_by_first_under(self):
-        code = decode_gauss_code("O7+ U9- O9- U7+")
-        normalized = normalize_code_labels(code)
-        assert encode_gauss_code(normalized) == "O2+ U1- O1- U2+"
-
-    def test_canonical_code_constant_on_rotations(self, rng):
-        for _ in range(100):
-            code = random_code(rng, rng.randint(1, 6))
-            canon = canonical_code(code)
-            L = len(code)
-            for k in range(L):
-                rot = GaussCode(code.passages[k:] + code.passages[:k])
-                assert canonical_code(rot) == canon
