@@ -178,6 +178,8 @@ class Group:
         k = len(self.table) if isinstance(self.table, (tuple, list)) else -1
         if k < 0 or any(not isinstance(row, (tuple, list)) or len(row) != k for row in self.table):
             raise DomainError("multiplication table must be a square of rows")
+        # rows given as lists are stored as tuples, so the group hashes
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         # True and 1.0 compare equal to 1 but index no element
         if any(type(v) is not int or v < 0 or v >= k for row in self.table for v in row):
             raise DomainError("table entries must be ints indexing elements")
@@ -204,33 +206,23 @@ class Group:
         object.__setattr__(self, "_inverses", tuple(inverses))
 
 
-def _perm_group(name: str, perms: list[tuple[int, ...]]) -> Group:
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(a[b[x]] for x in range(len(a)))] for b in perms) for a in perms
-    )
-    return Group(name, table)
-
-
 def symmetric_group_3() -> Group:
     perms = sorted(itertools.permutations(range(3)))
-    return _perm_group("S3", perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return Group("S3", tuple(tuple(index[tuple(a[x] for x in b)] for b in perms) for a in perms))
 
 
 def dihedral_group(m: int) -> Group:
-    """Dihedral group of order 2m, 1 <= m <= 6."""
+    """Dihedral group of order 2m, 1 <= m <= 6: element i + m*f is r^i s^f,
+    and r^i s^f * r^j s^g = r^(i + (-1)^f j) s^(f+g)."""
     # 2.0 and True compare equal to ints but are no group size
     if isinstance(m, bool) or not isinstance(m, int):
         raise DomainError(f"m must be an int, got {m!r}")
     if m < 1 or m > 6:
         raise DomainError("dihedral groups are built in up to order 12")
-    if m == 1:
-        return Group("D1", ((0, 1), (1, 0)))
-    if m == 2:
-        return Group("D2", tuple(tuple(a ^ b for b in range(4)) for a in range(4)))
-    rotations = [tuple((x + i) % m for x in range(m)) for i in range(m)]
-    reflections = [tuple((i - x) % m for x in range(m)) for i in range(m)]
-    return _perm_group(f"D{m}", rotations + reflections)
+    elements = [(i, f) for f in (0, 1) for i in range(m)]
+    table = tuple(tuple((i - j if f else i + j) % m + m * (f ^ g) for j, g in elements) for i, f in elements)
+    return Group(f"D{m}", table)
 
 
 _BUILTIN = {"S3": symmetric_group_3, **{f"D{m}": (lambda m=m: dihedral_group(m)) for m in range(1, 7)}}

@@ -48,6 +48,15 @@ OVER = "O"
 UNDER = "U"
 
 
+def _hash_key(value, key: tuple) -> int:
+    """``hash(key)``, where ``key`` is the tuple of ``value``'s compared
+    fields: a field built from lists ends in :class:`DomainError`."""
+    try:
+        return hash(key)
+    except TypeError:
+        raise DomainError(f"{value!r} has an unhashable field") from None
+
+
 class Passage(NamedTuple):
     role: str      # OVER or UNDER
     crossing: int  # positive label
@@ -77,6 +86,9 @@ class GaussCode:
 
     def labels(self) -> set[int]:
         return {p.crossing for p in self.passages}
+
+    def __hash__(self) -> int:
+        return _hash_key(self, (self.passages,))
 
     def __repr__(self) -> str:
         # error messages format codes, so an invalid one shows its passages
@@ -136,10 +148,7 @@ class WeldedGaussDiagram:
         return self.key() == other.key()
 
     def __hash__(self) -> int:
-        try:
-            return hash(self.key())
-        except TypeError:
-            raise DomainError(f"{self!r} has an unhashable head or sign") from None
+        return _hash_key(self, self.key())
 
     def __repr__(self) -> str:
         # error messages format diagrams, so an invalid one shows its fields
@@ -159,6 +168,9 @@ class GaussDiagram:
 
     points: tuple[PointLabel, ...] = ()
     arrows: frozenset = frozenset()  # of (tail: PointLabel, head: PointLabel, sign)
+
+    def __hash__(self) -> int:
+        return _hash_key(self, (self.points, self.arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +520,9 @@ def wgd_encoding(w: WeldedGaussDiagram) -> tuple:
     """Hashable encoding of a *canonical* wGD: ((head(1), sign(1)), ...).
     Diagrams with equally many crossings sort by it as by their packed
     encodings, which the package itself keys and sorts by."""
-    if not (isinstance(w, WeldedGaussDiagram) and w.head.keys() == w.sign.keys() == set(range(1, w.n + 1))):
-        raise DomainError(f"expected a WeldedGaussDiagram labelled 1..n, got a {type(w).__name__}")
+    require_valid_wgd(w)
+    if w.head.keys() != set(range(1, w.n + 1)):
+        raise DomainError(f"expected a WeldedGaussDiagram labelled 1..n, got labels {w.order}")
     return tuple((w.head[i], w.sign[i]) for i in range(1, w.n + 1))
 
 

@@ -79,6 +79,7 @@ from .model import (
     _canonical_wgd_encoding,
     _code_packed,
     _gaps,
+    _hash_key,
     _pack,
     _relabelled,
     _tables,
@@ -147,6 +148,9 @@ class MoveRecord:
     swaps: tuple[tuple[int, int], ...] = ()
     site: MoveSite | None = field(default=None, compare=False)
 
+    def __hash__(self) -> int:
+        return _hash_key(self, (self.kind, self.variant, self.removes, self.inserts, self.swaps))
+
 
 def _require_record(record: MoveRecord) -> None:
     if not (isinstance(record, MoveRecord) and isinstance(record.kind, MoveKind) and all(
@@ -212,9 +216,9 @@ def apply_record(code: GaussCode, record: MoveRecord) -> GaussCode:
 
 
 def replay(code: GaussCode, records: Iterable[MoveRecord]) -> GaussCode:
-    if not (isinstance(code, GaussCode) and isinstance(records, Iterable)):
-        args = f"{type(code).__name__} and {type(records).__name__}"
-        raise DomainError(f"replay takes a GaussCode and an iterable of MoveRecords, got {args}")
+    require_valid_code(code)
+    if not isinstance(records, Iterable):
+        raise DomainError(f"replay takes an iterable of MoveRecords, got {type(records).__name__}")
     for record in records:
         code = apply_record(code, record)
     return code
@@ -223,83 +227,80 @@ def replay(code: GaussCode, records: Iterable[MoveRecord]) -> GaussCode:
 # ---------------------------------------------------------------------------
 # pattern matching
 
-def _match_r1_delete(code: GaussCode, i: int) -> str | None:
-    L = len(code)
-    if L < 2:
-        return None
-    j = (i + 1) % L
-    a, b = code[i], code[j]
+# Each matcher returns a site's variants, one or none, as ``_Rule.variants``
+# does.  A code too short for R2 delete or R3 fails the distinctness test,
+# and R1 delete and OC read an i in range, so the code holds a crossing.
+
+def _match_r1_delete(code: GaussCode, i: int) -> tuple[str, ...]:
+    a, b = code[i], code[(i + 1) % len(code)]
     if a.crossing != b.crossing:
-        return None
+        return ()
     order = "ou" if a.role == OVER else "uo"
-    return order + ("+" if a.sign > 0 else "-")
+    return (order + ("+" if a.sign > 0 else "-"),)
 
 
-def _match_oc(code: GaussCode, i: int) -> str | None:
+def _match_oc(code: GaussCode, i: int) -> tuple[str, ...]:
+    if code[i].role != OVER or code[(i + 1) % len(code)].role != OVER:
+        return ()
+    return ("oc",)
+
+
+def _match_r2_delete(code: GaussCode, positions: tuple[int, int]) -> tuple[str, ...]:
+    p, q = positions
     L = len(code)
-    if L < 2 or code[i].role != OVER or code[(i + 1) % L].role != OVER:
-        return None
-    return "oc"
-
-
-def _match_r2_delete(code: GaussCode, p: int, q: int) -> str | None:
-    L = len(code)
-    if L < 4:
-        return None
     p1, q1 = (p + 1) % L, (q + 1) % L
     if len({p, p1, q, q1}) != 4:
-        return None
+        return ()
     oa, ob = code[p], code[p1]
     ua, ub = code[q], code[q1]
     if not (oa.role == OVER and ob.role == OVER and ua.role == UNDER and ub.role == UNDER):
-        return None
+        return ()
     a, b = oa.crossing, ob.crossing
     if oa.sign != -ob.sign:
-        return None
+        return ()
     if (ua.crossing, ub.crossing) == (a, b):
         shape = "par"
     elif (ua.crossing, ub.crossing) == (b, a):
         shape = "anti"
     else:
-        return None
-    return shape + ("+" if oa.sign > 0 else "-")
+        return ()
+    return (shape + ("+" if oa.sign > 0 else "-"),)
 
 
-def _match_r3(code: GaussCode, t: int, m: int, b: int) -> str | None:
+def _match_r3(code: GaussCode, positions: tuple[int, int, int]) -> tuple[str, ...]:
+    t, m, b = positions
     L = len(code)
-    if L < 6:
-        return None
     t1, m1, b1 = (t + 1) % L, (m + 1) % L, (b + 1) % L
     if len({t, t1, m, m1, b, b1}) != 6:
-        return None
+        return ()
     tp = (code[t], code[t1])
     mp = (code[m], code[m1])
     bp = (code[b], code[b1])
     if not (tp[0].role == OVER and tp[1].role == OVER):
-        return None
+        return ()
     if {mp[0].role, mp[1].role} != {OVER, UNDER}:
-        return None
+        return ()
     if not (bp[0].role == UNDER and bp[1].role == UNDER):
-        return None
+        return ()
     m_under = mp[0] if mp[0].role == UNDER else mp[1]
     m_over = mp[0] if mp[0].role == OVER else mp[1]
     x = m_under.crossing
     if x not in (tp[0].crossing, tp[1].crossing):
-        return None
+        return ()
     y = tp[1].crossing if tp[0].crossing == x else tp[0].crossing
     z = m_over.crossing
     if {bp[0].crossing, bp[1].crossing} != {y, z}:
-        return None
+        return ()
     e_t = 0 if (tp[0].crossing, tp[1].crossing) == (x, y) else 1
     e_m = 0 if mp[0].role == OVER else 1
     e_b = 0 if (bp[0].crossing, bp[1].crossing) == (z, y) else 1
     signs = {p.crossing: p.sign for p in (tp[0], tp[1], m_over)}
     sx, sy, sz = signs[x], signs[y], signs[z]
     if sx * sy != (1 if (e_m + e_b) % 2 == 0 else -1):
-        return None
+        return ()
     if sx * sz != (-1 if (e_t + e_b) % 2 == 0 else 1):
-        return None
-    return f"r3:{e_t}{e_m}{e_b}{'+' if sx > 0 else '-'}"
+        return ()
+    return (f"r3:{e_t}{e_m}{e_b}{'+' if sx > 0 else '-'}",)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +330,9 @@ def _pair_starts(code: GaussCode, *overs: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(*([i for i in range(L) if count[i] == k] for k in overs))
 
 
-def _matched(match):
-    """The variants that ``match`` reads at a site's positions: one or none."""
-    def variants(code: GaussCode, positions: tuple[int, ...]) -> tuple[str, ...]:
-        variant = match(code, *positions)
-        return () if variant is None else (variant,)
-    return variants
-
-
 def _adjacent(match):
     """``match`` read at i, on positions (i, succ(i)) only."""
-    return lambda code, i, j: match(code, i) if j == (i + 1) % len(code) else None
+    return lambda code, pair: match(code, pair[0]) if pair[1] == (pair[0] + 1) % len(code) else ()
 
 
 class _Rule(NamedTuple):
@@ -355,14 +348,14 @@ class _Rule(NamedTuple):
 # every kind's site grammar, in declaration order
 _RULES = {
     MoveKind.R1_INSERT: _Rule(1, lambda code: itertools.product(_slots(code)), lambda code, slot: _KINKS),
-    MoveKind.R1_DELETE: _Rule(2, _adjacent_pairs, _matched(_adjacent(_match_r1_delete))),
+    MoveKind.R1_DELETE: _Rule(2, _adjacent_pairs, _adjacent(_match_r1_delete)),
     MoveKind.R2_INSERT: _Rule(
         2, lambda code: itertools.product(_slots(code), repeat=2),
         lambda code, slots: _R2_SHARED_SLOT if slots[0] == slots[1] else _R2_SHAPES,
     ),
-    MoveKind.R2_DELETE: _Rule(2, lambda code: _pair_starts(code, 2, 0), _matched(_match_r2_delete)),
-    MoveKind.R3: _Rule(3, lambda code: _pair_starts(code, 2, 1, 0), _matched(_match_r3)),
-    MoveKind.OC: _Rule(2, _adjacent_pairs, _matched(_adjacent(_match_oc))),
+    MoveKind.R2_DELETE: _Rule(2, lambda code: _pair_starts(code, 2, 0), _match_r2_delete),
+    MoveKind.R3: _Rule(3, lambda code: _pair_starts(code, 2, 1, 0), _match_r3),
+    MoveKind.OC: _Rule(2, _adjacent_pairs, _adjacent(_match_oc)),
 }
 
 
@@ -632,7 +625,7 @@ def _r2_delete_table(n: int, x: int):
     return _tables([2 * h + s for h in heads for s in (0, 1)])[0]
 
 
-def _r1_deletes(e) -> Iterator:
+def _r1_deletes(e, gaps) -> Iterator:
     n = len(e)
     for c in range(n):
         h = e[c] >> 1
@@ -656,8 +649,6 @@ def _has_delete(e) -> bool:
 
 def _r2_deletes(e, gaps) -> Iterator:
     n = len(e)
-    if n < 2:
-        return
     for x in range(n):
         y = (x + 1) % n
         # same head, opposite signs: the entries differ in the sign bit only
@@ -671,8 +662,6 @@ def _r3_moves(e, gaps) -> Iterator:
     """R3 neighbours of both bottom orders: the bottom pair ``(z, y)`` is
     ``(p, q)`` for e_b = 0 and ``(q, p)`` for e_b = 1."""
     n = len(e)
-    if n < 3:
-        return
     for p in range(n):
         if gaps[p]:
             continue
@@ -752,17 +741,12 @@ def _oc_moves(e, gaps) -> Iterator:
         yield e
 
 
-def _r1_deletes_in_gaps(e, gaps) -> Iterator:
-    """:func:`_r1_deletes`, called as the other generators are."""
-    return _r1_deletes(e)
-
-
 # each kind's generator, in output order
 _GENERATORS = (
     (MoveKind.OC, _oc_moves),
     (MoveKind.R1_INSERT, _r1_inserts),
     (MoveKind.R2_INSERT, _r2_inserts),
-    (MoveKind.R1_DELETE, _r1_deletes_in_gaps),
+    (MoveKind.R1_DELETE, _r1_deletes),
     (MoveKind.R2_DELETE, _r2_deletes),
     (MoveKind.R3, _r3_moves),
 )

@@ -175,7 +175,7 @@ def oracle_spanning_shrink_neighbors(e) -> list:
     components are those of the full move graph."""
     gaps = _gaps(e)
     r3 = oracle_r3_moves(e, gaps, (0,))
-    first_delete = next(_r1_deletes(e), None)
+    first_delete = next(_r1_deletes(e, _gaps(e)), None)
     if first_delete is None:
         first_delete = next(_r2_deletes(e, gaps), None)
     return r3 if first_delete is None else [first_delete, *r3]

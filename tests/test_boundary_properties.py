@@ -231,6 +231,13 @@ MISUSES = {
     "a diagram whose head map is not total, in a set": lambda: WeldedGaussDiagram((1,), {}, {}) in {TREFOIL},
     "a diagram whose head map is not total, equal to itself": lambda: (lambda w: w == w)(WeldedGaussDiagram((1,), {}, {})),
     "hash of a diagram with an unhashable head": lambda: hash(WeldedGaussDiagram((1,), {1: [1]}, {1: 1})),
+    "hash of a code whose passages are a list": lambda: hash(GaussCode([Passage(OVER, 1, 1), Passage(UNDER, 1, 1)])),
+    "hash of a code with a list label": lambda: hash(GaussCode((Passage(OVER, [1], 1),))),
+    "hash of a record whose swaps are lists": lambda: hash(MoveRecord(MoveKind.OC, "oc", swaps=[[0, 1]])),
+    "hash of a Gauss diagram whose points are a list": lambda: hash(GaussDiagram([(OVER, 1), (UNDER, 1)], frozenset())),
+    "wgd_encoding, heads and signs that are not valid": lambda: wgd_encoding(WeldedGaussDiagram((1,), {1: 5}, {1: 7})),
+    "replay of passages that are None, no records": lambda: replay(GaussCode(None), []),
+    "replay of a code without its under passage, no records": lambda: replay(GaussCode((Passage(OVER, 1, 1),)), ()),
 }
 
 

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -228,6 +229,16 @@ class TestGroups:
             fingerprint(TREFOIL, groups=[symmetric_group_3(), "D4"])
         with pytest.raises(DomainError, match="expected a Group"):
             hom_count(TREFOIL, "S3")
+
+    def test_builtin_tables_are_pinned(self):
+        """S3 and D1..D6, entry for entry: D_m's element i + m*f is r^i s^f."""
+        tables = [symmetric_group_3().table] + [dihedral_group(m).table for m in range(1, 7)]
+        digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+        assert digest == "a7ded722171e4fc6d7025753db365036bf2b448f0aaa6c885b677bc2bc7f972d"
+
+    def test_rows_given_as_lists_are_stored_as_tuples(self):
+        group = Group("x", [[0]])
+        assert group == Group("x", ((0,),)) and hash(group) == hash(Group("x", ((0,),)))
 
     def test_s3_is_nonabelian(self):
         g = symmetric_group_3()

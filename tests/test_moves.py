@@ -140,6 +140,44 @@ class TestApply:
             assert apply_record(new_code, inverse_record(record)) == code
             count += 1
 
+    def test_accepts_exactly_the_listed_sites_up_to_two_crossings(self):
+        """Every code with at most two crossings, every positions tuple of
+        each matched kind's arity and every variant of the kind plus one
+        foreign variant: apply succeeds exactly on the listed sites, and a
+        code too short for a kind lists none of it."""
+        r3 = tuple(f"r3:{t}{m}{b}{s}" for t, m, b in itertools.product("01", repeat=3) for s in "+-")
+        variants = {
+            MoveKind.R1_DELETE: ("ou+", "ou-", "uo+", "uo-", "oc"),
+            MoveKind.OC: ("oc", "ou+"),
+            MoveKind.R2_DELETE: ("anti+", "anti-", "par+", "par-", "r3:000+"),
+            MoveKind.R3: r3 + ("par+",),
+        }
+        codes = [
+            GaussCode(perm)
+            for n in range(3)
+            for signs in itertools.product((1, -1), repeat=n)
+            for perm in itertools.permutations(
+                [Passage(role, c, s) for c, s in enumerate(signs, 1) for role in (OVER, UNDER)]
+            )
+        ]
+        assert len(codes) == 1 + 4 + 96
+        for code in codes:
+            listed = set(enumerate_sites(code, kinds=variants))
+            # an R3 site takes six passages, an R2 delete four
+            too_short = {MoveKind.R3} | ({MoveKind.R2_DELETE} if len(code) < 4 else set())
+            assert not {site.kind for site in listed} & too_short, code
+            for kind, names in variants.items():
+                arity = 3 if kind == MoveKind.R3 else 2
+                for positions in itertools.product(range(len(code)), repeat=arity):
+                    for variant in names:
+                        site = MoveSite(kind, positions, variant)
+                        try:
+                            apply_move(code, site)
+                        except StaleSiteError:
+                            assert site not in listed, (code, site)
+                        else:
+                            assert site in listed, (code, site)
+
     def test_replay_record_reproduces_target(self, rng):
         for _ in range(300):
             code = random_code(rng, rng.randint(0, 5))
@@ -398,7 +436,7 @@ class TestHasDelete:
 
     @staticmethod
     def _agrees(e) -> None:
-        first = (next(_r1_deletes(e), None), next(_r2_deletes(e, _gaps(e)), None))
+        first = (next(_r1_deletes(e, _gaps(e)), None), next(_r2_deletes(e, _gaps(e)), None))
         assert _has_delete(e) == (first != (None, None)), e
 
     def test_every_raw_encoding_up_to_four_crossings(self):
@@ -422,7 +460,7 @@ class TestHasDelete:
         head = dict(w.head)
         head[w.order[50]] = w.order[52]
         e = _wgd_packed(WeldedGaussDiagram(w.order, head, w.sign))
-        assert next(_r1_deletes(e), None) is None and _has_delete(e)
+        assert next(_r1_deletes(e, _gaps(e)), None) is None and _has_delete(e)
         self._agrees(e)
 
 

@@ -371,7 +371,7 @@ def states_to_five() -> list:
 
 def _r1(e) -> set:
     """Canonical R1-delete neighbours of the packed encoding ``e``."""
-    return set(map(_canonical_encoding, _r1_deletes(e)))
+    return set(map(_canonical_encoding, _r1_deletes(e, _gaps(e))))
 
 
 def _r2(e) -> set:
@@ -389,7 +389,7 @@ class TestSpanningEdges:
     def test_r1_deletes_share_an_r1_delete(self, states_to_five):
         pairs = 0
         for e in states_to_five:
-            targets = [_canonical_encoding(t) for t in _r1_deletes(e)]
+            targets = [_canonical_encoding(t) for t in _r1_deletes(e, _gaps(e))]
             for t1, t2 in itertools.combinations(targets, 2):
                 pairs += 1
                 assert _r1(t1) & _r1(t2), (e, t1, t2)
@@ -527,7 +527,7 @@ class TestAtlas:
         for r in records:
             least.setdefault(r.class_id, r.encoding)
         for e in least.values():
-            assert not e or (next(_r1_deletes(e), None), next(_r2_deletes(e, _gaps(e)), None)) == (None, None)
+            assert not e or (next(_r1_deletes(e, _gaps(e)), None), next(_r2_deletes(e, _gaps(e)), None)) == (None, None)
         components = oracle_components(max_crossings)
         trivial = components[records[0].encoding]
         assert registered <= {r.encoding for r in records}
