@@ -3,15 +3,15 @@ Reversal operators
 ==================
 
 Three involutions act on diagrams: orientation reversal, sign reversal,
-and their composition, the global reversal.  Sign reversal is a pure sign
-flip on the welded Gauss diagram; on codes it flips every passage's sign
-in place.  The two reversals commute, and the one-move neighborhood of a
-diagram is carried onto the neighborhood of its global reversal.
+and their composition, the global reversal.  Each takes a code or a
+diagram: sign reversal flips every passage's sign of a code in place, and
+on a diagram every operator returns the canonical form of the image.  The
+two reversals commute, and the one-move neighborhood of a diagram is
+carried onto the neighborhood of its global reversal.
 """
 
 from weldedknots import (
     bar,
-    bar_code,
     canonical_wgd,
     decode_gauss_code,
     encode_gauss_code,
@@ -29,18 +29,18 @@ w = gauss_to_wgd(trefoil)
 print("reverse:", encode_gauss_code(reverse(trefoil)))
 
 # %% sign reversal flips every sign and nothing else
-print("bar:    ", encode_gauss_code(bar_code(trefoil)))
+print("bar:    ", encode_gauss_code(bar(trefoil)))
 print("bar on the diagram:", encode_wgd(bar(w)))
 
 # %% both compositions of the two reversals agree
 g = global_reversal(w)
 print("global reversal:", encode_wgd(g))
-print("reverse then bar:", canonical_wgd(bar(reverse(w))) == g)
-print("bar then reverse:", canonical_wgd(reverse(bar(w))) == g)
+print("reverse then bar:", bar(reverse(w)) == g)
+print("bar then reverse:", reverse(bar(w)) == g)
 print("involution:", global_reversal(g) == canonical_wgd(w))
 
 # %% global reversal maps one-move neighborhoods onto one-move neighborhoods
 neighbors = wgd_neighbors(w, max_crossings=4)
-image = {canonical_wgd(global_reversal(nb)) for nb in neighbors}
+image = {global_reversal(nb) for nb in neighbors}
 print("neighbors:", len(neighbors), "| image equals the reversal's neighbors:",
       image == wgd_neighbors(g, max_crossings=4))

@@ -42,7 +42,7 @@ from .model import (
     encode_wgd,
 )
 from .moves import MoveKind, MoveRecord, MoveSite, apply as apply_move, enumerate_sites
-from .symmetry import bar, bar_code, global_reversal, reverse
+from .symmetry import bar, global_reversal, reverse
 
 
 def _read_input(path: str) -> str:
@@ -243,13 +243,8 @@ def _cmd_symmetry(args) -> int:
               if on]
     if len(chosen) != 1:
         raise DomainError("choose exactly one of --reverse, --bar, --global")
-    op = chosen[0]
-    if isinstance(obj, GaussCode):
-        out = {"reverse": reverse, "bar": bar_code, "global": global_reversal}[op](obj)
-        print(encode_gauss_code(out))
-    else:
-        out = {"reverse": reverse, "bar": bar, "global": global_reversal}[op](obj)
-        print(encode_wgd(out))
+    out = {"reverse": reverse, "bar": bar, "global": global_reversal}[chosen[0]](obj)
+    print(encode_gauss_code(out) if isinstance(out, GaussCode) else encode_wgd(out))
     return 0
 
 

@@ -168,9 +168,6 @@ class Group:
         """g * a * g^-1."""
         return self.mul(self.mul(g, a), self.inv(g))
 
-    def conjugacy_class(self, a: int) -> tuple[int, ...]:
-        return tuple(sorted({self.conjugate(g, a) for g in range(self.order)}))
-
     def __post_init__(self):
         # groups are ordered and told apart by name
         if not isinstance(self.name, str):
@@ -336,7 +333,7 @@ def _hom_count(e, group: Group) -> int:
     for g0 in range(k):
         trail: list[int] = []
         if try_assign(0, g0, trail):
-            total += count(group.conjugacy_class(g0))
+            total += count(tuple(sorted({row[g0] for row in conj})))
         for a in trail:
             values[a] = None
     return total

@@ -531,20 +531,19 @@ def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[Move
     return records
 
 
-def _edge_records(code: GaussCode, target: WeldedGaussDiagram) -> tuple[list[MoveRecord], GaussCode]:
+def _edge_records(code: GaussCode, want) -> tuple[list[MoveRecord], GaussCode]:
     """The records that realise on ``code`` a move-graph edge from its
-    diagram to the canonical diagram ``target``, and the code they reach:
-    over-commute records reordering ``code`` into the first code of its
-    over-commute class with a site reaching ``target``, then that move's
-    record.
+    diagram to the diagram with the canonical packed encoding ``want``, and
+    the code they reach: over-commute records reordering ``code`` into the
+    first code of its over-commute class with a site reaching ``want``,
+    then that move's record.
 
-    Each trial is compared as a canonical packed encoding with the
-    target's, taken once per edge; no trial builds a diagram.  A trial
-    code comes from a site just listed on a valid code, so it is not
-    validated: ``code`` is, by :func:`oc_class`."""
-    kind = _KIND_BY_DELTA.get(target.n - code.n)
+    Each trial is compared as a canonical packed encoding with ``want``;
+    no trial builds a diagram.  A trial code comes from a site just listed
+    on a valid code, so it is not validated: ``code`` is, by
+    :func:`oc_class`."""
+    kind = _KIND_BY_DELTA.get(len(want) - code.n)
     if kind is not None:
-        want = _canonical_wgd_encoding(target)
         for variant in oc_class(code):
             for site in _sites(variant, kind):
                 new_code, rec = _apply_unchecked(variant, site)

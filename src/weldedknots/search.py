@@ -45,7 +45,6 @@ from .invariants import Group, InvariantFingerprint, _fingerprint, _fingerprint_
 from .model import (
     DomainError,
     WeldedGaussDiagram,
-    canonical_wgd,
     require_valid_wgd,
     _GLOB,
     _GROUP,
@@ -197,20 +196,24 @@ def _walk(parents: dict, state) -> list:
 def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     """Record path realizing a sequence of adjacent states, starting from
     the first state's realization.  Each step may prepend over-commute
-    records before its Reidemeister record.  Every state is validated
-    once, here, and compared up to rotation and relabelling: each step's
-    trials are compared with the next state as canonical packed encodings
-    (:func:`moves._edge_records`), and the last code reached is dropped."""
+    records before its Reidemeister record.  Every state is validated and
+    canonicalised once, here, so states compare up to rotation and
+    relabelling: each step's trials are compared with the next state's
+    canonical packed encoding (:func:`moves._edge_records`), and the last
+    code reached is dropped."""
+    wants = []
     try:
-        states = [canonical_wgd(w) for w in states]
+        for w in states:
+            require_valid_wgd(w)
+            wants.append(_canonical_wgd_encoding(w))
     except TypeError as e:
         raise DomainError(f"expected an iterable of welded Gauss diagrams: {e}") from e
-    if not states:
+    if not wants:
         return []
-    code = wgd_to_gauss(states[0])
+    code = wgd_to_gauss(_wgd_from_encoding(wants[0]))
     records: list[MoveRecord] = []
-    for target in states[1:]:
-        step, code = _edge_records(code, target)
+    for want in wants[1:]:
+        step, code = _edge_records(code, want)
         records.extend(step)
     return records
 

@@ -1,18 +1,19 @@
 """
 Reversal operators: orientation reversal, sign reversal, and their
-composition (global reversal).
+composition (global reversal), the elements rev, bar and glob of the
+reversal group G = {id, bar, rev, glob} (see :mod:`weldedknots.model`).
 
-Sign reversal is defined at the welded-Gauss-diagram level as flipping
-every sign; on codes it keeps every passage's role and position and flips
-its sign.  The virtual detours that realize this on a planar picture
-vanish in the detour-quotiented representation, which is what makes the
-two descriptions agree: converting a sign-flipped code gives exactly the
-sign-flipped diagram.
+Each operator takes a code or a diagram, and G acts by one rule per
+representation.  A code is read backwards for rev and glob, and every
+passage keeps its role and flips its sign for bar and glob.  A diagram is
+acted on through its packed encoding (:func:`model._canonical_image`), and
+the result is its canonical form.  The virtual detours that realize sign
+reversal on a planar picture vanish in the detour-quotiented
+representation, which is what makes the two rules agree: converting the
+image of a code gives the image of its diagram.
 
 All three operators are involutions at canonical-form level, and
-orientation reversal commutes with sign reversal.  On a diagram,
-orientation and global reversal act on its packed encoding
-(:func:`model._canonical_image`) and return canonical forms.
+orientation reversal commutes with sign reversal.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import (
     WeldedGaussDiagram,
     require_valid_code,
     require_valid_wgd,
+    _BAR,
     _GLOB,
     _REV,
     _canonical_image,
@@ -32,40 +34,32 @@ from .model import (
 )
 
 
+def _act(x, g: int):
+    """The image of the code or diagram ``x`` under the element g of G: a
+    code as it stands, a diagram in canonical form."""
+    if isinstance(x, GaussCode):
+        require_valid_code(x)
+        passages = x.passages[::-1] if g & _REV else x.passages
+        if g & _BAR:
+            passages = (Passage(p.role, p.crossing, -p.sign) for p in passages)
+        return GaussCode(tuple(passages))
+    if isinstance(x, WeldedGaussDiagram):
+        require_valid_wgd(x)
+        return _wgd_from_encoding(_canonical_image(_wgd_packed(x), g))
+    raise DomainError(f"expected a GaussCode or a WeldedGaussDiagram, got {type(x).__name__}")
+
+
 def reverse(x):
     """Reverse the traversal orientation of a code or a diagram; roles and
     signs are preserved."""
-    if isinstance(x, GaussCode):
-        require_valid_code(x)
-        return GaussCode(tuple(reversed(x.passages)))
-    return _reversed_wgd(x, _REV)
+    return _act(x, _REV)
 
 
-def _reversed_wgd(w: WeldedGaussDiagram, g: int) -> WeldedGaussDiagram:
-    """Canonical form of the image of the diagram ``w`` under the element g
-    of the reversal group (see :mod:`weldedknots.model`), reversed on its
-    packed encoding."""
-    if not isinstance(w, WeldedGaussDiagram):
-        raise DomainError(f"expected a GaussCode or a WeldedGaussDiagram, got {type(w).__name__}")
-    require_valid_wgd(w)
-    return _wgd_from_encoding(_canonical_image(_wgd_packed(w), g))
-
-
-def bar(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
-    """Flip every sign; order and head map are untouched."""
-    require_valid_wgd(w)
-    return WeldedGaussDiagram(w.order, w.head, {c: -s for c, s in w.sign.items()})
-
-
-def bar_code(code: GaussCode) -> GaussCode:
-    """Sign reversal on a code: every passage keeps its role and position,
-    its sign flips.  Contract: gauss_to_wgd(bar_code(c)) == bar(gauss_to_wgd(c))."""
-    require_valid_code(code)
-    return GaussCode(tuple(Passage(p.role, p.crossing, -p.sign) for p in code.passages))
+def bar(x):
+    """Flip every sign of a code or a diagram."""
+    return _act(x, _BAR)
 
 
 def global_reversal(x):
     """Simultaneous orientation and sign reversal of a code or a diagram."""
-    if isinstance(x, GaussCode):
-        return bar_code(reverse(x))
-    return _reversed_wgd(x, _GLOB)
+    return _act(x, _GLOB)

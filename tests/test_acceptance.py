@@ -18,7 +18,6 @@ from weldedknots import (
     WeldedGaussDiagram,
     apply_move,
     bar,
-    bar_code,
     build_atlas,
     canonical_wgd,
     coloring_count,
@@ -141,7 +140,7 @@ def test_criterion_5_bar_contract():
     rng = random.Random(105)
     for _ in range(1000):
         code = random_code(rng, rng.randint(0, 8))
-        assert gauss_to_wgd(bar_code(code)) == canonical_wgd(bar(gauss_to_wgd(code)))
+        assert gauss_to_wgd(bar(code)) == bar(gauss_to_wgd(code))
     report(
         "criterion 5 (sign-reversal contract)",
         started,

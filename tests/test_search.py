@@ -180,7 +180,7 @@ class TestDerivePath:
             for nb in wgd_neighbors(w, max_crossings=w.n + 1):
                 if nb == w:  # an OC self-loop is no edge
                     continue
-                records, reached = _edge_records(code, nb)
+                records, reached = _edge_records(code, _wgd_packed(nb))
                 assert replay(code, records) == reached and gauss_to_wgd(reached) == nb
                 assert records[-1].kind != MoveKind.OC
                 reordered += len(records) > 1
@@ -875,3 +875,17 @@ class TestSearchGolden:
         for a, b, budget in pairs:
             are_equivalent(a, b, budget)
         assert counts == {"_edge_records": 40, "trial": 320, "_canonical_encoding": 320, "reorder": 5}
+
+    def test_path_states_are_canonicalised_once(self, monkeypatch):
+        """The golden queries canonicalise 124 diagrams: the two inputs of
+        each of the 30 queries, and once each of the 64 states of the 24
+        paths found, where ``derive_path`` takes them; its 40 edges compare
+        trials with those encodings and canonicalise no target again."""
+        import weldedknots.search
+
+        pairs = _golden_pairs()
+        counts = collections.Counter()
+        _count_calls(monkeypatch, counts, weldedknots.search, "_canonical_wgd_encoding")
+        for a, b, budget in pairs:
+            are_equivalent(a, b, budget)
+        assert counts == {"_canonical_wgd_encoding": 124}

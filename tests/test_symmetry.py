@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from weldedknots import (
     GaussCode,
     WeldedGaussDiagram,
     bar,
-    bar_code,
     canonical_wgd,
     decode_gauss_code,
     encode_gauss_code,
@@ -19,6 +19,9 @@ from weldedknots import (
     wgd_to_gauss,
 )
 from weldedknots.model import (
+    OVER,
+    UNDER,
+    Passage,
     _BAR,
     _GLOB,
     _REV,
@@ -64,18 +67,16 @@ class TestReverse:
 class TestBar:
     def test_reference_signs_flip(self):
         w = reference_wgd()
-        flipped = bar(w)
-        assert flipped.order == w.order
-        assert flipped.head == w.head
-        assert flipped.sign == {1: -1, 2: -1, 3: 1, 4: 1, 5: 1, 6: -1}
+        flipped = {1: -1, 2: -1, 3: 1, 4: 1, 5: 1, 6: -1}
+        assert bar(w) == canonical_wgd(WeldedGaussDiagram(w.order, w.head, flipped))
 
     def test_involution(self, rng):
         for _ in range(1000):
             w = random_wgd(rng, rng.randint(0, 8))
-            assert bar(bar(w)) == w
+            assert bar(bar(w)) == canonical_wgd(w)
 
     def test_trefoil_bar_code(self):
-        code = bar_code(decode_gauss_code(TREFOIL_TEXT))
+        code = bar(decode_gauss_code(TREFOIL_TEXT))
         w = gauss_to_wgd(code)
         expected = canonical_wgd(
             WeldedGaussDiagram((2, 1, 3), {1: 3, 2: 1, 3: 2}, {1: -1, 2: -1, 3: -1})
@@ -83,11 +84,47 @@ class TestBar:
         assert w == expected
 
     def test_code_contract(self, rng):
-        # bar leaves order and head untouched, so its output need not be
-        # canonical; the contract is equality of welded objects
         for _ in range(500):
             code = random_code(rng, rng.randint(0, 8))
-            assert gauss_to_wgd(bar_code(code)) == canonical_wgd(bar(gauss_to_wgd(code)))
+            assert gauss_to_wgd(bar(code)) == bar(gauss_to_wgd(code))
+
+
+def all_codes(n_max: int):
+    """Every code with the labels 1..n, n <= n_max: each choice of signs,
+    each order of the 2n passages."""
+    for n in range(n_max + 1):
+        for signs in itertools.product((1, -1), repeat=n):
+            passages = [Passage(role, c, s) for c, s in enumerate(signs, 1) for role in (OVER, UNDER)]
+            yield from map(GaussCode, itertools.permutations(passages))
+
+
+def scrambled(w: WeldedGaussDiagram, rng: random.Random) -> WeldedGaussDiagram:
+    """``w`` rotated and relabelled with n+1..2n: never canonical for n >= 1."""
+    labels = list(range(w.n + 1, 2 * w.n + 1))
+    rng.shuffle(labels)
+    rename = dict(zip(w.order, labels))
+    r = rng.randrange(max(w.n, 1))
+    order = [rename[c] for c in w.order[r:] + w.order[:r]]
+    return WeldedGaussDiagram(order, {rename[c]: rename[h] for c, h in w.head.items()},
+                              {rename[c]: s for c, s in w.sign.items()})
+
+
+class TestOneRulePerRepresentation:
+    def test_codes_and_diagrams_agree(self):
+        """Each operator is an involution on codes, commutes with
+        ``gauss_to_wgd``, and returns the canonical form of a diagram's
+        image, also for a diagram that is not canonical: on every code with
+        at most two crossings and 500 seeded codes with up to 8."""
+        rng = random.Random(20143)
+        codes = list(all_codes(2)) + [random_code(rng, rng.randint(0, 8)) for _ in range(500)]
+        assert len(codes) == 1 + 4 + 96 + 500
+        for code in codes:
+            w = gauss_to_wgd(code)
+            raw = scrambled(w, rng)
+            for op in (reverse, bar, global_reversal):
+                image = op(code)
+                assert op(image) == code
+                assert gauss_to_wgd(image) == op(w) == op(raw) == canonical_wgd(op(raw))
 
 
 class TestGlobalReversal:
@@ -154,7 +191,7 @@ class TestCanonicalReversal:
             assert global_w == gauss_to_wgd(global_reversal(code)) == global_reversal(w)
             barred_w = _wgd_from_encoding(_canonical_image(e, _BAR))
             assert barred_w == _wgd_from_encoding(group_images(e)[1])
-            assert barred_w == gauss_to_wgd(bar_code(code)) == canonical_wgd(bar(w))
+            assert barred_w == gauss_to_wgd(bar(code)) == bar(w)
             count += 1
         assert count == len(_canonical_encodings(4)) + 4 * 300 + 1
 
@@ -166,7 +203,7 @@ class TestCanonicalReversal:
 
     def test_invalid_diagram_rejected(self):
         bad = WeldedGaussDiagram((1, 2), {1: 2, 2: 3}, {1: 1, 2: 1})
-        for op in (reverse, global_reversal):
+        for op in (reverse, bar, global_reversal):
             with pytest.raises(DomainError, match="invalid welded Gauss diagram"):
                 op(bad)
 
@@ -179,14 +216,7 @@ class TestOrbitCanonical:
     def raw_encodings():
         rng = random.Random(20142)
         for w in enumerate_canonical_wgds(4):
-            labels = list(w.order)
-            rng.shuffle(labels)
-            rename = dict(zip(w.order, labels))
-            r = rng.randrange(max(w.n, 1))
-            order = [rename[c] for c in w.order[r:] + w.order[:r]]
-            head = {rename[c]: rename[h] for c, h in w.head.items()}
-            sign = {rename[c]: s for c, s in w.sign.items()}
-            yield _wgd_packed(WeldedGaussDiagram(order, head, sign))
+            yield _wgd_packed(scrambled(w, rng))
         for n in range(5, 9):
             for _ in range(300):
                 yield _wgd_packed(random_wgd(rng, n))
