@@ -29,7 +29,7 @@ from .convert import (
     wgd_to_gauss,
     wgd_to_gauss_diagram,
 )
-from .invariants import builtin_group, fingerprint
+from .invariants import _fingerprint_terms, builtin_group, fingerprint
 from .model import (
     DomainError,
     GaussCode,
@@ -223,10 +223,10 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    code = _as_code(_parse_any(_read_input(args.input)))
+    obj = _parse_any(_read_input(args.input))
     primes = _parse_primes(args.primes)
     groups = _parse_groups(args.groups)
-    fp = fingerprint(code, primes=primes, groups=groups)
+    fp = fingerprint(obj, primes=primes, groups=groups)
     if args.json:
         print(json.dumps(fp.as_dict()))
     else:
@@ -252,10 +252,9 @@ def _cmd_atlas(args) -> int:
     max_crossings = args.max_crossings if args.max_crossings is not None else args.n_max + 2
     primes, groups = _parse_primes(args.primes), _parse_groups(args.groups)
     # fail before a build that can take minutes: the arguments first, so a
-    # bad one leaves no file (the empty diagram's fingerprint checks the
-    # primes and groups), then the output path
+    # bad one leaves no file, then the output path
     search_mod._require_atlas_range(args.n_max, max_crossings)
-    fingerprint(WeldedGaussDiagram((), {}, {}), primes=primes, groups=groups)
+    _fingerprint_terms(primes, groups)
     out = open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout)
     with out as fh:
         records = search_mod.build_atlas(args.n_max, max_crossings, primes=primes, groups=groups)

@@ -25,8 +25,8 @@ that is no unit (see :func:`_coloring_counts`).
 The counts read arcs off a packed encoding (see :mod:`weldedknots.model`):
 arc j starts after the under passage at position j, so the crossing at
 position j has incoming arc j - 1 (cyclically), outgoing arc j, over arc
-``e[j] >> 1`` and sign + exactly when ``e[j] & 1``.  A diagram is read as
-it stands, a code through :func:`model._code_packed`.
+``e[j] >> 1`` and sign + exactly when ``e[j] & 1``.  :func:`_arc_encoding`
+reads a diagram as it stands, a code through :func:`model._code_packed`.
 """
 
 from __future__ import annotations
@@ -46,17 +46,17 @@ from .model import (
 )
 
 
-def _code_arc_encoding(code: GaussCode) -> bytes | tuple:
-    """The packed encoding of ``code``, checked, read as its arcs."""
-    require_valid_code(code)
-    return _code_packed(code)
-
-
-def _wgd_arc_encoding(w: WeldedGaussDiagram) -> bytes | tuple:
-    """The packed encoding of ``w``, checked, read as its arcs: those of
-    ``wgd_to_gauss(w)``, whose j-th under passage is that of ``w.order[j]``."""
-    require_valid_wgd(w)
-    return _wgd_packed(w)
+def _arc_encoding(x) -> bytes | tuple:
+    """The packed encoding of the code or diagram ``x``, checked, read as
+    its arcs.  A diagram's arcs are those of ``wgd_to_gauss(x)``, whose j-th
+    under passage is that of ``x.order[j]``."""
+    if isinstance(x, GaussCode):
+        require_valid_code(x)
+        return _code_packed(x)
+    if isinstance(x, WeldedGaussDiagram):
+        require_valid_wgd(x)
+        return _wgd_packed(x)
+    raise DomainError(f"expected a GaussCode or a WeldedGaussDiagram, got {type(x).__name__}")
 
 
 # Miller-Rabin with these witnesses decides primality exactly below 2**64
@@ -91,11 +91,11 @@ def _require_odd_prime(p: int) -> None:
         raise DomainError(f"p must be an odd prime, got {p}")
 
 
-def coloring_count(code: GaussCode, p: int) -> int:
-    """Number of Fox p-colorings of the arcs, computed from the nullspace
-    dimension of the relation matrix: count = p**d."""
+def coloring_count(x, p: int) -> int:
+    """Number of Fox p-colorings of the arcs of the code or diagram ``x``:
+    p**d for the nullspace dimension d of the relation matrix."""
     _require_odd_prime(p)
-    return _coloring_counts(_code_arc_encoding(code), (p,))[0][1]
+    return _coloring_counts(_arc_encoding(x), (p,))[0][1]
 
 
 def _coloring_counts(e, primes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -151,22 +151,13 @@ def _coloring_counts(e, primes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class Group:
+    """A finite group as a checked multiplication table: a * b is ``table[a][b]``."""
     name: str
     table: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inverses[a]
-
-    def conjugate(self, g: int, a: int) -> int:
-        """g * a * g^-1."""
-        return self.mul(self.mul(g, a), self.inv(g))
 
     def __post_init__(self):
         # groups are ordered and told apart by name
@@ -243,9 +234,9 @@ def _require_group(group) -> None:
 # ---------------------------------------------------------------------------
 # homomorphism counting
 
-def hom_count(code: GaussCode, group: Group) -> int:
-    """Number of arc assignments into the group satisfying the conjugation
-    relation at every crossing.
+def hom_count(x, group: Group) -> int:
+    """Number of assignments of group elements to the arcs of the code or
+    diagram ``x`` satisfying the conjugation relation at every crossing.
 
     Backtracks over the value of the first arc; assigning an arc propagates
     through every relation it takes part in, with an undo trail instead of
@@ -253,7 +244,7 @@ def hom_count(code: GaussCode, group: Group) -> int:
     class, since the relations make every arc conjugate to it.
     """
     _require_group(group)
-    return _hom_count(_code_arc_encoding(code), group)
+    return _hom_count(_arc_encoding(x), group)
 
 
 def _hom_count(e, group: Group) -> int:
@@ -268,8 +259,8 @@ def _hom_count(e, group: Group) -> int:
         for a in {in_a, over_a, out_a}:
             touching[a].append(ridx)
 
-    inv = [group.inv(g) for g in range(k)]
-    conj = [[group.conjugate(g, a) for a in range(k)] for g in range(k)]
+    table, inv = group.table, group._inverses
+    conj = [[table[table[g][a]][inv[g]] for a in range(k)] for g in range(k)]  # g * a * g^-1
 
     values: list[int | None] = [None] * m
 
@@ -301,7 +292,9 @@ def _hom_count(e, group: Group) -> int:
 
     def pick_branch_arc() -> int | None:
         # prefer the arc whose assignment fires the most relations now;
-        # ties and the no-information case fall back to the lowest index
+        # ties and the no-information case fall back to the lowest index.
+        # The lowest free arc alone took S3 on a seeded 40-crossing code from
+        # 0.018 s to 2.5 s (2-core host, Python 3.11; test_branch_choice_cost)
         best, best_score = None, -1
         for a in range(m):
             if values[a] is not None:
@@ -380,11 +373,10 @@ def _fingerprint(e, primes: tuple[int, ...], groups: tuple[Group, ...]) -> Invar
     return InvariantFingerprint(_coloring_counts(e, primes), tuple((g.name, _hom_count(e, g)) for g in groups))
 
 
-def fingerprint(obj, primes=(3, 5), groups=()) -> InvariantFingerprint:
+def fingerprint(x, primes=(3, 5), groups=()) -> InvariantFingerprint:
     """Deterministic invariant tuple; equal fingerprints are necessary for
     move-equivalence.  Accepts a code or a welded Gauss diagram.  Repeated
     primes and repeated groups count once; two different groups with one
     name are rejected.  ``primes`` and ``groups`` may be any iterables."""
     primes, groups = _fingerprint_terms(primes, groups)
-    e = _wgd_arc_encoding(obj) if isinstance(obj, WeldedGaussDiagram) else _code_arc_encoding(obj)
-    return _fingerprint(e, primes, groups)
+    return _fingerprint(_arc_encoding(x), primes, groups)

@@ -251,7 +251,8 @@ class AtlasRecord:
     """One seed of an atlas: its packed canonical encoding (see
     :mod:`weldedknots.model`), fingerprint, class and orbit.  The encoding
     is checked to be one, bytes or a tuple of ints with entries in
-    range(2n), so that :attr:`wgd` and :func:`atlas_to_jsonl` can read it."""
+    range(2n), and the ids ints, not bools, so that :attr:`wgd` and
+    :func:`atlas_to_jsonl` can read them."""
 
     encoding: bytes | tuple
     fingerprint: InvariantFingerprint
@@ -269,6 +270,8 @@ class AtlasRecord:
             valid = type(e) is tuple and all(type(v) is int and 0 <= v < 2 * len(e) for v in e)
         if not valid:
             raise DomainError(f"an encoding is bytes or a tuple of ints, each in range(2n) for n entries; got {e!r}")
+        if type(self.class_id) is not int or type(self.orbit_id) is not int:
+            raise DomainError(f"class and orbit ids must be ints, got {self.class_id!r} and {self.orbit_id!r}")
 
     @property
     def wgd(self) -> WeldedGaussDiagram:

@@ -45,6 +45,17 @@ def random_wgd(rng: random.Random, n: int) -> WeldedGaussDiagram:
     return WeldedGaussDiagram(tuple(order), head, sign)
 
 
+def scrambled(w: WeldedGaussDiagram, rng: random.Random) -> WeldedGaussDiagram:
+    """``w`` rotated and relabelled with n+1..2n: never canonical for n >= 1."""
+    labels = list(range(w.n + 1, 2 * w.n + 1))
+    rng.shuffle(labels)
+    rename = dict(zip(w.order, labels))
+    r = rng.randrange(max(w.n, 1))
+    order = [rename[c] for c in w.order[r:] + w.order[:r]]
+    return WeldedGaussDiagram(order, {rename[c]: rename[h] for c, h in w.head.items()},
+                              {rename[c]: s for c, s in w.sign.items()})
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import weldedknots
 from weldedknots import (
+    AtlasRecord,
     DomainError,
     GaussCode,
     GaussDiagram,
@@ -238,6 +239,10 @@ MISUSES = {
     "wgd_encoding, heads and signs that are not valid": lambda: wgd_encoding(WeldedGaussDiagram((1,), {1: 5}, {1: 7})),
     "replay of passages that are None, no records": lambda: replay(GaussCode(None), []),
     "replay of a code without its under passage, no records": lambda: replay(GaussCode((Passage(OVER, 1, 1),)), ()),
+    "an atlas record whose class id is True": lambda: AtlasRecord(b"", fingerprint(TREFOIL), True, 0),
+    "an atlas record whose orbit id is False": lambda: AtlasRecord(b"", fingerprint(TREFOIL), 0, False),
+    "an atlas record whose class id is a float": lambda: AtlasRecord(b"", fingerprint(TREFOIL), 1.0, 0),
+    "an atlas record whose orbit id is None": lambda: AtlasRecord(b"", fingerprint(TREFOIL), 0, None),
 }
 
 
@@ -275,7 +280,6 @@ VALID = {
     "w1": SWEEP_WGD,
     "w2": KINK,
     "x": SWEEP_WGD,
-    "obj": SWEEP_WGD,
     "gd": gauss_code_to_gauss_diagram(SWEEP_CODE),
     "site": SWEEP_SITE,
     "record": SWEEP_RECORD,
@@ -318,7 +322,6 @@ MALFORMED = {
     "states": tuple([w] for w in MALFORMED_WGDS),
     "code": MALFORMED_CODES,
     "x": MALFORMED_WGDS + MALFORMED_CODES,
-    "obj": MALFORMED_WGDS + MALFORMED_CODES,
 }
 PUBLIC_FUNCTIONS = sorted(name for name in weldedknots.__all__ if inspect.isfunction(getattr(weldedknots, name)))
 

@@ -185,6 +185,18 @@ class TestEquivSimplifyInvariantsAtlas:
         obj = json.loads(out)
         assert obj == {"coloring_counts": {"3": 9}, "hom_counts": {"S3": 12}}
 
+    def test_invariants_of_a_diagram_are_those_of_its_code(self, capsys, tmp_path):
+        """A diagram is fingerprinted as it stands, without a conversion:
+        a non-canonical one prints what its code prints."""
+        wgd = tmp_path / "w.wgd"
+        wgd.write_text('{"order": [3, 1, 2], "map": {"3": [3, "+"], "1": [3, "-"], "2": [3, "+"]}}')
+        _, text, _ = run(capsys, "convert", "--to", "gauss", str(wgd))
+        gc = tmp_path / "w.gc"
+        gc.write_text(text)
+        outputs = [run(capsys, "invariants", "--primes", "3,5,7", "--groups", "S3,D4", str(path), "--json")
+                   for path in (wgd, gc)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     def test_invariants_bad_prime_exit_1(self, capsys, tref_gc):
         code, _, err = run(capsys, "invariants", "--primes", "4", tref_gc)
         assert code == 1

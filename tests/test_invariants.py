@@ -25,7 +25,7 @@ from weldedknots import (
     symmetric_group_3,
     wgd_to_gauss,
 )
-from weldedknots.invariants import _code_arc_encoding, _is_odd_prime, _wgd_arc_encoding
+from weldedknots.invariants import _arc_encoding, _is_odd_prime
 from weldedknots.model import UNDER
 from weldedknots.moves import MoveKind, apply as apply_move, enumerate_sites
 
@@ -38,6 +38,7 @@ from conftest import (
     long_wgd,
     oracle_arcs,
     random_code,
+    scrambled,
     subprocess_env,
 )
 
@@ -46,15 +47,20 @@ TREFOIL = decode_gauss_code(TREFOIL_TEXT)
 
 def brute_hom_count(code, group):
     """Oracle: check the conjugation relation on every assignment to the
-    arcs of :func:`oracle_arcs`."""
+    arcs of :func:`oracle_arcs`, reading ``group.table`` alone, with the
+    identity and inverses found here."""
+    table = group.table
+    k = len(table)
+    one = next(e for e in range(k) if all(table[e][x] == x for x in range(k)))
+    inv = [next(b for b in range(k) if table[a][b] == one) for a in range(k)]
     st = oracle_arcs(code)
     total = 0
-    for vals in itertools.product(range(group.order), repeat=st.arc_count):
+    for vals in itertools.product(range(k), repeat=st.arc_count):
         ok = True
         for c in st.crossings:
             g = vals[c.over_arc]
-            h = g if c.sign > 0 else group.inv(g)
-            if vals[c.out_arc] != group.conjugate(h, vals[c.in_arc]):
+            h = g if c.sign > 0 else inv[g]
+            if vals[c.out_arc] != table[table[h][vals[c.in_arc]]][inv[h]]:
                 ok = False
                 break
         total += ok
@@ -74,11 +80,11 @@ def _read_arcs(e, crossings) -> ArcStructure:
 
 
 def code_arcs(code: GaussCode) -> ArcStructure:
-    return _read_arcs(_code_arc_encoding(code), [p.crossing for p in code.passages if p.role == UNDER])
+    return _read_arcs(_arc_encoding(code), [p.crossing for p in code.passages if p.role == UNDER])
 
 
 def wgd_arcs(w: WeldedGaussDiagram) -> ArcStructure:
-    return _read_arcs(_wgd_arc_encoding(w), w.order)
+    return _read_arcs(_arc_encoding(w), w.order)
 
 
 class TestArcs:
@@ -242,7 +248,7 @@ class TestGroups:
 
     def test_s3_is_nonabelian(self):
         g = symmetric_group_3()
-        assert any(g.mul(a, b) != g.mul(b, a) for a in range(6) for b in range(6))
+        assert any(g.table[a][b] != g.table[b][a] for a in range(6) for b in range(6))
 
 
 class TestHomCounts:
@@ -282,6 +288,51 @@ class TestHomCounts:
         for code, count in zip(codes, counts):
             if count == 36:
                 assert brute_hom_count(code, A4) == 36, code
+
+    def test_branch_choice_cost(self):
+        """A time-free pin on the search: ``try_assign`` calls for S3 on a
+        seeded 40-crossing code.  Branching on the lowest free arc instead
+        of the arc that fires the most relations takes more than ten times
+        as many, so the count stops there."""
+        code = random_code(random.Random("branch-0"), 40)
+        calls = 0
+
+        class TooMany(Exception):
+            pass
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "try_assign":
+                calls += 1
+                if calls > 25_000:
+                    raise TooMany
+
+        sys.setprofile(profile)
+        try:
+            count = hom_count(code, symmetric_group_3())
+        except TooMany:
+            count = None
+        finally:
+            sys.setprofile(None)
+        assert (count, calls) == (6, 2428)
+
+
+class TestOneArcEncoding:
+    def test_diagrams_read_as_their_codes(self):
+        """Every diagram with at most 3 crossings, rotated and relabelled,
+        has the arcs of its code, and so the same colourings and
+        homomorphism counts."""
+        rng = random.Random("one-arc-encoding")
+        groups = (symmetric_group_3(), dihedral_group(4), A4)
+        diagrams = [scrambled(w, rng) for w in enumerate_canonical_wgds(3)]
+        assert len(diagrams) == 89
+        for w in diagrams:
+            code = wgd_to_gauss(w)
+            assert _arc_encoding(w) == _arc_encoding(code), w
+            for p in (3, 5, 7):
+                assert coloring_count(w, p) == coloring_count(code, p), (w, p)
+            for g in groups:
+                assert hom_count(w, g) == hom_count(code, g), (w, g.name)
 
 
 class TestFingerprint:
@@ -402,7 +453,7 @@ class TestWgdArcs:
         with pytest.raises(DomainError):
             fingerprint(w)
         with pytest.raises(DomainError):
-            _wgd_arc_encoding(w)
+            _arc_encoding(w)
 
 
 def test_package_import_leaves_numpy_out():

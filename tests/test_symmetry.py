@@ -34,7 +34,7 @@ from weldedknots.model import (
 )
 from weldedknots.moves import ALL_KINDS, _raw_neighbor_encodings
 
-from conftest import TREFOIL_TEXT, long_wgd, random_code, random_wgd, reference_wgd
+from conftest import TREFOIL_TEXT, long_wgd, random_code, random_wgd, reference_wgd, scrambled
 
 _SIGN_FLIP = bytes(v ^ 1 for v in range(256))
 
@@ -96,17 +96,6 @@ def all_codes(n_max: int):
         for signs in itertools.product((1, -1), repeat=n):
             passages = [Passage(role, c, s) for c, s in enumerate(signs, 1) for role in (OVER, UNDER)]
             yield from map(GaussCode, itertools.permutations(passages))
-
-
-def scrambled(w: WeldedGaussDiagram, rng: random.Random) -> WeldedGaussDiagram:
-    """``w`` rotated and relabelled with n+1..2n: never canonical for n >= 1."""
-    labels = list(range(w.n + 1, 2 * w.n + 1))
-    rng.shuffle(labels)
-    rename = dict(zip(w.order, labels))
-    r = rng.randrange(max(w.n, 1))
-    order = [rename[c] for c in w.order[r:] + w.order[:r]]
-    return WeldedGaussDiagram(order, {rename[c]: rename[h] for c, h in w.head.items()},
-                              {rename[c]: s for c, s in w.sign.items()})
 
 
 class TestOneRulePerRepresentation:
