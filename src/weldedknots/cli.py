@@ -250,15 +250,13 @@ def _cmd_symmetry(args) -> int:
 
 def _cmd_atlas(args) -> int:
     max_crossings = args.max_crossings if args.max_crossings is not None else args.n_max + 2
-    primes, groups = _parse_primes(args.primes), _parse_groups(args.groups)
     # fail before a build that can take minutes: the arguments first, so a
     # bad one leaves no file, then the output path
     search_mod._require_atlas_range(args.n_max, max_crossings)
-    _fingerprint_terms(primes, groups)
+    primes, groups = _fingerprint_terms(_parse_primes(args.primes), _parse_groups(args.groups))
     out = open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout)
-    with out as fh:
-        records = search_mod.build_atlas(args.n_max, max_crossings, primes=primes, groups=groups)
-        fh.write(search_mod.atlas_to_jsonl(records))
+    with out as fh:  # each record is written as it becomes final
+        fh.writelines(search_mod._jsonl_lines(search_mod._atlas_records(args.n_max, max_crossings, primes, groups)))
     return 0
 
 

@@ -340,6 +340,15 @@ class InvariantFingerprint:
     coloring_counts: tuple[tuple[int, int], ...]  # (prime, count), sorted
     hom_counts: tuple[tuple[str, int], ...]       # (group name, count), sorted
 
+    def __post_init__(self):
+        # as_dict and the atlas JSONL read the pairs; True is no prime or count
+        cc, hc = self.coloring_counts, self.hom_counts
+        if not (type(cc) is tuple and type(hc) is tuple
+                and all(type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in cc)
+                and all(type(p) is tuple and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is int
+                        for p in hc)):
+            raise DomainError(f"fingerprint fields are tuples of (int, int) and (str, int) pairs, got {cc!r} and {hc!r}")
+
     def as_dict(self) -> dict:
         return {
             "coloring_counts": {str(p): c for p, c in self.coloring_counts},

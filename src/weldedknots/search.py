@@ -15,12 +15,12 @@ negative answer is always Unknown (budget exhaustion bounds the
 exploration, it proves nothing).
 
 The atlas needs no budget: its classes are the connected components of
-the move graph on all diagrams up to a crossing cap, found exactly.  It
-classifies only its seeds, the diagrams up to a smaller crossing count,
-and floods only the components that hold a seed, one orbit of components
-under the reversal group G = {id, bar, rev, glob} at a time, on orbit
-representatives.  :func:`build_atlas` states the method and proves it
-exact.
+the move graph on all diagrams up to a crossing cap, found exactly.  In
+one pass, it classifies only its seeds, the diagrams up to a smaller
+crossing count, and yields each record once final; it floods only the
+components that hold a seed, one orbit of components under the reversal
+group G = {id, bar, rev, glob} at a time, on orbit representatives.
+:func:`build_atlas` states the method and proves it exact.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
 whichever frontier is smaller.  Path extraction re-derives each edge of
@@ -251,8 +251,9 @@ class AtlasRecord:
     """One seed of an atlas: its packed canonical encoding (see
     :mod:`weldedknots.model`), fingerprint, class and orbit.  The encoding
     is checked to be one, bytes or a tuple of ints with entries in
-    range(2n), and the ids ints, not bools, so that :attr:`wgd` and
-    :func:`atlas_to_jsonl` can read them."""
+    range(2n), the fingerprint an :class:`InvariantFingerprint`, and the
+    ids ints, not bools, so that :attr:`wgd` and :func:`atlas_to_jsonl`
+    can read them."""
 
     encoding: bytes | tuple
     fingerprint: InvariantFingerprint
@@ -270,6 +271,8 @@ class AtlasRecord:
             valid = type(e) is tuple and all(type(v) is int and 0 <= v < 2 * len(e) for v in e)
         if not valid:
             raise DomainError(f"an encoding is bytes or a tuple of ints, each in range(2n) for n entries; got {e!r}")
+        if type(self.fingerprint) is not InvariantFingerprint:
+            raise DomainError(f"expected an InvariantFingerprint, got {type(self.fingerprint).__name__}")
         if type(self.class_id) is not int or type(self.orbit_id) is not int:
             raise DomainError(f"class and orbit ids must be ints, got {self.class_id!r} and {self.orbit_id!r}")
 
@@ -413,12 +416,20 @@ def build_atlas(
     computed once, on its least seed, and its records share it.  States
     are packed canonical encodings (see :mod:`weldedknots.model`), which
     sort as :func:`wgd_encoding` tuples do; no diagram is built, and each
-    record carries its seed's encoding.  No budget is involved.  Class and
-    orbit ids depend only on n_max and max_crossings: classes are numbered
-    by their least seed, orbits by their least class.
+    record carries its seed's encoding.  No budget is involved.
+
+    A record is final once its seed is reached, and one pass yields it
+    there (:func:`_atlas_records`): a flood starts only at a seed s that is
+    its own representative (a smaller one, an earlier seed with no delete,
+    is placed first), and registers only images x.r' >= r' >= s.  Ids depend
+    only on the arguments: classes by least seed, orbits by least class.
     """
     _require_atlas_range(n_max, max_crossings)
-    primes, groups = _fingerprint_terms(primes, groups)
+    return list(_atlas_records(n_max, max_crossings, *_fingerprint_terms(primes, groups)))
+
+
+def _atlas_records(n_max: int, max_crossings: int, primes: tuple[int, ...], groups: tuple[Group, ...]):
+    """Yield the records of :func:`build_atlas`, each once final; the caller checks the arguments."""
     seeds = _canonical_encodings(n_max)
 
     # a class is (f, c): the coset cH of the subgroup of the seed f's
@@ -427,48 +438,43 @@ def build_atlas(
     trivial = seeds[0], 0
     cosets = {seeds[0]: (0, 0, 0, 0)}
     label: dict = {}  # each registered seed, and each stopped flood's start -> its class
-    for e in seeds[1:]:
-        if _has_delete(e):
-            continue
-        rep, k, stab = _orbit_canonical(e)
-        if rep in label:  # its orbit of components is done
-            continue
-        found = _orbit_flood(rep, k, stab, max_crossings, e)
-        if found is None:
-            label[rep] = trivial
-            continue
-        lifts, subgroup = found
-        table = cosets[e] = tuple(min(c ^ h for h in subgroup) for c in _GROUP)
-        for r, g in lifts.items():
-            if len(r) <= n_max:  # r is canonical: its own image under id
-                label.update((_canonical_image(r, x) if x else r, (e, table[x ^ g])) for x in _GROUP)
-
-    class_ids: dict = {}
-    cids, prints = [], []
+    classes: dict = {}  # class -> (fingerprint, class id, orbit id)
+    orbit_ids: dict = {}  # (f, the least c of the orbit's cosets) -> orbit id
     for e in seeds:
-        cid = class_ids.setdefault(label.get(e, trivial), len(class_ids))
-        if cid == len(prints):  # a new class: e is its least seed
-            prints.append(_fingerprint(e, primes, groups))
-        cids.append(cid)
-    orbit_ids: dict[int, int] = {}
-    orbit_of = {}
-    for (flood, c), cid in class_ids.items():
-        partner = class_ids[flood, cosets[flood][_GLOB ^ c]]
-        orbit_of[cid] = orbit_ids.setdefault(min(cid, partner), len(orbit_ids))
-    return [AtlasRecord(e, prints[cid], cid, orbit_of[cid]) for e, cid in zip(seeds, cids)]
+        if e and not _has_delete(e):
+            rep, k, stab = _orbit_canonical(e)
+            if rep not in label:  # else its orbit of components is done
+                found = _orbit_flood(rep, k, stab, max_crossings, e)
+                if found is None:
+                    label[rep] = trivial
+                else:
+                    lifts, subgroup = found
+                    table = cosets[e] = tuple(min(c ^ h for h in subgroup) for c in _GROUP)
+                    for r, g in lifts.items():
+                        if len(r) <= n_max:  # r is canonical: its own image under id
+                            label.update((_canonical_image(r, x) if x else r, (e, table[x ^ g])) for x in _GROUP)
+        flood, c = key = label.get(e, trivial)
+        known = classes.get(key)
+        if known is None:  # a new class: e is its least seed
+            orbit = orbit_ids.setdefault((flood, min(c, cosets[flood][_GLOB ^ c])), len(orbit_ids))
+            known = classes[key] = _fingerprint(e, primes, groups), len(classes), orbit
+        yield AtlasRecord(e, *known)
 
 
 def atlas_to_jsonl(records) -> str:
-    """One structured object per line with fields wgd, fingerprint, class,
-    orbit.  The wgd object is written from the record's packed encoding,
-    byte for byte as compact json writes :func:`model.wgd_to_obj`: labels
-    1..n in order, then one ``"c":[head,"+"|"-"]`` fragment per entry,
-    each built once per call.  Records share few fingerprints, so each
-    distinct one is serialised once per call too."""
+    """The lines of :func:`_jsonl_lines` with fields wgd, fingerprint, class, orbit."""
+    return "".join(_jsonl_lines(records))
+
+
+def _jsonl_lines(records):
+    """Yield each record's line, newline included.  The wgd object is
+    written from the packed encoding, byte for byte as compact json writes
+    :func:`model.wgd_to_obj`: labels 1..n in order, then one
+    ``"c":[head,"+"|"-"]`` fragment per entry, each built once per call,
+    as is each distinct fingerprint's json."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     prints: dict = {}
     layouts: dict = {}  # n -> (the order, per position the fragment of each entry)
-    lines = []
     try:
         for r in records:
             fp = prints.get(r.fingerprint)
@@ -482,8 +488,7 @@ def atlas_to_jsonl(records) -> str:
                 layout = layouts[n] = encode(list(range(1, n + 1))), rows
             order, rows = layout
             # class and orbit ids are ints, written as json writes them
-            lines.append(f'{{"wgd":{{"order":{order},"map":{{{",".join(map(list.__getitem__, rows, e))}}}}},'
-                         f'"fingerprint":{fp},"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}')
+            yield (f'{{"wgd":{{"order":{order},"map":{{{",".join(map(list.__getitem__, rows, e))}}}}},'
+                   f'"fingerprint":{fp},"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}\n')
     except (TypeError, AttributeError, ValueError) as e:  # a well-formed AtlasRecord raises none
         raise DomainError(f"expected an iterable of AtlasRecords: {e}") from e
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -14,6 +14,7 @@ from weldedknots import (
     DomainError,
     GaussCode,
     GaussDiagram,
+    InvariantFingerprint,
     MoveKind,
     MoveRecord,
     MoveSite,
@@ -243,6 +244,17 @@ MISUSES = {
     "an atlas record whose orbit id is False": lambda: AtlasRecord(b"", fingerprint(TREFOIL), 0, False),
     "an atlas record whose class id is a float": lambda: AtlasRecord(b"", fingerprint(TREFOIL), 1.0, 0),
     "an atlas record whose orbit id is None": lambda: AtlasRecord(b"", fingerprint(TREFOIL), 0, None),
+    "an atlas record whose fingerprint is None": lambda: AtlasRecord(b"", None, 0, 0),
+    "an atlas record whose fingerprint is a str": lambda: AtlasRecord(b"", "x", 0, 0),
+    "an atlas record whose fingerprint is its dict": lambda: AtlasRecord(b"", fingerprint(TREFOIL).as_dict(), 0, 0),
+    "a fingerprint whose fields are None": lambda: InvariantFingerprint(None, None),
+    "a fingerprint whose count is True": lambda: InvariantFingerprint(((3, True),), ()),
+    "a fingerprint whose prime is True": lambda: InvariantFingerprint(((True, 3),), ()),
+    "a fingerprint whose count is a float": lambda: InvariantFingerprint(((3, 3.0),), ()),
+    "a fingerprint whose colourings are a list": lambda: InvariantFingerprint([(3, 3)], ()),
+    "a fingerprint whose colouring is a triple": lambda: InvariantFingerprint(((3, 3, 3),), ()),
+    "a fingerprint whose group name is an int": lambda: InvariantFingerprint(((3, 3),), ((1, 6),)),
+    "a fingerprint whose homomorphism count is None": lambda: InvariantFingerprint((), (("S3", None),)),
 }
 
 

@@ -229,7 +229,7 @@ class TestEquivSimplifyInvariantsAtlas:
         def no_build(*args, **kwargs):
             raise AssertionError("the atlas was built before the output was opened")
 
-        monkeypatch.setattr(weldedknots.search, "build_atlas", no_build)
+        monkeypatch.setattr(weldedknots.search, "_atlas_records", no_build)
         code, _, err = run(capsys, "atlas", "--n-max", "1", "-o", str(tmp_path / target))
         assert code == 1
         assert err.startswith("error: ")

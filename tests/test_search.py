@@ -592,6 +592,31 @@ class TestAtlas:
         digest = "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"
         assert hashlib.sha256(atlas_to_jsonl(records).encode()).hexdigest() == digest
 
+    def test_records_leave_as_they_become_final(self, monkeypatch):
+        """The atlas streams: the empty diagram's record is out before any
+        flood runs, and no flood runs for a seed at or before a record
+        already out, so a record never waits for a later seed's flood."""
+        import weldedknots.search
+
+        flood = weldedknots.search._orbit_flood
+        events = []  # ("flood", its seed) and ("record", its encoding), in the order they happen
+
+        def logged_flood(start, lift, stab, max_crossings, seed):
+            events.append(("flood", seed))
+            return flood(start, lift, stab, max_crossings, seed)
+
+        monkeypatch.setattr(weldedknots.search, "_orbit_flood", logged_flood)
+        for r in weldedknots.search._atlas_records(4, 6, (3, 5), ()):  # one record at a time
+            events.append(("record", r.encoding))
+        assert events[0] == ("record", b"")
+        out = []
+        for kind, e in events:
+            if kind == "flood":
+                assert (len(e), e) > (len(out[-1]), out[-1])
+            else:
+                out.append(e)
+        assert out == _canonical_encodings(4) and len(events) - len(out) == 16
+
     def test_floods_follow_edges_only(self, monkeypatch):
         """OC maps a diagram to itself, so a flood never asks for it: its
         self-loop would only put an element of Stab(rep) into H.  Each of
