@@ -517,12 +517,13 @@ def canonical_wgd(w: WeldedGaussDiagram) -> WeldedGaussDiagram:
 
 
 def wgd_encoding(w: WeldedGaussDiagram) -> tuple:
-    """Hashable encoding of a *canonical* wGD: ((head(1), sign(1)), ...).
-    Diagrams with equally many crossings sort by it as by their packed
-    encodings, which the package itself keys and sorts by."""
+    """Hashable encoding of a *canonical* wGD, whose order is 1..n:
+    ((head(1), sign(1)), ...).  Diagrams with equally many crossings sort
+    by it as by their packed encodings, which the package itself keys and
+    sorts by."""
     require_valid_wgd(w)
-    if w.head.keys() != set(range(1, w.n + 1)):
-        raise DomainError(f"expected a WeldedGaussDiagram labelled 1..n, got labels {w.order}")
+    if w.order != tuple(range(1, w.n + 1)):
+        raise DomainError(f"expected a WeldedGaussDiagram whose order is 1..n, got {w.order}")
     return tuple((w.head[i], w.sign[i]) for i in range(1, w.n + 1))
 
 

@@ -64,7 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -136,7 +136,7 @@ class MoveSite:
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """Self-contained edit: removals and insertions carry (index, passage)
+    """A move is its edit: removals and insertions carry (index, passage)
     pairs, swaps carry index pairs.  Replaying a record on its source code
     yields its target; replaying the inverse on the target restores the
     source exactly."""
@@ -146,7 +146,6 @@ class MoveRecord:
     removes: tuple[tuple[int, Passage], ...] = ()
     inserts: tuple[tuple[int, Passage], ...] = ()
     swaps: tuple[tuple[int, int], ...] = ()
-    site: MoveSite | None = field(default=None, compare=False)
 
     def __hash__(self) -> int:
         return _hash_key(self, (self.kind, self.variant, self.removes, self.inserts, self.swaps))
@@ -359,12 +358,13 @@ _RULES = {
 }
 
 
-def _sites(code: GaussCode, kind: MoveKind) -> Iterator[MoveSite]:
-    """The sites of one kind on ``code``, by its rule; ``code`` is not validated."""
+def _sites(code: GaussCode, kind: MoveKind) -> Iterator[tuple[tuple[int, ...], str]]:
+    """The sites of one kind on ``code``, by its rule, as plain ``(positions,
+    variant)`` fields, no :class:`MoveSite`; ``code`` is not validated."""
     rule = _RULES[kind]
     for positions in rule.positions(code):
         for variant in rule.variants(code, positions):
-            yield MoveSite(kind, positions, variant)
+            yield positions, variant
 
 
 def _wanted_kinds(kinds: Iterable[MoveKind] | None, growth_allowed: bool) -> frozenset[MoveKind]:
@@ -396,7 +396,7 @@ def enumerate_sites(
     False the insert kinds are skipped."""
     require_valid_code(code)
     wanted = _wanted_kinds(kinds, growth_allowed)
-    return [site for kind in MoveKind if kind in wanted for site in _sites(code, kind)]
+    return [MoveSite(kind, p, v) for kind in MoveKind if kind in wanted for p, v in _sites(code, kind)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +412,10 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
 
     This is the one place a site is checked, against its kind's rule: a
     site is accepted exactly when :func:`enumerate_sites` lists it, and any
-    other site raises :class:`StaleSiteError`.  Code that applies the
-    sites it has just enumerated or built calls :func:`_apply_unchecked`.
-    Returns the rewritten code and a record that replays or inverts the
-    rewrite bit-exactly.
+    other site raises :class:`StaleSiteError`.  The engine applies the
+    sites it has just enumerated or built as plain fields, through
+    :func:`_apply_unchecked`.  Returns the rewritten code and a record, the
+    move's edit, that replays or inverts the rewrite bit-exactly.
     """
     require_valid_code(code)
     if not isinstance(site, MoveSite):
@@ -425,27 +425,26 @@ def apply(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
     fits = len(positions) == rule.arity and all(_in_range(i, stop) for i in positions)
     if not (fits and site.variant in rule.variants(code, positions)):
         raise StaleSiteError(f"no {kind.value} site {site.variant!r} at positions {positions} on {len(code)} passages")
-    return _apply_unchecked(code, site)
+    return _apply_unchecked(code, kind, positions, site.variant)
 
 
-def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRecord]:
-    """:func:`apply` for a site known to fit ``code``, such as one that
-    :func:`enumerate_sites` has just listed: its record's edit runs bare."""
+def _apply_unchecked(code: GaussCode, kind: MoveKind, positions: tuple, variant: str) -> tuple[GaussCode, MoveRecord]:
+    """:func:`apply` for a site's fields known to fit ``code``, such as those
+    :func:`_sites` has just yielded: the record is its edit, run bare."""
     L = len(code)
-    kind = site.kind
 
     if kind == MoveKind.R1_INSERT:
-        (slot,) = site.positions
+        (slot,) = positions
         (label,) = _fresh_labels(code, 1)
-        s = 1 if site.variant.endswith("+") else -1
-        roles = (OVER, UNDER) if site.variant.startswith("ou") else (UNDER, OVER)
+        s = 1 if variant.endswith("+") else -1
+        roles = (OVER, UNDER) if variant.startswith("ou") else (UNDER, OVER)
         inserts = ((slot, Passage(roles[0], label, s)), (slot + 1, Passage(roles[1], label, s)))
-        record = MoveRecord(kind, site.variant, inserts=inserts, site=site)
+        record = MoveRecord(kind, variant, inserts=inserts)
 
     elif kind == MoveKind.R2_INSERT:
-        so, su = site.positions
+        so, su = positions
         a, b = _fresh_labels(code, 2)
-        shape, _, first = site.variant.partition(":")
+        shape, _, first = variant.partition(":")
         s = 1 if shape.endswith("+") else -1
         over_run = [Passage(OVER, a, s), Passage(OVER, b, -s)]
         if shape.startswith("par"):
@@ -460,18 +459,18 @@ def _apply_unchecked(code: GaussCode, site: MoveSite) -> tuple[GaussCode, MoveRe
             (lo, runs[0][0]), (lo + 1, runs[0][1]),
             (hi + 2, runs[1][0]), (hi + 3, runs[1][1]),
         )
-        record = MoveRecord(kind, site.variant, inserts=inserts, site=site)
+        record = MoveRecord(kind, variant, inserts=inserts)
 
     else:
         # adjacent pairs: R1 delete and OC name both ends of their one pair,
         # R2 delete and R3 the first end of each pair
         one_pair = kind in (MoveKind.R1_DELETE, MoveKind.OC)
-        pairs = (site.positions,) if one_pair else tuple((i, (i + 1) % L) for i in site.positions)
+        pairs = (positions,) if one_pair else tuple((i, (i + 1) % L) for i in positions)
         if _CROSSING_DELTA[kind] < 0:
             removes = tuple((i, code[i]) for i in sorted(itertools.chain(*pairs)))
-            record = MoveRecord(kind, site.variant, removes=removes, site=site)
+            record = MoveRecord(kind, variant, removes=removes)
         else:  # R3 and OC swap each pair
-            record = MoveRecord(kind, site.variant, swaps=pairs, site=site)
+            record = MoveRecord(kind, variant, swaps=pairs)
 
     return _edit(code, record), record
 
@@ -524,8 +523,7 @@ def _block_permutation_records(code: GaussCode, variant: GaussCode) -> list[Move
         for k, pos in enumerate(block):
             j = next(jj for jj in range(k, len(block)) if current[block[jj]] == variant[pos])
             while j > k:
-                site = MoveSite(MoveKind.OC, (block[j - 1], block[j]), "oc")
-                current, rec = _apply_unchecked(current, site)
+                current, rec = _apply_unchecked(current, MoveKind.OC, (block[j - 1], block[j]), "oc")
                 records.append(rec)
                 j -= 1
     return records
@@ -546,7 +544,7 @@ def _edge_records(code: GaussCode, want) -> tuple[list[MoveRecord], GaussCode]:
     if kind is not None:
         for variant in oc_class(code):
             for site in _sites(variant, kind):
-                new_code, rec = _apply_unchecked(variant, site)
+                new_code, rec = _apply_unchecked(variant, kind, *site)
                 if _canonical_encoding(_code_packed(new_code)) == want:
                     return _block_permutation_records(code, variant) + [rec], new_code
     raise DomainError("states are not one move apart")

@@ -99,7 +99,7 @@ def oracle_neighbors_iter(w: WeldedGaussDiagram, kinds=None, growth_allowed: boo
     wanted = wanted - {MoveKind.OC}
     for variant_code in oc_class(rep):
         for site in enumerate_sites(variant_code, wanted, growth_allowed):
-            new_code, _ = _apply_unchecked(variant_code, site)
+            new_code, _ = _apply_unchecked(variant_code, site.kind, site.positions, site.variant)
             yield gauss_to_wgd(new_code)
 
 

@@ -191,6 +191,10 @@ MISUSES = {
     "a head map that is None": lambda: WeldedGaussDiagram((1,), None, {1: 1}),
     "wgd_encoding of None": lambda: wgd_encoding(None),
     "wgd_encoding, labels that are not 1..n": lambda: wgd_encoding(WeldedGaussDiagram((2,), {2: 2}, {2: 1})),
+    # read by label, these maps encode as order (1, 2, 3) does: ((2, 1), (3, 1), (1, 1))
+    "wgd_encoding, an order that is not 1..n": lambda: wgd_encoding(
+        WeldedGaussDiagram((1, 3, 2), {1: 2, 2: 3, 3: 1}, {1: 1, 2: 1, 3: 1})
+    ),
     "are_equivalent without a budget": lambda: are_equivalent(TREFOIL, TREFOIL, None),
     "simplify without a budget": lambda: simplify(TREFOIL, None),
     "decode_gauss_code of None": lambda: decode_gauss_code(None),

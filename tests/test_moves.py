@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -99,6 +100,9 @@ class TestApply:
             assert w.order == (1,)
             assert w.head == {1: 1}
             assert w.sign == {1: sign}
+
+    def test_a_record_is_its_edit(self):
+        assert [f.name for f in dataclasses.fields(MoveRecord)] == ["kind", "variant", "removes", "inserts", "swaps"]
 
     def test_oc_swaps_and_preserves_wgd(self):
         code = decode_gauss_code("O1+ O2+ U1+ U2+")
