@@ -309,27 +309,24 @@ def _hom_count(e, group: Group) -> int:
                 best, best_score = a, score
         return best
 
-    def count(domain: tuple[int, ...]) -> int:
-        free = pick_branch_arc()
+    # every arc is conjugate to arc 0, so once it has a value the others
+    # range over that value's conjugacy class
+    classes = [tuple(sorted({row[g] for row in conj})) for g in range(k)]
+
+    def count() -> int:
+        free = pick_branch_arc()  # arc 0 while nothing is assigned
         if free is None:
             return 1
         total = 0
-        for val in domain:
+        for val in range(k) if values[0] is None else classes[values[0]]:
             trail: list[int] = []
             if try_assign(free, val, trail):
-                total += count(domain)
+                total += count()
             for a in trail:
                 values[a] = None
         return total
 
-    total = 0
-    for g0 in range(k):
-        trail: list[int] = []
-        if try_assign(0, g0, trail):
-            total += count(tuple(sorted({row[g0] for row in conj})))
-        for a in trail:
-            values[a] = None
-    return total
+    return count()
 
 
 # ---------------------------------------------------------------------------

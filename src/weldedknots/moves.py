@@ -602,23 +602,15 @@ def _r2_inserts(e, gaps) -> Iterator:
                     yield _pack(new)
 
 
-@functools.lru_cache(maxsize=1024)
-def _r1_delete_table(n: int, c: int):
-    """Relabel table of deleting position c from n crossings: heads at c
-    move to pred(c), and heads beyond c move down one."""
-    heads = [(c - 1) % n if h == c else h for h in range(n)]
-    return _tables([2 * (h - 1 if h > c else h) + s for h in heads for s in (0, 1)])[0]
-
-
-@functools.lru_cache(maxsize=1024)
-def _r2_delete_table(n: int, x: int):
-    """Relabel table of deleting positions x and succ(x) from n crossings:
-    heads at succ(x) move to pred(x), the other kept positions close up.
-    Heads at x do not occur (its gap is empty)."""
-    y, p = (x + 1) % n, (x - 1) % n
-    keep = [i for i in range(n) if i != x and i != y]
-    position = {old: new for new, old in enumerate(keep)}
-    heads = [position.get(p if h == y else h, 0) for h in range(n)]
+@functools.lru_cache(maxsize=2048)
+def _delete_table(n: int, x: int, k: int):
+    """Relabel table of deleting the k positions from x on (k = 1 for R1,
+    2 for R2) from n crossings: heads at a deleted position move to
+    pred(x), and the kept positions close up."""
+    gone = {(x + i) % n for i in range(k)}
+    position = {old: new for new, old in enumerate(i for i in range(n) if i not in gone)}
+    # pred(x) is deleted only when nothing is kept
+    heads = [position.get((x - 1) % n if h in gone else h, 0) for h in range(n)]
     return _tables([2 * h + s for h in heads for s in (0, 1)])[0]
 
 
@@ -627,7 +619,7 @@ def _r1_deletes(e, gaps) -> Iterator:
     for c in range(n):
         h = e[c] >> 1
         if h == c or h == (c - 1) % n:
-            yield _relabelled(e[:c] + e[c + 1 :], _r1_delete_table(n, c))
+            yield _relabelled(e[:c] + e[c + 1 :], _delete_table(n, c, 1))
 
 
 def _has_delete(e) -> bool:
@@ -652,7 +644,7 @@ def _r2_deletes(e, gaps) -> Iterator:
         if gaps[x] or e[x] ^ e[y] != 1:
             continue
         kept = e[:x] + e[x + 2 :] if y else e[1:x]
-        yield _relabelled(kept, _r2_delete_table(n, x))
+        yield _relabelled(kept, _delete_table(n, x, 2))
 
 
 def _r3_moves(e, gaps) -> Iterator:

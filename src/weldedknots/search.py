@@ -418,18 +418,21 @@ def build_atlas(
     sort as :func:`wgd_encoding` tuples do; no diagram is built, and each
     record carries its seed's encoding.  No budget is involved.
 
-    A record is final once its seed is reached, and one pass yields it
-    there (:func:`_atlas_records`): a flood starts only at a seed s that is
-    its own representative (a smaller one, an earlier seed with no delete,
-    is placed first), and registers only images x.r' >= r' >= s.  Ids depend
-    only on the arguments: classes by least seed, orbits by least class.
+    A record is final once its seed is reached, and one pass yields its
+    row there (:func:`_atlas_records`): a flood starts only at a seed s
+    that is its own representative (a smaller one, an earlier seed with no
+    delete, is placed first), and registers only images x.r' >= r' >= s.
+    Ids depend only on the arguments: classes by least seed, orbits by
+    least class.  Each row becomes an AtlasRecord here, where the API
+    hands it out; the CLI writes the rows as they come.
     """
     _require_atlas_range(n_max, max_crossings)
-    return list(_atlas_records(n_max, max_crossings, *_fingerprint_terms(primes, groups)))
+    return [AtlasRecord(*row) for row in _atlas_records(n_max, max_crossings, *_fingerprint_terms(primes, groups))]
 
 
 def _atlas_records(n_max: int, max_crossings: int, primes: tuple[int, ...], groups: tuple[Group, ...]):
-    """Yield the records of :func:`build_atlas`, each once final; the caller checks the arguments."""
+    """Yield the rows ``(encoding, fingerprint, class id, orbit id)`` of
+    :func:`build_atlas`, each once final; the caller checks the arguments."""
     seeds = _canonical_encodings(n_max)
 
     # a class is (f, c): the coset cH of the subgroup of the seed f's
@@ -458,37 +461,40 @@ def _atlas_records(n_max: int, max_crossings: int, primes: tuple[int, ...], grou
         if known is None:  # a new class: e is its least seed
             orbit = orbit_ids.setdefault((flood, min(c, cosets[flood][_GLOB ^ c])), len(orbit_ids))
             known = classes[key] = _fingerprint(e, primes, groups), len(classes), orbit
-        yield AtlasRecord(e, *known)
+        yield (e, *known)
 
 
 def atlas_to_jsonl(records) -> str:
-    """The lines of :func:`_jsonl_lines` with fields wgd, fingerprint, class, orbit."""
-    return "".join(_jsonl_lines(records))
+    """The lines of :func:`_jsonl_lines` with fields wgd, fingerprint,
+    class, orbit, of AtlasRecords only, as each checked its fields."""
+    try:
+        records = list(records)
+    except TypeError as e:
+        raise DomainError(f"expected an iterable of AtlasRecords: {e}") from e
+    if not all(type(r) is AtlasRecord for r in records):
+        raise DomainError("expected an iterable of AtlasRecords")
+    return "".join(_jsonl_lines((r.encoding, r.fingerprint, r.class_id, r.orbit_id) for r in records))
 
 
-def _jsonl_lines(records):
-    """Yield each record's line, newline included.  The wgd object is
-    written from the packed encoding, byte for byte as compact json writes
-    :func:`model.wgd_to_obj`: labels 1..n in order, then one
+def _jsonl_lines(rows):
+    """Yield each unchecked row's line, newline included.  The wgd object
+    is written from the packed encoding, byte for byte as compact json
+    writes :func:`model.wgd_to_obj`: labels 1..n in order, then one
     ``"c":[head,"+"|"-"]`` fragment per entry, each built once per call,
     as is each distinct fingerprint's json."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     prints: dict = {}
     layouts: dict = {}  # n -> (the order, per position the fragment of each entry)
-    try:
-        for r in records:
-            fp = prints.get(r.fingerprint)
-            if fp is None:
-                fp = prints[r.fingerprint] = encode(r.fingerprint.as_dict())
-            e = r.encoding
-            layout = layouts.get(len(e))
-            if layout is None:
-                n = len(e)
-                rows = [[f'"{c}":[{(v >> 1) + 1},"{"+-"[not v & 1]}"]' for v in range(2 * n)] for c in range(1, n + 1)]
-                layout = layouts[n] = encode(list(range(1, n + 1))), rows
-            order, rows = layout
-            # class and orbit ids are ints, written as json writes them
-            yield (f'{{"wgd":{{"order":{order},"map":{{{",".join(map(list.__getitem__, rows, e))}}}}},'
-                   f'"fingerprint":{fp},"class":{r.class_id:d},"orbit":{r.orbit_id:d}}}\n')
-    except (TypeError, AttributeError, ValueError) as e:  # a well-formed AtlasRecord raises none
-        raise DomainError(f"expected an iterable of AtlasRecords: {e}") from e
+    for e, fingerprint, class_id, orbit_id in rows:
+        fp = prints.get(fingerprint)
+        if fp is None:
+            fp = prints[fingerprint] = encode(fingerprint.as_dict())
+        layout = layouts.get(len(e))
+        if layout is None:
+            n = len(e)
+            fragments = [[f'"{c}":[{(v >> 1) + 1},"{"+-"[not v & 1]}"]' for v in range(2 * n)] for c in range(1, n + 1)]
+            layout = layouts[n] = encode(list(range(1, n + 1))), fragments
+        order, fragments = layout
+        # class and orbit ids are ints, written as json writes them
+        yield (f'{{"wgd":{{"order":{order},"map":{{{",".join(map(list.__getitem__, fragments, e))}}}}},'
+               f'"fingerprint":{fp},"class":{class_id:d},"orbit":{orbit_id:d}}}\n')

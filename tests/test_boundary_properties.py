@@ -4,6 +4,7 @@
 
 import inspect
 import json
+import types
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -232,6 +233,15 @@ MISUSES = {
     "derive_path of None": lambda: derive_path(None),
     "atlas_to_jsonl of None": lambda: atlas_to_jsonl(None),
     "atlas_to_jsonl, a record that is None": lambda: atlas_to_jsonl([None]),
+    # only an AtlasRecord has checked fields: 5 and -1 are no entries of a
+    # one- or two-crossing encoding, and the writer indexes by entry
+    "atlas_to_jsonl, a look-alike with an entry past 2n": lambda: atlas_to_jsonl(
+        [types.SimpleNamespace(encoding=b"\x05", fingerprint=fingerprint(TREFOIL), class_id=0, orbit_id=0)]
+    ),
+    "atlas_to_jsonl, a look-alike with a negative entry": lambda: atlas_to_jsonl(
+        [types.SimpleNamespace(encoding=(0, -1), fingerprint=fingerprint(TREFOIL), class_id=0, orbit_id=0)]
+    ),
+    "atlas_to_jsonl, a plain row": lambda: atlas_to_jsonl([(b"", fingerprint(TREFOIL), 0, 0)]),
     "encode_wgd of None": lambda: encode_wgd(None),
     "encode_gauss_code of None": lambda: encode_gauss_code(None),
     "a diagram whose head map is not total, in a set": lambda: WeldedGaussDiagram((1,), {}, {}) in {TREFOIL},

@@ -607,8 +607,8 @@ class TestAtlas:
             return flood(start, lift, stab, max_crossings, seed)
 
         monkeypatch.setattr(weldedknots.search, "_orbit_flood", logged_flood)
-        for r in weldedknots.search._atlas_records(4, 6, (3, 5), ()):  # one record at a time
-            events.append(("record", r.encoding))
+        for e, *_ in weldedknots.search._atlas_records(4, 6, (3, 5), ()):  # one row at a time
+            events.append(("record", e))
         assert events[0] == ("record", b"")
         out = []
         for kind, e in events:
@@ -617,6 +617,18 @@ class TestAtlas:
             else:
                 out.append(e)
         assert out == _canonical_encodings(4) and len(events) - len(out) == 16
+
+    def test_cli_atlas_builds_no_record(self, monkeypatch, tmp_path):
+        """The CLI writes the engine's rows: the benchmarked atlas builds no
+        :class:`AtlasRecord`, while :func:`build_atlas` hands out and checks
+        one per seed, 89 at (3, 4)."""
+        from weldedknots.cli import main
+
+        counts = collections.Counter()
+        _count_calls(monkeypatch, counts, AtlasRecord, "__post_init__")
+        assert main(["atlas", "--n-max", "3", "--max-crossings", "4", "-o", str(tmp_path / "atlas.jsonl")]) == 0
+        assert counts["__post_init__"] == 0
+        assert len(build_atlas(3, 4)) == counts["__post_init__"] == 89
 
     def test_floods_follow_edges_only(self, monkeypatch):
         """OC maps a diagram to itself, so a flood never asks for it: its
