@@ -348,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weldedknots",
         description="Gauss codes, welded Gauss diagrams, moves, invariants and search.",
     )
-    # an explicit prog spares argparse formatting the root usage to derive it
-    sub = parser.add_subparsers(dest="command", required=True, prog="weldedknots")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, handler in _COMMANDS:
         _add_command(sub.add_parser(name, help=help_text), name, add_arguments, handler)
     return parser

@@ -108,7 +108,7 @@ class WeldedGaussDiagram:
     are immutable by convention; all operations return fresh objects.
     """
 
-    __slots__ = ("order", "head", "sign", "_key")
+    __slots__ = ("order", "head", "sign")
 
     def __init__(self, order, head, sign):
         if not (isinstance(order, (tuple, list, range)) and isinstance(head, dict) and isinstance(sign, dict)):
@@ -117,7 +117,6 @@ class WeldedGaussDiagram:
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "head", dict(head))
         object.__setattr__(self, "sign", dict(sign))
-        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeldedGaussDiagram is immutable")
@@ -129,18 +128,14 @@ class WeldedGaussDiagram:
     def key(self) -> tuple:
         """Hashable structural key (basepointed, label-sensitive); a label
         with no head or sign ends in :class:`DomainError`."""
-        key = self._key
-        if key is None:
-            try:
-                key = (
-                    self.order,
-                    tuple(self.head[c] for c in self.order),
-                    tuple(self.sign[c] for c in self.order),
-                )
-            except (KeyError, TypeError):
-                raise DomainError(f"{self!r}: a label is unhashable or has no head or sign") from None
-            object.__setattr__(self, "_key", key)
-        return key
+        try:
+            return (
+                self.order,
+                tuple(self.head[c] for c in self.order),
+                tuple(self.sign[c] for c in self.order),
+            )
+        except (KeyError, TypeError):
+            raise DomainError(f"{self!r}: a label is unhashable or has no head or sign") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeldedGaussDiagram):
@@ -304,12 +299,35 @@ def _tables(values: list[int], starts=(0,)) -> list:
     return [view[s : s + width] for s in starts]
 
 
+# The reversal group G = {id, bar, rev, glob}, isomorphic to Z/2 x Z/2,
+# acts on diagrams: bar flips every sign, rev reverses the orientation and
+# glob does both.  Its elements are the ints 0..3, bit 0 for bar and bit 1
+# for rev, so a product is an XOR and every element is its own inverse.
+# Each element acts on a packed encoding by one relabelling, of the
+# reversed entries for rev and glob.  Read backwards, the code ``U_0 G_0
+# ... U_{n-1} G_{n-1}`` meets the unders in reverse order, so the entry at
+# position j moves to n-1-j, and each gap now follows the under after it,
+# so a head h becomes n-1-((h+1) mod n).
+
+_BAR, _REV, _GLOB = 1, 2, 3
+_GROUP = (0, _BAR, _REV, _GLOB)
+
+
 @functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
-def _rotation_tables(n: int) -> list:
-    """Per rotation r of n crossings, the table taking entry v to
-    ``(v - 2r) mod 2n``: heads move back r positions, signs stay.  They
-    are windows of one doubled identity."""
-    return _tables(list(range(2 * n)) * 2, [2 * n - 2 * r for r in range(n)])
+def _relabel_tables(n: int) -> tuple:
+    """The relabel tables of encodings of n >= 1 crossings, in one lookup:
+    ``(rotations, unsigned, reversals)``.  ``rotations[r]``, per rotation
+    r, takes entry v to ``(v - 2r) mod 2n``: heads move back r positions,
+    signs stay.  ``unsigned[r]`` does the same and clears the sign bit.
+    Both are windows of one doubled list.  ``reversals[g]`` is the table of
+    the element g of G (index 0, the identity, is None); rev and glob
+    apply to the reversed entries."""
+    starts = [2 * n - 2 * r for r in range(n)]
+    rotations = _tables(list(range(2 * n)) * 2, starts)
+    unsigned = _tables([v & ~1 for v in range(2 * n)] * 2, starts)
+    rev = [2 * (n - 1 - (h + 1) % n) + s for h in range(n) for s in (0, 1)]
+    reversals = [None] + _tables([v ^ 1 for v in range(2 * n)]) + _tables(rev) + _tables([v ^ 1 for v in rev])
+    return rotations, unsigned, reversals
 
 
 def _canonical_encoding(entries) -> bytes | tuple:
@@ -325,7 +343,7 @@ def _canonical_encoding(entries) -> bytes | tuple:
     n = len(entries)
     if n == 0:
         return entries
-    tables = _rotation_tables(n)
+    tables = _relabel_tables(n)[0]
     firsts = list(map(operator.getitem, tables, entries))
     lowest = min(firsts)
     r = firsts.index(lowest)
@@ -359,7 +377,7 @@ def _canonical_encodings(n_max: int) -> list:
     are relabelled, each compared with the assignment."""
     out: list = [_pack([])]
     for n in range(1, n_max + 1):
-        tables = _rotation_tables(n)
+        tables = _relabel_tables(n)[0]
         for v1 in range(2 * n):
             allowed = [[v for v in range(2 * n) if (v - 2 * r) % (2 * n) >= v1] for r in range(1, n)]
             ties = [(v1 + 2 * r) % (2 * n) for r in range(1, n)]
@@ -414,44 +432,14 @@ def _gaps(e) -> list[list[int]]:
     return gaps
 
 
-# The reversal group G = {id, bar, rev, glob}, isomorphic to Z/2 x Z/2,
-# acts on diagrams: bar flips every sign, rev reverses the orientation and
-# glob does both.  Its elements are the ints 0..3, bit 0 for bar and bit 1
-# for rev, so a product is an XOR and every element is its own inverse.
-# Each element acts on a packed encoding by one relabelling, of the
-# reversed entries for rev and glob.  Read backwards, the code ``U_0 G_0
-# ... U_{n-1} G_{n-1}`` meets the unders in reverse order, so the entry at
-# position j moves to n-1-j, and each gap now follows the under after it,
-# so a head h becomes n-1-((h+1) mod n).
-
-_BAR, _REV, _GLOB = 1, 2, 3
-_GROUP = (0, _BAR, _REV, _GLOB)
-
-
-@functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
-def _reversal_tables(n: int) -> list:
-    """The relabel tables of the elements of G on encodings of n crossings,
-    indexed by element (index 0, the identity, is None); rev and glob apply
-    to the reversed entries."""
-    rev = [2 * (n - 1 - (h + 1) % n) + s for h in range(n) for s in (0, 1)]
-    return [None] + _tables([v ^ 1 for v in range(2 * n)]) + _tables(rev) + _tables([v ^ 1 for v in rev])
-
-
 def _canonical_image(e, g: int) -> bytes | tuple:
     """Canonical packed encoding of the image g.e, for the element g of G,
     of the diagram with the packed encoding ``e``."""
+    if not e:
+        return e
     if g & _REV:
         e = e[::-1]
-    return _canonical_encoding(_relabelled(e, _reversal_tables(len(e))[g]) if g else e)
-
-
-@functools.lru_cache(maxsize=2 * _BYTE_CROSSINGS)
-def _orbit_tables(n: int) -> tuple:
-    """The three per-n tables of :func:`_orbit_canonical`, in one lookup:
-    the tables of :func:`_rotation_tables`, the same with every sign bit
-    cleared, and those of :func:`_reversal_tables`."""
-    unsigned = _tables([v & ~1 for v in range(2 * n)] * 2, [2 * n - 2 * r for r in range(n)])
-    return _rotation_tables(n), unsigned, _reversal_tables(n)
+    return _canonical_encoding(_relabelled(e, _relabel_tables(len(e))[2][g]) if g else e)
 
 
 def _orbit_canonical(x) -> tuple:
@@ -469,13 +457,13 @@ def _orbit_canonical(x) -> tuple:
     is the least of these, and only the rotations that start with it are
     relabelled in full, as in :func:`_canonical_encoding`, each from x or
     rev(x) and sign-flipped when that makes it start with it.  The three
-    per-n tables come from one cached lookup, :func:`_orbit_tables`, and
+    kinds of table come from one lookup of :func:`_relabel_tables`, and
     when one element alone gives ``rep``, as for most diagrams, ``stab``
     is ``(0,)`` with nothing sorted."""
     n = len(x)
     if n == 0:
         return x, 0, _GROUP
-    rotations, unsigned, tables = _orbit_tables(n)
+    rotations, unsigned, tables = _relabel_tables(n)
     reversed_x = _relabelled(x[::-1], tables[_REV])
     firsts = list(map(operator.getitem, unsigned, x))
     reversed_firsts = list(map(operator.getitem, unsigned, reversed_x))

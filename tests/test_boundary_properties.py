@@ -48,7 +48,7 @@ from weldedknots import (
     wgd_neighbors,
 )
 from weldedknots.cli import _site_from_text
-from weldedknots.model import OVER, UNDER, require_valid_code, require_valid_wgd, wgd_to_obj
+from weldedknots.model import OVER, UNDER, require_valid_code, require_valid_wgd, wgd_from_obj, wgd_to_obj
 
 from conftest import TREFOIL_TEXT
 
@@ -184,10 +184,26 @@ MISUSES = {
     "reverse of None": lambda: reverse(None),
     "reverse of text": lambda: reverse(TREFOIL_TEXT),
     "global_reversal of an int": lambda: global_reversal(5),
+    # an R3 site at six distinct in-range positions whose top, middle or
+    # bottom pair has the wrong roles; three crossings always give the
+    # bottom pair two unders, so that one takes a fourth crossing
+    "an R3 site whose top pair is not two overs": lambda: apply_move(
+        decode_gauss_code("O2+ O1+ O3+ U1+ U3+ U2+"), MoveSite(MoveKind.R3, (2, 0, 4), R3_SITE.variant)
+    ),
+    "an R3 site whose middle pair is not an over and an under": lambda: apply_move(
+        decode_gauss_code("O2+ O1+ O3+ U1+ U3+ U2+"), MoveSite(MoveKind.R3, (0, 4, 2), R3_SITE.variant)
+    ),
+    "an R3 site whose bottom pair is not two unders": lambda: apply_move(
+        decode_gauss_code("O2+ O1+ O3+ U1+ O4+ U4+ U3+ U2+"), MoveSite(MoveKind.R3, (0, 2, 4), R3_SITE.variant)
+    ),
     "a passage that is a plain tuple": lambda: require_valid_code(GaussCode((("O", 1, 1), ("U", 1, 1)))),
+    "a passage whose role is neither O nor U": lambda: require_valid_code(
+        GaussCode((Passage("X", 1, 1), Passage(UNDER, 1, 1)))
+    ),
     "passages that are None": lambda: require_valid_code(GaussCode(None)),
     "an unhashable head": lambda: require_valid_wgd(WeldedGaussDiagram([1], {1: [1]}, {1: 1})),
     "an unhashable label": lambda: require_valid_wgd(WeldedGaussDiagram([[1]], {}, {})),
+    "a sign map that misses a label": lambda: require_valid_wgd(WeldedGaussDiagram((1,), {1: 1}, {})),
     "an order that is None": lambda: WeldedGaussDiagram(None, {}, {}),
     "a head map that is None": lambda: WeldedGaussDiagram((1,), None, {1: 1}),
     "wgd_encoding of None": lambda: wgd_encoding(None),
@@ -201,6 +217,7 @@ MISUSES = {
     "decode_gauss_code of None": lambda: decode_gauss_code(None),
     "decode_wgd of None": lambda: decode_wgd(None),
     "decode_wgd of bytes": lambda: decode_wgd(b'{"order": [], "map": {}}'),
+    "wgd_from_obj, a map that is an array": lambda: wgd_from_obj({"order": [], "map": []}),
     "an arrow that is a pair": lambda: gauss_diagram_to_wgd(
         GaussDiagram(((OVER, 1), (UNDER, 1)), frozenset({((OVER, 1), (UNDER, 1))}))
     ),

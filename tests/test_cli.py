@@ -119,6 +119,17 @@ class TestMovesAndApply:
         code, _, err = run(capsys, "apply", str(path), "--site", json.dumps(site))
         assert code == 1
 
+    def test_apply_json_reports_code_and_record(self, capsys, tmp_path):
+        path = tmp_path / "two.gc"
+        path.write_text("O1+ O2+ U1+ U2+")
+        site = {"kind": "OC", "positions": [0, 1], "variant": "oc"}
+        code, out, _ = run(capsys, "apply", str(path), "--site", json.dumps(site), "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "code": "O2+ O1+ U1+ U2+",
+            "record": {"kind": "OC", "variant": "oc", "removes": [], "inserts": [], "swaps": [[0, 1]]},
+        }
+
     def test_no_growth_flag(self, capsys, tmp_path):
         path = tmp_path / "kink.gc"
         path.write_text("O1+ U1+")
@@ -179,6 +190,10 @@ class TestEquivSimplifyInvariantsAtlas:
     def test_invariants_plain_output(self, capsys, tref_gc):
         code, out, _ = run(capsys, "invariants", "--primes", "3,5", tref_gc)
         assert out.splitlines()[0] == "{3: 9, 5: 5}"
+
+    def test_invariants_plain_output_with_groups(self, capsys, tref_gc):
+        code, out, _ = run(capsys, "invariants", "--groups", "S3", tref_gc)
+        assert (code, out) == (0, "{3: 9, 5: 5}\n{'S3': 12}\n")
 
     def test_invariants_json_with_groups(self, capsys, tref_gc):
         code, out, _ = run(capsys, "invariants", "--primes", "3", "--groups", "S3", tref_gc, "--json")
@@ -306,6 +321,19 @@ class TestBoundaryErrors:
         assert "Traceback" not in proc.stderr
         proc = run_process("equiv", "-", "kink.gc", cwd=tmp_path, stdin="O1+ U1+")
         assert (proc.returncode, proc.stdout) == (0, "equivalent, path length 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["moves", "-", "--kinds", "OC,R9"],
+        ["invariants", "-", "--primes", "x"],
+        ["equiv", "-", "-"],
+    ])
+    def test_exit_1_in_process(self, capsys, monkeypatch, argv):
+        """The CLI's own argument checks, in process: an unknown move kind,
+        a prime that is not an integer, and stdin named twice."""
+        monkeypatch.setattr("sys.stdin", io.StringIO("O1+ O2+ U1+ U2+"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
         ["--seed", "1", "canon", "-"],

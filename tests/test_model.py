@@ -18,7 +18,15 @@ from weldedknots import (
     validate_wgd,
     wgd_encoding,
 )
-from weldedknots.model import OVER, UNDER, _canonical_wgd_encoding, _rotation_tables
+from weldedknots.model import (
+    _GROUP,
+    OVER,
+    UNDER,
+    _canonical_image,
+    _canonical_wgd_encoding,
+    _orbit_canonical,
+    _relabel_tables,
+)
 
 from conftest import TREFOIL_TEXT, long_wgd, oracle_wgd_encoding, random_code, random_wgd, reference_wgd
 
@@ -54,6 +62,26 @@ class TestValidation:
         w = WeldedGaussDiagram((1, 2), {1: 2}, {1: 1, 2: 1})
         assert validate_wgd(w) is not None
         assert validate_wgd(reference_wgd()) is None
+
+
+class TestDiagramValue:
+    def test_compares_by_its_current_fields(self):
+        # the maps are dicts, so a diagram hashed before its sign map is
+        # edited must not keep answering with the old fields
+        w = WeldedGaussDiagram((1, 2), {1: 2, 2: 1}, {1: 1, 2: 1})
+        v = WeldedGaussDiagram((1, 2), {1: 2, 2: 1}, {1: 1, 2: -1})
+        hash(w)
+        w.sign[2] = -1
+        assert w == v
+        assert hash(w) == hash(v)
+
+    def test_fields_cannot_be_rebound(self):
+        w = reference_wgd()
+        with pytest.raises(AttributeError):
+            w.order = ()
+
+    def test_never_equals_another_type(self):
+        assert (reference_wgd() == 1) is False
 
 
 class TestCanonicalWgd:
@@ -99,9 +127,15 @@ class TestCanonicalWgd:
 
     def test_rotation_tables_past_128_crossings_share_one_buffer(self):
         # n separate tables of 2n entries would hold 2n^2 ints: 18M at 3000
-        tables = _rotation_tables(3000)
+        tables = _relabel_tables(3000)[0]
         assert len(tables) == 3000
         assert len({id(t.obj) for t in tables}) == 1
+
+    def test_empty_encoding_under_the_group(self):
+        # zero crossings have no rotations, hence no relabel tables to look up
+        for g in _GROUP:
+            assert _canonical_image(b"", g) == b""
+        assert _orbit_canonical(b"") == (b"", 0, _GROUP)
 
     def test_past_128_crossings_against_bruteforce(self, rng):
         for w in (long_wgd(130), random_wgd(rng, 130)):
