@@ -371,7 +371,9 @@ def _wanted_kinds(kinds: Iterable[MoveKind] | None, growth_allowed: bool) -> fro
     """The kinds to generate: ``kinds`` (all when None), without the insert
     kinds unless ``growth_allowed``.  An entry that is not a ``MoveKind``,
     such as its value ``"R1_insert"``, would match nothing, so it is
-    rejected."""
+    rejected, and so is a ``growth_allowed`` that is not a bool."""
+    if type(growth_allowed) is not bool:
+        raise DomainError(f"growth_allowed must be a bool, got {growth_allowed!r}")
     if kinds is None:
         wanted = ALL_KINDS
     else:

@@ -8,11 +8,10 @@ neighbour step, :func:`moves._edges`: the raw neighbours along the R1,
 R2 and R3 edges of the move graph within the crossing cap.  Equivalence
 search and :func:`simplify` expand states through :func:`_expand`, which
 canonicalises each raw neighbour once per walk.  Diagrams are built only
-at the API boundary: for the states of a found path, whose codes are
-rematerialized into a replayable move path, and for the result of
-:func:`simplify`.  Every reported equivalence carries such a path; a
-negative answer is always Unknown (budget exhaustion bounds the
-exploration, it proves nothing).
+at the API boundary: for the first state of a found path, whose code
+starts a replayable move path, and for the result of :func:`simplify`.
+Every reported equivalence carries such a path; a negative answer is
+always Unknown: budget exhaustion bounds the search, it proves nothing.
 
 The atlas needs no budget: its classes are the connected components of
 the move graph on all diagrams up to a crossing cap, found exactly.  In
@@ -23,14 +22,13 @@ group G = {id, bar, rev, glob} at a time, on orbit representatives.
 :func:`build_atlas` states the method and proves it exact.
 
 Equivalence queries run a bidirectional breadth-first search, expanding
-whichever frontier is smaller.  Path extraction re-derives each edge of
-the discovered state sequence on the concrete code
-(:func:`moves._edge_records`), inserting explicit over-commute records
-where the realization has to be reordered first, so the returned record
-list replays start to finish with no hidden normalization.  The states
-are validated once, where :func:`derive_path` takes them; each trial
-move is compared with the next state as a canonical packed encoding,
-with no diagram built per trial.
+whichever frontier is smaller.  Path extraction (:func:`_realise`)
+re-derives each edge between the walk's own encodings on the concrete
+code (:func:`moves._edge_records`), inserting explicit over-commute
+records where the realization has to be reordered first, so the
+returned record list replays start to finish with no hidden
+normalization; no diagram is built per trial.  Only :func:`derive_path`,
+whose states come from its caller, validates and canonicalises them.
 """
 
 from __future__ import annotations
@@ -179,8 +177,7 @@ def are_equivalent(
         if meetings:
             meeting = min(meetings, key=_size_then_encoding)
             seq = _walk(parents[0], meeting)[::-1] + _walk(parents[1], meeting)[1:]
-            path = derive_path([_wgd_from_encoding(e) for e in seq])
-            return EquivalenceOutcome(True, tuple(path), states_explored=total_visited())
+            return EquivalenceOutcome(True, tuple(_realise(seq)), states_explored=total_visited())
     return EquivalenceOutcome(False, reason="move graph exhausted within crossing budget", states_explored=total_visited())
 
 
@@ -197,10 +194,7 @@ def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
     """Record path realizing a sequence of adjacent states, starting from
     the first state's realization.  Each step may prepend over-commute
     records before its Reidemeister record.  Every state is validated and
-    canonicalised once, here, so states compare up to rotation and
-    relabelling: each step's trials are compared with the next state's
-    canonical packed encoding (:func:`moves._edge_records`), and the last
-    code reached is dropped."""
+    canonicalised once, so states compare up to rotation and relabelling."""
     wants = []
     try:
         for w in states:
@@ -208,8 +202,14 @@ def derive_path(states: list[WeldedGaussDiagram]) -> list[MoveRecord]:
             wants.append(_canonical_wgd_encoding(w))
     except TypeError as e:
         raise DomainError(f"expected an iterable of welded Gauss diagrams: {e}") from e
-    if not wants:
-        return []
+    return _realise(wants) if wants else []
+
+
+def _realise(wants: list) -> list[MoveRecord]:
+    """Record path realizing the nonempty sequence ``wants`` of adjacent
+    canonical packed encodings from the first one's code: each edge's
+    trials are compared with the next encoding, and the last code reached
+    is dropped (:func:`moves._edge_records`)."""
     code = wgd_to_gauss(_wgd_from_encoding(wants[0]))
     records: list[MoveRecord] = []
     for want in wants[1:]:

@@ -244,6 +244,9 @@ MISUSES = {
     ),
     "enumerate_sites, kinds that are an int": lambda: enumerate_sites(TREFOIL_CODE, kinds=5),
     "wgd_neighbors, kinds that are an int": lambda: wgd_neighbors(TREFOIL, kinds=5),
+    # read for its truth value, "no" would allow growth and None forbid it
+    "enumerate_sites, growth_allowed that is text": lambda: enumerate_sites(TREFOIL_CODE, growth_allowed="no"),
+    "wgd_neighbors, growth_allowed that is None": lambda: wgd_neighbors(TREFOIL, growth_allowed=None),
     "fingerprint, primes that are None": lambda: fingerprint(TREFOIL, primes=None),
     "fingerprint, groups that are None": lambda: fingerprint(TREFOIL, groups=None),
     "build_atlas, primes that are None": lambda: build_atlas(2, 3, primes=None),

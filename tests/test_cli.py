@@ -161,6 +161,68 @@ class TestMovesAndApply:
         assert digest.hexdigest() == "90a9a38fdde4f21bf90ec6a87cee8f83bcd9d8646cc5666bfdd2dc69c05efa56"
 
 
+# CI's console-script digests, reproduced in process.  Each case lists the
+# (stdin, argv) runs whose stdout, concatenated, CI hashes; equiv reads A
+# from a.gc and B from b.gc in the working directory.
+T = TREFOIL_TEXT
+W = '{"order": [3, 1, 2], "map": {"3": [3, "+"], "1": [3, "-"], "2": [3, "+"]}}'
+A = "U4- U3+ O3+ O4- U2- U1+ O1+ O2-"
+B = "U4- O4- O5+ O6- U5+ U6-"
+CI_DIGESTS = {
+    # the site list of a code with R1 deletes (one across the basepoint),
+    # an R2 delete, an R3 site and OC sites
+    "moves": ([("U2- O1- U1- U4+ U5- O3- O4+ O5- U3- O2-", ["moves", "-"])],
+              "3ee99294868cd2c9b68b71589aa170e246fa9821ae67afe1afec5983d87869a4"),
+    # a path with R2_delete, OC, R1_delete and R2_insert records
+    "equiv --json": ([("", ["equiv", "a.gc", "b.gc", "--json"])],
+                     "f0034211b46af0e2bea609fdcd8d200e76a8ef5e71901aafcba1d8a1238de70e"),
+    "apply, an R3 site": (
+        [("O2+ O1+ O3+ U1+ U3+ U2+",
+          ["apply", "-", "--site", '{"kind": "R3", "positions": [0, 2, 4], "variant": "r3:100+"}', "--json"])],
+        "945ed12ab112dac69b0bae5b76ffd9d00bd2ca2ea54ab2d71c4178dd72350677"),
+    "apply, an R1 insert": (
+        [("O1+ U1+", ["apply", "-", "--site", '{"kind": "R1_insert", "positions": [1], "variant": "uo-"}', "--json"])],
+        "171fd4e4ad8ca1d2071b864fe0ff8eb7aaba2009264da821dbe1563489cc593e"),
+    "apply, a shared-slot R2 insert": (
+        [("O1+ U1+",
+          ["apply", "-", "--site", '{"kind": "R2_insert", "positions": [1, 1], "variant": "anti-:uo"}', "--json"])],
+        "82b7e06f12bd8f76fde3ff669cf4ac4a5aa394677ea2738a621aa64ca28bf584"),
+    "invariants, every built-in group": (
+        [(T, ["invariants", "-", "--primes", "3,5,7", "--groups", "S3,D1,D2,D3,D4,D5,D6", "--json"])],
+        "99a74cbdb5b4f350c274347f7b8c9bd1e5bccb3861d9afa6777d773f67075631"),
+    # codes as they stand, diagrams in canonical form
+    "the six reversals": (
+        [(x, ["symmetry", op, "-"]) for x in (T, W) for op in ("--reverse", "--bar", "--global")],
+        "f484bda90e220a6150626f483369c6738a8dca625cc97d8596067396d884778f"),
+    "canon, convert and simplify": (
+        [(W, ["canon", "-"]), (W, ["convert", "--to", "gd", "-"]), (T, ["convert", "--to", "gd", "-"]),
+         (A, ["simplify", "-"]), (T, ["simplify", "-"])],
+        "0546a096f435e0a64e4b9dc41d901467a0a2851ad090eb122640f3bb7ce9e2aa"),
+    # the streamed atlas, where TestAtlas pins build_atlas's records
+    "atlas (3, 4)": ([("", ["atlas", "--n-max", "3", "--max-crossings", "4"])],
+                     "0dc6c1e4084c048b3ea29eb215fb0cd0a22beb73382948eace67bee8f7e0df09"),
+    "atlas (3, 4), primes and groups": (
+        [("", ["atlas", "--n-max", "3", "--max-crossings", "4", "--primes", "3,5,7", "--groups", "S3,D4"])],
+        "848d9fbbb1f93ea9602b053c0d8d5fb30ac04f1ddc1a60beb4af97ff3b26421c"),
+}
+
+
+@pytest.mark.parametrize("runs, digest", CI_DIGESTS.values(), ids=CI_DIGESTS.keys())
+def test_ci_digest_in_process(capsys, monkeypatch, tmp_path, runs, digest):
+    """Each output CI pins through the console script, run in process: a
+    gate that cites one of these digests holds without CI."""
+    (tmp_path / "a.gc").write_text(A)
+    (tmp_path / "b.gc").write_text(B)
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for stdin, argv in runs:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
 class TestEquivSimplifyInvariantsAtlas:
     def test_equiv_identical_files(self, capsys, tref_wgd):
         code, out, _ = run(capsys, "equiv", tref_wgd, tref_wgd, "--max-crossings", "5")

@@ -240,6 +240,18 @@ class TestSimplify:
         out = simplify(TREFOIL, SearchBudget(max_crossings=5, max_states=150, max_depth=8))
         assert out.n == 3
 
+    def test_default_budget_reaches_the_least_state_within_cap_five(self):
+        """At the default budget, ``simplify`` within cap 5 takes each of
+        the 1,132 nonempty canonical diagrams with at most 4 crossings to
+        the least state of its cap-5 component, as the union-find oracle
+        (``conftest.oracle_components``) finds it: the oracle joins shrink
+        and R3 edges and shares no walk with ``simplify``."""
+        components = oracle_components(5)
+        seeds = [e for e in components if 0 < len(e) <= 4]
+        assert len(seeds) == 1_132
+        misses = [e for e in seeds if _wgd_packed(simplify(_wgd_from_encoding(e), SearchBudget(5))) != components[e]]
+        assert misses == []
+
     def test_budget_violation_rejected(self):
         with pytest.raises(DomainError):
             simplify(TREFOIL, SearchBudget(max_crossings=2))
@@ -922,10 +934,11 @@ class TestSearchGolden:
         assert counts["__init__"] == 0
 
     def test_path_states_are_canonicalised_once(self, monkeypatch):
-        """The golden queries canonicalise 124 diagrams: the two inputs of
-        each of the 30 queries, and once each of the 64 states of the 24
-        paths found, where ``derive_path`` takes them; its 40 edges compare
-        trials with those encodings and canonicalise no target again."""
+        """The golden queries canonicalise 60 diagrams: the two inputs of
+        each of the 30 queries.  The walk holds every state of a found
+        path as a canonical encoding already and hands those to the
+        realiser, so none of the 64 states of the 24 paths is canonicalised
+        again (124 when each went through ``derive_path``)."""
         import weldedknots.search
 
         pairs = _golden_pairs()
@@ -933,4 +946,16 @@ class TestSearchGolden:
         _count_calls(monkeypatch, counts, weldedknots.search, "_canonical_wgd_encoding")
         for a, b, budget in pairs:
             are_equivalent(a, b, budget)
-        assert counts == {"_canonical_wgd_encoding": 124}
+        assert counts == {"_canonical_wgd_encoding": 60}
+
+    def test_one_diagram_per_found_path(self, monkeypatch):
+        """The golden queries, inputs built beforehand, construct 24
+        diagrams: one per found path, whose code starts the realisation.
+        No other state of a path is built as a diagram (88 when each
+        state was)."""
+        pairs = _golden_pairs()
+        counts = collections.Counter()
+        _count_calls(monkeypatch, counts, WeldedGaussDiagram, "__init__")
+        outcomes = [are_equivalent(a, b, budget) for a, b, budget in pairs]
+        assert sum(out.equivalent for out in outcomes) == 24
+        assert counts == {"__init__": 24}
