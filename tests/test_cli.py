@@ -161,14 +161,14 @@ class TestMovesAndApply:
         assert digest.hexdigest() == "90a9a38fdde4f21bf90ec6a87cee8f83bcd9d8646cc5666bfdd2dc69c05efa56"
 
 
-# CI's console-script digests, reproduced in process.  Each case lists the
-# (stdin, argv) runs whose stdout, concatenated, CI hashes; equiv reads A
-# from a.gc and B from b.gc in the working directory.
+# The pinned CLI outputs, one digest each.  Each case lists the (stdin,
+# argv) runs whose stdout, concatenated, is hashed; equiv reads A from a.gc
+# and B from b.gc in the working directory.
 T = TREFOIL_TEXT
 W = '{"order": [3, 1, 2], "map": {"3": [3, "+"], "1": [3, "-"], "2": [3, "+"]}}'
 A = "U4- U3+ O3+ O4- U2- U1+ O1+ O2-"
 B = "U4- O4- O5+ O6- U5+ U6-"
-CI_DIGESTS = {
+CLI_DIGESTS = {
     # the site list of a code with R1 deletes (one across the basepoint),
     # an R2 delete, an R3 site and OC sites
     "moves": ([("U2- O1- U1- U4+ U5- O3- O4+ O5- U3- O2-", ["moves", "-"])],
@@ -198,19 +198,24 @@ CI_DIGESTS = {
         [(W, ["canon", "-"]), (W, ["convert", "--to", "gd", "-"]), (T, ["convert", "--to", "gd", "-"]),
          (A, ["simplify", "-"]), (T, ["simplify", "-"])],
         "0546a096f435e0a64e4b9dc41d901467a0a2851ad090eb122640f3bb7ce9e2aa"),
-    # the streamed atlas, where TestAtlas pins build_atlas's records
+    # the streamed atlas, where TestAtlas pins build_atlas's records;
+    # (4, 5) runs 16 floods and stops 4 of them, where (3, 4) runs 2
+    "atlas (2, 4)": ([("", ["atlas", "--n-max", "2", "--max-crossings", "4"])],
+                     "4fca65b954e05599dd531f1b7902e4c701bd0bc288134470c6e9a38a1cc4a4ce"),
     "atlas (3, 4)": ([("", ["atlas", "--n-max", "3", "--max-crossings", "4"])],
                      "0dc6c1e4084c048b3ea29eb215fb0cd0a22beb73382948eace67bee8f7e0df09"),
+    "atlas (4, 5)": ([("", ["atlas", "--n-max", "4", "--max-crossings", "5"])],
+                     "dff120ca16d99f004f131cc1876469fca5ce3754968021d6053c200430faf36e"),
     "atlas (3, 4), primes and groups": (
         [("", ["atlas", "--n-max", "3", "--max-crossings", "4", "--primes", "3,5,7", "--groups", "S3,D4"])],
         "848d9fbbb1f93ea9602b053c0d8d5fb30ac04f1ddc1a60beb4af97ff3b26421c"),
 }
 
 
-@pytest.mark.parametrize("runs, digest", CI_DIGESTS.values(), ids=CI_DIGESTS.keys())
+@pytest.mark.parametrize("runs, digest", CLI_DIGESTS.values(), ids=CLI_DIGESTS.keys())
 def test_ci_digest_in_process(capsys, monkeypatch, tmp_path, runs, digest):
-    """Each output CI pins through the console script, run in process: a
-    gate that cites one of these digests holds without CI."""
+    """Each pinned CLI output, run in process on every supported Python,
+    so a gate that cites one of these digests holds without CI."""
     (tmp_path / "a.gc").write_text(A)
     (tmp_path / "b.gc").write_text(B)
     monkeypatch.chdir(tmp_path)
@@ -363,6 +368,8 @@ class TestBoundaryErrors:
         ["atlas", "--n-max", "1", "--primes", str(10**400 + 1)],
         # prime, but 2**64 + 13 is past the bound where the primality test is exact
         ["invariants", "kink.gc", "--primes", "3,18446744073709551629"],
+        # one position for a two-position kind
+        ["apply", "kink.gc", "--site", '{"kind": "OC", "positions": [0], "variant": "oc"}'],
     ])
     def test_exit_1_without_traceback(self, tmp_path, argv):
         (tmp_path / "kink.gc").write_text("O1+ U1+")
@@ -572,3 +579,20 @@ class TestParser:
     def test_pinned_help_and_usage(self, capsys, monkeypatch, argv, code, out, err):
         monkeypatch.setenv("COLUMNS", "80")
         assert exit_and_output(capsys, main, argv) == (code, out, err)
+
+    # what holds on every argparse version, where the pins above skip
+    @pytest.mark.parametrize("argv", [["atlas", "--n-max", "1", "--bogus"], ["equiv", "a", "b", "c"]])
+    def test_leftovers_are_root_usage_errors(self, capsys, monkeypatch, argv):
+        """An unknown option or a leftover positional of a named command is
+        reported by the root parser, whose usage lists every command."""
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = exit_and_output(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: weldedknots [-h]")
+        assert "{convert,canon,moves,apply,equiv,simplify,invariants,symmetry,atlas}" in err
+
+    def test_command_help_comes_from_its_own_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = exit_and_output(capsys, main, ["atlas", "-h"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: weldedknots atlas")
